@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check build vet test race race-intrarun smoke-faults smoke-scale smoke-soak smoke-serve bench-smoke bench-json bench-mem bench-guard
+.PHONY: check build vet test race race-intrarun smoke-faults smoke-scale smoke-soak smoke-serve bench-smoke bench-mem
 
 check: build vet test race race-intrarun smoke-faults smoke-scale smoke-soak smoke-serve
 
@@ -137,14 +137,3 @@ bench-smoke:
 # keeps the closed-loop paths at 0 allocs/op.
 bench-mem:
 	$(GO) test -run xxx -bench . -benchmem ./internal/vmmc ./internal/sim
-
-# bench-json refreshes BENCH_sim.json: the wall-clock serial-vs-parallel
-# suite comparison for the perf trajectory (see DESIGN.md §7).
-bench-json:
-	$(GO) run ./cmd/genima-bench -benchjson BENCH_sim.json -scale test -q
-
-# bench-guard fails if serial suite throughput regressed more than 25%
-# against the committed BENCH_sim.json baseline (best of two passes, so
-# one scheduling hiccup on a shared box does not fail the build).
-bench-guard:
-	$(GO) run ./cmd/genima-bench -benchguard BENCH_sim.json -q

@@ -37,7 +37,7 @@ func runSuite(b *testing.B, hardware bool, kinds []genima.Protocol) *genima.Suit
 
 // benchSuiteWorkers times one full TestScale ladder (all protocols +
 // hardware) at a fixed worker count; the Serial/Parallel pair is the
-// wall-clock evidence for the parallel runner (see BENCH_sim.json).
+// wall-clock evidence for the parallel runner.
 func benchSuiteWorkers(b *testing.B, workers int) {
 	cfg := genima.DefaultConfig()
 	for i := 0; i < b.N; i++ {

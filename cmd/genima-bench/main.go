@@ -9,13 +9,10 @@
 //	genima-bench -verify          # validate every run against sequential
 //	genima-bench -nodes 8         # cluster size for the 16-proc suite
 //	genima-bench -j 1             # serial runs (default: GOMAXPROCS)
-//	genima-bench -benchjson BENCH_sim.json -scale test
-//	                              # time serial vs parallel, emit JSON
 //	genima-bench -cpuprofile cpu.pprof -memprofile mem.pprof
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -26,11 +23,8 @@ import (
 	"sync/atomic"
 	"syscall"
 	"time"
-)
 
-import (
 	genima "genima"
-	"genima/internal/apps"
 )
 
 var (
@@ -43,11 +37,9 @@ var (
 	jFlag      = flag.Int("j", 0, "concurrent simulation workers (0 = GOMAXPROCS, 1 = serial)")
 	cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-	benchJSON  = flag.String("benchjson", "", "time the suite serial vs parallel and write a JSON summary to this file (skips the experiment output)")
-	benchGuard = flag.String("benchguard", "", "compare current serial throughput against this committed BENCH_sim.json and exit nonzero on a >25% regression")
 	faultsFlag = flag.Float64("faults", 0, "link fault injection for the main suite: packet drop rate (0,1) per FaultMix; 0 disables")
 	seedFlag   = flag.Uint64("fault-seed", 1, "deterministic seed for -faults and the faultsweep experiment")
-	lpsFlag    = flag.Int("lpshards", 0, "node shards (logical processes) for intra-run timing points; 0 = auto (min(workers, nodes))")
+	lpsFlag    = flag.Int("lpshards", 0, "soak: node shards (logical processes) per intra-run iteration; 0 = auto (min(-soak-jrun, nodes))")
 
 	soakEvents    = flag.Uint64("soak-events", 100_000_000, "soak: stop once cumulative simulated events reach this total (0 = bound by -soak-iters alone)")
 	soakIters     = flag.Uint64("soak-iters", 0, "soak: iteration cap (0 = bound by -soak-events alone)")
@@ -96,311 +88,6 @@ func parseExperiments(s string) (map[string]bool, error) {
 			strings.Join(validExperiments, ", "))
 	}
 	return want, nil
-}
-
-// benchSummary is the BENCH_sim.json schema: wall-clock evidence for the
-// simulator's perf trajectory. suite_*_seconds time one full ladder
-// (all protocols + hardware + sequential) over the ten applications.
-// Inter-run parallelism (suite_parallel_seconds and friends) fans
-// independent runs across workers; intra-run parallelism
-// (events_per_sec_intrarun and friends) partitions one run into
-// per-node logical processes. Measurements that cannot be taken
-// meaningfully on this box (e.g. any parallel pass on a single-CPU
-// machine) are null, with the reason recorded in note — a null is "not
-// measured", never "zero speedup".
-type benchSummary struct {
-	Generated          string  `json:"generated"`
-	GoVersion          string  `json:"go_version"`
-	NumCPU             int     `json:"num_cpu"`
-	GoMaxProcs         int     `json:"go_max_procs"`
-	Scale              string  `json:"scale"`
-	Workers            int     `json:"workers"`
-	SuiteSerialSeconds float64 `json:"suite_serial_seconds"`
-	// Inter-run suite timing: null when skipped (see note).
-	SuiteParallelSecs  *float64 `json:"suite_parallel_seconds"`
-	ParallelSpeedup    *float64 `json:"parallel_speedup"`
-	SimEvents          uint64   `json:"sim_events"`
-	EventsPerSecSerial float64  `json:"events_per_sec_serial"`
-	EventsPerSecPar    *float64 `json:"events_per_sec_parallel"`
-	// Intra-run engine throughput on one fixed point (fft under GeNIMA)
-	// with IntraRunWorkers=workers, and its speedup over the same point
-	// serial. Null when skipped (see note).
-	EventsPerSecIntra *float64 `json:"events_per_sec_intrarun"`
-	IntraRunSpeedup   *float64 `json:"intrarun_speedup"`
-	// Allocation pressure of the serial run (runtime.ReadMemStats deltas
-	// divided by simulated events): the pooled packet pipeline's headline
-	// metric. Lower is better; the typed event path targets ~0 on the
-	// messaging hot paths.
-	AllocsPerEvent float64 `json:"allocs_per_event"`
-	BytesPerEvent  float64 `json:"bytes_per_event"`
-	// Deterministic simulated-time barrier costs: mean virtual ns per
-	// barrier episode of the barrierbench microbenchmark. p32 is 8x4
-	// processors on the crossbar with the flat fan-out barrier; p128 is
-	// 32x4 on a radix-8 clos2 with the NI-firmware collective tree.
-	// Unlike the wall-clock fields these are exact model outputs — any
-	// drift is a modeling change, not measurement noise — so the guard
-	// gates them direction-aware (an increase is the regression).
-	BarrierNsP32  *float64 `json:"barrier_ns_p32"`
-	BarrierNsP128 *float64 `json:"barrier_ns_p128"`
-	// PDES scaling points: engine throughput on barrierbench at
-	// ProcsPerNode=1 over large multi-stage fabrics — 128 nodes on a
-	// radix-16 clos2 with the NI collective tree (GeNIMA) and 512 nodes
-	// on a radix-16 fat tree with the flat interrupt barrier (Base).
-	// events_per_sec_pN is the serial engine (measurable on any box);
-	// intrarun_speedup_pN is the same point at IntraRunWorkers=workers
-	// and LPShards auto, over serial — null on a single-CPU box.
-	EventsPerSecP128 *float64 `json:"events_per_sec_p128"`
-	EventsPerSecP512 *float64 `json:"events_per_sec_p512"`
-	IntraSpeedupP128 *float64 `json:"intrarun_speedup_p128"`
-	IntraSpeedupP512 *float64 `json:"intrarun_speedup_p512"`
-	// Serving-workload point: the svmkv open-loop KV server at registry
-	// defaults under GeNIMA, clean links. Both are virtual-time model
-	// outputs (completed requests per simulated second; p99 request
-	// latency in simulated ns) — exact and deterministic like the
-	// barrier costs, so the guard gates them direction-aware: throughput
-	// dropping or p99 rising >25% is the regression.
-	ServeReqsPerSec *float64 `json:"serve_reqs_per_sec"`
-	ServeP99Ns      *float64 `json:"serve_p99_ns"`
-	// Note lists measurement caveats, comma-separated, e.g.
-	// "parallel_skipped_single_cpu" or "intrarun_skipped_single_cpu"
-	// when the box cannot run a meaningful parallel pass.
-	Note string `json:"note,omitempty"`
-}
-
-// timeBarrierNs runs barrierbench once at the given cluster shape and
-// returns the mean simulated ns per barrier episode (2 per round plus
-// the harness's trailing barrier). The result is virtual time: fully
-// deterministic, identical on every box.
-func timeBarrierNs(scale genima.Scale, nodes, procs int, topo genima.Topology, radix int, collectives bool) float64 {
-	entry, ok := apps.ByName(scale, "barrierbench")
-	if !ok {
-		fatal(fmt.Errorf("barrierbench missing"))
-	}
-	rounds := entry.App.(interface{ Rounds() int }).Rounds()
-	cfg := genima.DefaultConfig()
-	cfg.Nodes = nodes
-	cfg.ProcsPerNode = procs
-	cfg.Topo = topo
-	cfg.SwitchRadix = radix
-	cfg.Collectives = collectives
-	res, _, err := genima.Run(cfg, genima.GeNIMA, entry.App)
-	if err != nil {
-		fatal(err)
-	}
-	return float64(res.Elapsed) / float64(2*rounds+1)
-}
-
-// timeIntraRunEPS times repeated fft/GeNIMA runs at the given
-// intra-run worker count and returns the best observed events/sec
-// (best of three, so one scheduling hiccup does not skew the number).
-func timeIntraRunEPS(scale genima.Scale, workers int) float64 {
-	entry, ok := apps.ByName(scale, "fft")
-	if !ok {
-		fatal(fmt.Errorf("intra-run timing point fft missing from suite"))
-	}
-	cfg := genima.DefaultConfig()
-	cfg.Nodes = *nodesFlag
-	cfg.ProcsPerNode = *procsFlag
-	cfg.IntraRunWorkers = workers
-	cfg.LPShards = *lpsFlag
-	best := 0.0
-	for pass := 0; pass < 3; pass++ {
-		t0 := time.Now()
-		res, _, err := genima.Run(cfg, genima.GeNIMA, entry.App)
-		if err != nil {
-			fatal(err)
-		}
-		if eps := float64(res.Events) / time.Since(t0).Seconds(); eps > best {
-			best = eps
-		}
-	}
-	return best
-}
-
-// timeServe runs the svmkv serving workload once at registry defaults
-// under GeNIMA with clean links and returns its virtual-time throughput
-// (completed requests per simulated second) and p99 request latency
-// (simulated ns). Exact model outputs: identical on every box.
-func timeServe(scale genima.Scale) (reqsPerSec, p99Ns float64) {
-	entry, ok := apps.ByName(scale, "svmkv")
-	if !ok {
-		fatal(fmt.Errorf("svmkv missing"))
-	}
-	res, _, err := genima.Run(genima.DefaultConfig(), genima.GeNIMA, entry.App)
-	if err != nil {
-		fatal(err)
-	}
-	return res.Latency.Throughput(res.Elapsed), float64(res.Latency.Summary().P99)
-}
-
-// scalePoint describes one PDES scaling point (see the benchSummary
-// field docs): barrierbench at ProcsPerNode=1 on a large fabric.
-type scalePoint struct {
-	nodes       int
-	topo        genima.Topology
-	radix       int
-	proto       genima.Protocol
-	collectives bool
-}
-
-var (
-	scaleP128 = scalePoint{128, genima.TopoClos2, 16, genima.GeNIMA, true}
-	scaleP512 = scalePoint{512, genima.TopoFatTree, 16, genima.Base, false}
-)
-
-// timeScaleEPS times barrierbench at one scaling point and returns the
-// best observed events/sec over three passes. workers<=1 is the serial
-// engine; otherwise the run is partitioned into LPShards shards
-// (0 = auto) under IntraRunWorkers=workers.
-func timeScaleEPS(scale genima.Scale, p scalePoint, workers, shards int) float64 {
-	entry, ok := apps.ByName(scale, "barrierbench")
-	if !ok {
-		fatal(fmt.Errorf("barrierbench missing"))
-	}
-	cfg := genima.DefaultConfig()
-	cfg.Nodes = p.nodes
-	cfg.ProcsPerNode = 1
-	cfg.Topo = p.topo
-	cfg.SwitchRadix = p.radix
-	cfg.Collectives = p.collectives
-	cfg.IntraRunWorkers = workers
-	cfg.LPShards = shards
-	best := 0.0
-	for pass := 0; pass < 3; pass++ {
-		t0 := time.Now()
-		res, _, err := genima.Run(cfg, p.proto, entry.App)
-		if err != nil {
-			fatal(err)
-		}
-		if eps := float64(res.Events) / time.Since(t0).Seconds(); eps > best {
-			best = eps
-		}
-	}
-	return best
-}
-
-// runBenchJSON times the full suite with Workers=1 and Workers=j and
-// writes the summary. The two runs produce identical SuiteResults (the
-// determinism contract), so the comparison is pure wall-clock.
-func runBenchJSON(path string, scale genima.Scale, scaleName string, workers int) {
-	cfg := genima.DefaultConfig()
-	cfg.Nodes = *nodesFlag
-	cfg.ProcsPerNode = *procsFlag
-	timeSuite := func(w int) (float64, uint64) {
-		t0 := time.Now()
-		s, err := genima.RunSuite(cfg, genima.SuiteOptions{
-			Scale:    scale,
-			Hardware: true,
-			Workers:  w,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		elapsed := time.Since(t0).Seconds()
-		var events uint64
-		for _, r := range s.Seq {
-			events += r.Events
-		}
-		for _, r := range s.HW {
-			events += r.Events
-		}
-		for _, rs := range s.SVM {
-			for _, r := range rs {
-				events += r.Events
-			}
-		}
-		return elapsed, events
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	var msBefore, msAfter runtime.MemStats
-	runtime.ReadMemStats(&msBefore)
-	serialSec, events := timeSuite(1)
-	runtime.ReadMemStats(&msAfter)
-	allocs := msAfter.Mallocs - msBefore.Mallocs
-	bytes := msAfter.TotalAlloc - msBefore.TotalAlloc
-	// On a single-CPU box either parallel pass measures the same serial
-	// work plus scheduler overhead; record null-with-note rather than a
-	// meaningless "speedup".
-	var notes []string
-	var parSecP, speedupP, epsParP *float64
-	if runtime.NumCPU() == 1 {
-		notes = append(notes, "parallel_skipped_single_cpu")
-	} else {
-		parSec, _ := timeSuite(workers)
-		speedup := serialSec / parSec
-		epsPar := float64(events) / parSec
-		parSecP, speedupP, epsParP = &parSec, &speedup, &epsPar
-	}
-	var epsIntraP, intraSpeedupP *float64
-	if runtime.NumCPU() == 1 {
-		notes = append(notes, "intrarun_skipped_single_cpu")
-	} else {
-		epsIntraSerial := timeIntraRunEPS(scale, 1)
-		epsIntra := timeIntraRunEPS(scale, workers)
-		intraSpeedup := epsIntra / epsIntraSerial
-		epsIntraP, intraSpeedupP = &epsIntra, &intraSpeedup
-	}
-	barrier32 := timeBarrierNs(scale, 8, *procsFlag, genima.TopoXbar, 8, false)
-	barrier128 := timeBarrierNs(scale, 32, *procsFlag, genima.TopoClos2, 8, true)
-	serveTput, serveP99 := timeServe(scale)
-	// PDES scaling points: serial throughput is measurable anywhere; the
-	// intra-run speedups need real parallelism.
-	epsP128 := timeScaleEPS(scale, scaleP128, 1, 0)
-	epsP512 := timeScaleEPS(scale, scaleP512, 1, 0)
-	var speedupP128P, speedupP512P *float64
-	if runtime.NumCPU() == 1 {
-		notes = append(notes, "intrarun_scale_skipped_single_cpu")
-	} else {
-		s128 := timeScaleEPS(scale, scaleP128, workers, *lpsFlag) / epsP128
-		s512 := timeScaleEPS(scale, scaleP512, workers, *lpsFlag) / epsP512
-		speedupP128P, speedupP512P = &s128, &s512
-	}
-	sum := benchSummary{
-		Generated:          time.Now().UTC().Format(time.RFC3339),
-		GoVersion:          runtime.Version(),
-		NumCPU:             runtime.NumCPU(),
-		GoMaxProcs:         runtime.GOMAXPROCS(0),
-		Scale:              scaleName,
-		Workers:            workers,
-		SuiteSerialSeconds: serialSec,
-		SuiteParallelSecs:  parSecP,
-		ParallelSpeedup:    speedupP,
-		SimEvents:          events,
-		EventsPerSecSerial: float64(events) / serialSec,
-		EventsPerSecPar:    epsParP,
-		EventsPerSecIntra:  epsIntraP,
-		IntraRunSpeedup:    intraSpeedupP,
-		AllocsPerEvent:     float64(allocs) / float64(events),
-		BytesPerEvent:      float64(bytes) / float64(events),
-		BarrierNsP32:       &barrier32,
-		BarrierNsP128:      &barrier128,
-		EventsPerSecP128:   &epsP128,
-		EventsPerSecP512:   &epsP512,
-		IntraSpeedupP128:   speedupP128P,
-		IntraSpeedupP512:   speedupP512P,
-		ServeReqsPerSec:    &serveTput,
-		ServeP99Ns:         &serveP99,
-		Note:               strings.Join(notes, ","),
-	}
-	data, err := json.MarshalIndent(sum, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		fatal(err)
-	}
-	if !*quietFlag {
-		if len(notes) > 0 {
-			fmt.Fprintf(os.Stderr, "serial %.2fs (%s), %.2f allocs/event, %.0f B/event -> %s\n",
-				serialSec, sum.Note, sum.AllocsPerEvent, sum.BytesPerEvent, path)
-		} else {
-			fmt.Fprintf(os.Stderr, "serial %.2fs, parallel(%d) %.2fs, speedup %.2fx, intrarun speedup %.2fx, %.2f allocs/event, %.0f B/event -> %s\n",
-				serialSec, workers, *parSecP, *speedupP, *intraSpeedupP,
-				sum.AllocsPerEvent, sum.BytesPerEvent, path)
-		}
-	}
 }
 
 // runSoak drives an unattended long-run campaign (genima.Soak):
@@ -469,222 +156,6 @@ func runSoak(scaleName string) {
 	}
 }
 
-// skipReason disambiguates a null intra-run field in a committed
-// baseline: the benchjson writer records a note token when the field
-// was skipped on a single-CPU box, so a null WITHOUT the token means
-// the committed file simply predates the field.
-func skipReason(note, token string) string {
-	if strings.Contains(note, token) {
-		return "baseline box was single-CPU"
-	}
-	return "committed baseline predates this field"
-}
-
-// runBenchGuard is the CI regression gate: re-time the serial suite at
-// the committed baseline's scale and fail if events/sec dropped more
-// than 25% below the committed number. Two passes, best taken, so a
-// single scheduling hiccup on a shared CI box does not fail the build.
-func runBenchGuard(path string) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fatal(err)
-	}
-	var committed benchSummary
-	if err := json.Unmarshal(data, &committed); err != nil {
-		fatal(fmt.Errorf("parse %s: %w", path, err))
-	}
-	if committed.EventsPerSecSerial <= 0 {
-		fatal(fmt.Errorf("%s has no events_per_sec_serial baseline", path))
-	}
-	scale := genima.BenchScale
-	if committed.Scale == "test" {
-		scale = genima.TestScale
-	}
-	cfg := genima.DefaultConfig()
-	cfg.Nodes = *nodesFlag
-	cfg.ProcsPerNode = *procsFlag
-	best := 0.0
-	for pass := 0; pass < 2; pass++ {
-		t0 := time.Now()
-		s, err := genima.RunSuite(cfg, genima.SuiteOptions{Scale: scale, Hardware: true, Workers: 1})
-		if err != nil {
-			fatal(err)
-		}
-		elapsed := time.Since(t0).Seconds()
-		var events uint64
-		for _, r := range s.Seq {
-			events += r.Events
-		}
-		for _, r := range s.HW {
-			events += r.Events
-		}
-		for _, rs := range s.SVM {
-			for _, r := range rs {
-				events += r.Events
-			}
-		}
-		if eps := float64(events) / elapsed; eps > best {
-			best = eps
-		}
-	}
-	ratio := best / committed.EventsPerSecSerial
-	if !*quietFlag || ratio < 0.75 {
-		fmt.Fprintf(os.Stderr, "bench-guard: %.0f events/sec vs committed %.0f (%.0f%%)\n",
-			best, committed.EventsPerSecSerial, 100*ratio)
-	}
-	if ratio < 0.75 {
-		fatal(fmt.Errorf("serial throughput regressed >25%% against %s", path))
-	}
-
-	// Barrier-cost gates: simulated time, so any change is a modeling
-	// change. Direction-aware (an increase is the regression); null in
-	// the committed file skips the gate per the existing discipline.
-	for _, g := range []struct {
-		name        string
-		committed   *float64
-		nodes, prcs int
-		topo        genima.Topology
-		radix       int
-		collectives bool
-	}{
-		{"barrier_ns_p32", committed.BarrierNsP32, 8, *procsFlag, genima.TopoXbar, 8, false},
-		{"barrier_ns_p128", committed.BarrierNsP128, 32, *procsFlag, genima.TopoClos2, 8, true},
-	} {
-		if g.committed == nil || *g.committed <= 0 {
-			fmt.Fprintf(os.Stderr, "bench-guard: %s check skipped (no committed baseline)\n", g.name)
-			continue
-		}
-		cur := timeBarrierNs(scale, g.nodes, g.prcs, g.topo, g.radix, g.collectives)
-		bratio := cur / *g.committed
-		if !*quietFlag || bratio > 1.25 {
-			fmt.Fprintf(os.Stderr, "bench-guard: %s %.0f ns vs committed %.0f (%.0f%%)\n",
-				g.name, cur, *g.committed, 100*bratio)
-		}
-		if bratio > 1.25 {
-			fatal(fmt.Errorf("%s regressed >25%% against %s", g.name, path))
-		}
-	}
-
-	// Serving-point gates: virtual-time model outputs like the barrier
-	// costs, so direction-aware — serve_reqs_per_sec is gated downward
-	// (a throughput drop is the regression), serve_p99_ns upward (a tail
-	// increase is the regression). Null in the committed file skips the
-	// gate per the existing discipline.
-	if (committed.ServeReqsPerSec == nil || *committed.ServeReqsPerSec <= 0) &&
-		(committed.ServeP99Ns == nil || *committed.ServeP99Ns <= 0) {
-		fmt.Fprintln(os.Stderr, "bench-guard: serve checks skipped (no committed baseline)")
-	} else {
-		curTput, curP99 := timeServe(scale)
-		if committed.ServeReqsPerSec != nil && *committed.ServeReqsPerSec > 0 {
-			tratio := curTput / *committed.ServeReqsPerSec
-			if !*quietFlag || tratio < 0.75 {
-				fmt.Fprintf(os.Stderr, "bench-guard: serve_reqs_per_sec %.0f vs committed %.0f (%.0f%%)\n",
-					curTput, *committed.ServeReqsPerSec, 100*tratio)
-			}
-			if tratio < 0.75 {
-				fatal(fmt.Errorf("serve_reqs_per_sec regressed >25%% against %s", path))
-			}
-		}
-		if committed.ServeP99Ns != nil && *committed.ServeP99Ns > 0 {
-			pratio := curP99 / *committed.ServeP99Ns
-			if !*quietFlag || pratio > 1.25 {
-				fmt.Fprintf(os.Stderr, "bench-guard: serve_p99_ns %.0f vs committed %.0f (%.0f%%)\n",
-					curP99, *committed.ServeP99Ns, 100*pratio)
-			}
-			if pratio > 1.25 {
-				fatal(fmt.Errorf("serve_p99_ns regressed >25%% against %s", path))
-			}
-		}
-	}
-
-	// PDES scaling-point gates. Serial throughput at 128/512 nodes is
-	// wall-clock but measurable on any box: skip only when the committed
-	// file predates the field (null), fail on a >25% regression. The
-	// per-scale intra-run speedups additionally need real parallelism:
-	// skip those on a single-CPU box per the null-not-zero discipline.
-	for _, g := range []struct {
-		name      string
-		committed *float64
-		point     scalePoint
-	}{
-		{"events_per_sec_p128", committed.EventsPerSecP128, scaleP128},
-		{"events_per_sec_p512", committed.EventsPerSecP512, scaleP512},
-	} {
-		if g.committed == nil || *g.committed <= 0 {
-			fmt.Fprintf(os.Stderr, "bench-guard: %s check skipped (no committed baseline)\n", g.name)
-			continue
-		}
-		best := 0.0
-		for pass := 0; pass < 2; pass++ {
-			if eps := timeScaleEPS(scale, g.point, 1, 0); eps > best {
-				best = eps
-			}
-		}
-		sratio := best / *g.committed
-		if !*quietFlag || sratio < 0.75 {
-			fmt.Fprintf(os.Stderr, "bench-guard: %s %.0f events/sec vs committed %.0f (%.0f%%)\n",
-				g.name, best, *g.committed, 100*sratio)
-		}
-		if sratio < 0.75 {
-			fatal(fmt.Errorf("%s regressed >25%% against %s", g.name, path))
-		}
-	}
-	for _, g := range []struct {
-		name      string
-		committed *float64
-		point     scalePoint
-	}{
-		{"intrarun_speedup_p128", committed.IntraSpeedupP128, scaleP128},
-		{"intrarun_speedup_p512", committed.IntraSpeedupP512, scaleP512},
-	} {
-		switch {
-		case g.committed == nil || *g.committed <= 0:
-			fmt.Fprintf(os.Stderr, "bench-guard: %s check skipped (%s)\n",
-				g.name, skipReason(committed.Note, "intrarun_scale_skipped_single_cpu"))
-		case runtime.NumCPU() == 1:
-			fmt.Fprintf(os.Stderr, "bench-guard: %s check skipped (single CPU; intra-run timing is meaningless here)\n", g.name)
-		default:
-			w := committed.Workers
-			if w < 2 {
-				w = runtime.GOMAXPROCS(0)
-			}
-			cur := timeScaleEPS(scale, g.point, w, 0) / timeScaleEPS(scale, g.point, 1, 0)
-			iratio := cur / *g.committed
-			if !*quietFlag || iratio < 0.75 {
-				fmt.Fprintf(os.Stderr, "bench-guard: %s %.2fx vs committed %.2fx (%.0f%%)\n",
-					g.name, cur, *g.committed, 100*iratio)
-			}
-			if iratio < 0.75 {
-				fatal(fmt.Errorf("%s regressed >25%% against %s", g.name, path))
-			}
-		}
-	}
-
-	// Intra-run throughput gate: only when the committed baseline has a
-	// measured number (multi-CPU box) and this box can reproduce one.
-	switch {
-	case committed.EventsPerSecIntra == nil || *committed.EventsPerSecIntra <= 0:
-		fmt.Fprintf(os.Stderr, "bench-guard: intra-run check skipped (%s)\n",
-			skipReason(committed.Note, "intrarun_skipped_single_cpu"))
-	case runtime.NumCPU() == 1:
-		fmt.Fprintln(os.Stderr, "bench-guard: intra-run check skipped (single CPU; intra-run timing is meaningless here)")
-	default:
-		w := committed.Workers
-		if w < 2 {
-			w = runtime.GOMAXPROCS(0)
-		}
-		cur := timeIntraRunEPS(scale, w)
-		iratio := cur / *committed.EventsPerSecIntra
-		if !*quietFlag || iratio < 0.75 {
-			fmt.Fprintf(os.Stderr, "bench-guard: intra-run %.0f events/sec vs committed %.0f (%.0f%%)\n",
-				cur, *committed.EventsPerSecIntra, 100*iratio)
-		}
-		if iratio < 0.75 {
-			fatal(fmt.Errorf("intra-run throughput regressed >25%% against %s", path))
-		}
-	}
-}
-
 func main() {
 	flag.Parse()
 	if *memProfile != "" {
@@ -724,15 +195,6 @@ func main() {
 			fatal(err)
 		}
 	}()
-
-	if *benchJSON != "" {
-		runBenchJSON(*benchJSON, scale, scaleName, *jFlag)
-		return
-	}
-	if *benchGuard != "" {
-		runBenchGuard(*benchGuard)
-		return
-	}
 
 	want, err := parseExperiments(*expFlag)
 	if err != nil {

@@ -64,7 +64,3 @@ func (b *nullBackend) TakeSteal() sim.Time             { return 0 }
 func NewCtx(id, n int, p *sim.Proc, be Backend, ws *Workspace, cfg *topo.Config, memIntensity float64) *Ctx {
 	return &Ctx{id: id, n: n, p: p, be: be, ws: ws, cfg: cfg, memIntensity: memIntensity}
 }
-
-// SetProc binds the context to its simulation process (called by the
-// run harness once the processor goroutine starts).
-func (c *Ctx) SetProc(p *sim.Proc) { c.p = p }

@@ -66,9 +66,6 @@ func (a *App) Ops() float64 { return 5 * float64(a.n) * float64(a.m) }
 // MemIntensity marks FFT as memory-bus bound within an SMP (§3.4).
 func (a *App) MemIntensity() float64 { return 1.0 }
 
-// Points returns the problem size.
-func (a *App) Points() int { return a.n }
-
 // Setup allocates the data and transpose-scratch matrices, homed in
 // blocked row panels matching the processor partitioning.
 func (a *App) Setup(ws *app.Workspace) {

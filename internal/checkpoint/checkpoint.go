@@ -34,7 +34,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"genima/internal/sim"
 	"genima/internal/topo"
 )
 
@@ -71,11 +70,11 @@ type State struct {
 	ModeShards  int
 
 	// Cut point.
-	TraceEvents uint64   // trace events emitted before the cut
-	SimTime     int64    // virtual clock at the cut
-	Events      uint64   // engine events executed at the cut
-	StateDigest uint64   // sim/nic/core/memory/faults live-state digest
-	HashState   []byte   // SHA-256 midstate of the canonical trace prefix
+	TraceEvents uint64 // trace events emitted before the cut
+	SimTime     int64  // virtual clock at the cut
+	Events      uint64 // engine events executed at the cut
+	StateDigest uint64 // sim/nic/core/memory/faults live-state digest
+	HashState   []byte // SHA-256 midstate of the canonical trace prefix
 
 	// Soak-mode cursor (zero outside soak runs).
 	SoakIter   uint64   // completed soak iterations
@@ -326,6 +325,3 @@ func (st *State) decode(payload []byte) error {
 	}
 	return nil
 }
-
-// SimTimeT returns the cut's virtual clock as a sim.Time.
-func (st *State) SimTimeT() sim.Time { return sim.Time(st.SimTime) }

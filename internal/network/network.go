@@ -1,8 +1,10 @@
 // Package network models a Myrinet-like system-area network: full-duplex
 // point-to-point links connecting each host's network interface to a
-// crossbar switch. Links and the switch are FIFO resources, so per
-// source-destination pair delivery order is preserved — the only ordering
-// guarantee VMMC (and the GeNIMA protocols) require.
+// crossbar switch or a multi-stage fabric of switches. Links and switches
+// are FIFO resources, so per source-destination pair delivery order is
+// preserved — the only ordering guarantee VMMC (and the GeNIMA protocols)
+// require. This package only builds and reserves the resources; the walk
+// of a packet across them is the NI transit pipeline in package nic.
 package network
 
 import (
@@ -31,14 +33,8 @@ func (l *Link) ServiceTime(n int) sim.Time {
 	return l.fixed + sim.Time(float64(n)*l.perByte)
 }
 
-// Transfer enqueues an n-byte packet; fn runs when the last byte is on
-// the far side.
-func (l *Link) Transfer(n int, fn func(start, end sim.Time)) {
-	l.res.Enqueue(l.ServiceTime(n), fn)
-}
-
-// TransferHandler is Transfer on the typed event path: h.Run fires when
-// the last byte is on the far side, with no closure allocation.
+// TransferHandler enqueues an n-byte packet; h.Run fires when the last
+// byte is on the far side.
 func (l *Link) TransferHandler(n int, h sim.Handler) {
 	l.res.EnqueueHandler(l.ServiceTime(n), h)
 }
@@ -64,22 +60,13 @@ type Switch struct {
 	fixed sim.Time
 }
 
-// NewSwitch creates the crossbar.
-func NewSwitch(eng *sim.Engine, fixed sim.Time) *Switch {
-	return &Switch{res: sim.NewResource(eng, "switch"), fixed: fixed}
-}
-
-// NewSwitchNamed creates one switch of a multi-stage fabric.
+// NewSwitchNamed creates one named switch of the fabric.
 func NewSwitchNamed(eng *sim.Engine, name string, fixed sim.Time) *Switch {
 	return &Switch{res: sim.NewResource(eng, name), fixed: fixed}
 }
 
-// Route enqueues a routing decision; fn runs when the head flit exits.
-func (s *Switch) Route(fn func(start, end sim.Time)) {
-	s.res.Enqueue(s.fixed, fn)
-}
-
-// RouteHandler is Route on the typed event path.
+// RouteHandler enqueues a routing decision; h.Run fires when the head
+// flit exits.
 func (s *Switch) RouteHandler(h sim.Handler) {
 	s.res.EnqueueHandler(s.fixed, h)
 }
@@ -111,11 +98,9 @@ func (s *Switch) Stats() *sim.Resource { return s.res }
 // multi-stage topology (clos2/fattree) whose deterministic routes were
 // compiled into Desc at Config build time.
 type Fabric struct {
-	// Switch is the single crossbar, kept as an alias of Switches[0]
-	// for the one-switch call sites and utilization reporting.
-	Switch *Switch
 	// Switches holds every switch of the fabric, indexed by the ids
-	// Desc's routes use. All of them live on the fabric LP.
+	// Desc's routes use; on the crossbar, Switches[0] is the only one.
+	// All of them live on the fabric LP.
 	Switches []*Switch
 	// Desc is the compiled topology: switch inventory + routing table.
 	Desc *topo.FabricDesc
@@ -152,7 +137,6 @@ func NewFabric(eng *sim.Engine, cfg *topo.Config) *Fabric {
 		}
 		f.Switches[i] = NewSwitchNamed(eng.LPFabric(), name, cfg.Costs.SwitchFixed)
 	}
-	f.Switch = f.Switches[0]
 	if cfg.Faults.Enabled {
 		f.Faults = faults.New(&cfg.Faults, cfg.Nodes)
 	}
@@ -181,7 +165,7 @@ func (f *Fabric) StageBusy() []sim.Time {
 // in-link. On the crossbar this is the exact (and only) route time.
 func (f *Fabric) UncontendedNet(n int) sim.Time {
 	return f.Out[0].ServiceTime(n) +
-		sim.Time(f.Desc.MaxHops())*f.Switch.ServiceTime() +
+		sim.Time(f.Desc.MaxHops())*f.Switches[0].ServiceTime() +
 		f.In[0].ServiceTime(n)
 }
 
@@ -189,54 +173,6 @@ func (f *Fabric) UncontendedNet(n int) sim.Time {
 // on the specific src->dst route.
 func (f *Fabric) UncontendedNetRoute(src, dst, n int) sim.Time {
 	return f.Out[src].ServiceTime(n) +
-		sim.Time(len(f.Route(src, dst)))*f.Switch.ServiceTime() +
+		sim.Time(len(f.Route(src, dst)))*f.Switches[0].ServiceTime() +
 		f.In[dst].ServiceTime(n)
-}
-
-// Send moves an n-byte packet from src to dst through the fabric
-// stages (out-link, each switch on the compiled route, in-link); fn
-// runs when the last byte reaches dst's NI, with inject being the time
-// the packet finished entering the network (end of the out-link stage,
-// the paper's "LANai insertion" boundary).
-func (f *Fabric) Send(src, dst, n int, fn func(inject, arrive sim.Time)) {
-	route := f.Route(src, dst)
-	f.Out[src].Transfer(n, func(_, outEnd sim.Time) {
-		var hop func(i int)
-		hop = func(i int) {
-			if i == len(route) {
-				f.In[dst].Transfer(n, func(_, inEnd sim.Time) {
-					fn(outEnd, inEnd)
-				})
-				return
-			}
-			f.Switches[route[i]].Route(func(_, _ sim.Time) { hop(i + 1) })
-		}
-		hop(0)
-	})
-}
-
-// Broadcast moves one n-byte packet from src through the out-link and
-// its first switch once, then replicates it toward every destination
-// (remaining route hops, then the in-link — the NI-broadcast extension
-// of the paper's §5). fn runs once per destination.
-func (f *Fabric) Broadcast(src int, dsts []int, n int, fn func(dst int, inject, arrive sim.Time)) {
-	f.Out[src].Transfer(n, func(_, outEnd sim.Time) {
-		f.Switches[f.Desc.FirstSwitch(src)].Route(func(_, _ sim.Time) {
-			for _, dst := range dsts {
-				route := f.Route(src, dst)
-				var hop func(i int)
-				d := dst
-				hop = func(i int) {
-					if i == len(route) {
-						f.In[d].Transfer(n, func(_, inEnd sim.Time) {
-							fn(d, outEnd, inEnd)
-						})
-						return
-					}
-					f.Switches[route[i]].Route(func(_, _ sim.Time) { hop(i + 1) })
-				}
-				hop(1)
-			}
-		})
-	})
 }

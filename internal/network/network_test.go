@@ -1,16 +1,72 @@
-package network
+package network_test
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 
+	"genima/internal/network"
+	"genima/internal/nic"
 	"genima/internal/sim"
 	"genima/internal/topo"
 )
 
+// handlerFunc adapts a function to sim.Handler for one-off completions.
+type handlerFunc func(start, end sim.Time)
+
+func (f handlerFunc) Run(start, end sim.Time) { f(start, end) }
+
+// traced builds an NI system on cfg whose monitor records every
+// delivered packet. Routing and switch timing are checked through it:
+// the NI transit pipeline is the only walk of a packet across the
+// fabric's links and switches.
+func traced(t *testing.T, cfg topo.Config) (*sim.Engine, *nic.System, *[]nic.TraceEvent) {
+	t.Helper()
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	eng := sim.NewEngine()
+	sys := nic.NewSystem(eng, &cfg)
+	evs := &[]nic.TraceEvent{}
+	sys.Monitor.Tracer = func(ev nic.TraceEvent) { *evs = append(*evs, ev) }
+	return eng, sys, evs
+}
+
+// post submits one n-byte src->dst packet at the current virtual time.
+func post(sys *nic.System, src, dst, n int) {
+	pkt := sys.NIs[src].NewPacket()
+	pkt.Src, pkt.Dst, pkt.Size = src, dst, n
+	sys.NIs[src].PostFromEvent(pkt)
+}
+
+// broadcast submits one n-byte packet from src to every node in dsts and
+// records each copy's delivery time.
+func broadcast(eng *sim.Engine, sys *nic.System, src int, dsts []int, n int) map[int]sim.Time {
+	arrive := map[int]sim.Time{}
+	ni := sys.NIs[src]
+	eng.Go("bcast", func(p *sim.Proc) {
+		tmpl := ni.NewPacket()
+		tmpl.Src, tmpl.Dst, tmpl.Size = src, -1, n
+		ni.PostBroadcast(p, tmpl, dsts, func(dst int) { arrive[dst] = eng.Now() })
+	})
+	return arrive
+}
+
+// wire is a delivered packet's time from network entry (out-link done)
+// to its last byte at the destination NI: switch hops plus in-link,
+// queueing included.
+func wire(ev nic.TraceEvent) sim.Time {
+	return ev.StageTime[nic.StageNet] - ev.StageTime[nic.StageLANai]
+}
+
+// uncontendedWire is wire's no-queueing value on the src->dst route.
+func uncontendedWire(f *network.Fabric, src, dst, n int) sim.Time {
+	return f.UncontendedNetRoute(src, dst, n) - f.Out[src].ServiceTime(n)
+}
+
 func TestLinkServiceTime(t *testing.T) {
 	eng := sim.NewEngine()
-	l := NewLink(eng, "l", sim.Micro(1), 1.0) // 1 ns/byte
+	l := network.NewLink(eng, "l", sim.Micro(1), 1.0) // 1 ns/byte
 	if got := l.ServiceTime(1000); got != sim.Micro(1)+1000 {
 		t.Errorf("service = %d", got)
 	}
@@ -18,39 +74,38 @@ func TestLinkServiceTime(t *testing.T) {
 
 func TestLinkSerializesTransfers(t *testing.T) {
 	eng := sim.NewEngine()
-	l := NewLink(eng, "l", 0, 1.0)
+	l := network.NewLink(eng, "l", 0, 1.0)
 	var ends []sim.Time
-	eng.At(0, func() {
-		l.Transfer(100, func(_, e sim.Time) { ends = append(ends, e) })
-		l.Transfer(100, func(_, e sim.Time) { ends = append(ends, e) })
-	})
+	done := handlerFunc(func(_, e sim.Time) { ends = append(ends, e) })
+	l.TransferHandler(100, done)
+	l.TransferHandler(100, done)
 	eng.RunUntilQuiet()
-	if ends[0] != 100 || ends[1] != 200 {
+	if len(ends) != 2 || ends[0] != 100 || ends[1] != 200 {
 		t.Errorf("ends = %v", ends)
 	}
 }
 
 func TestFabricEndToEnd(t *testing.T) {
-	eng := sim.NewEngine()
-	cfg := topo.Default()
-	f := NewFabric(eng, &cfg)
-	var inject, arrive sim.Time
-	eng.At(0, func() {
-		f.Send(0, 2, 4096, func(i, a sim.Time) { inject, arrive = i, a })
-	})
+	eng, sys, evs := traced(t, topo.Default())
+	post(sys, 0, 2, 4096)
 	eng.RunUntilQuiet()
-	if inject <= 0 || arrive <= inject {
-		t.Fatalf("inject=%d arrive=%d", inject, arrive)
+	if len(*evs) != 1 {
+		t.Fatalf("%d deliveries, want 1", len(*evs))
 	}
-	if want := f.UncontendedNet(4096); arrive != want {
-		t.Errorf("arrive = %d, uncontended = %d", arrive, want)
+	ev := (*evs)[0]
+	if ev.StageTime[nic.StageLANai] <= 0 || wire(ev) <= 0 {
+		t.Fatalf("inject stage %d, wire %d", ev.StageTime[nic.StageLANai], wire(ev))
+	}
+	f := sys.Fabric
+	if want := f.UncontendedNet(4096) - f.Out[0].ServiceTime(4096); wire(ev) != want {
+		t.Errorf("wire = %d, uncontended = %d", wire(ev), want)
 	}
 }
 
 func TestUncontendedNetMonotoneInSize(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := topo.Default()
-	f := NewFabric(eng, &cfg)
+	f := network.NewFabric(eng, &cfg)
 	prop := func(a, b uint16) bool {
 		sa, sb := int(a)+1, int(b)+1
 		if sa > sb {
@@ -65,21 +120,22 @@ func TestUncontendedNetMonotoneInSize(t *testing.T) {
 
 func TestSwitchSharedAcrossPairs(t *testing.T) {
 	// Two simultaneous sends on disjoint links still serialize at the
-	// single crossbar (the model's stated pessimism).
-	eng := sim.NewEngine()
+	// single crossbar (the model's stated pessimism): both reach it at
+	// once, and the second waits out the first's routing slot.
 	cfg := topo.Default()
-	f := NewFabric(eng, &cfg)
-	var arrivals []sim.Time
-	eng.At(0, func() {
-		f.Send(0, 1, 64, func(_, a sim.Time) { arrivals = append(arrivals, a) })
-		f.Send(2, 3, 64, func(_, a sim.Time) { arrivals = append(arrivals, a) })
-	})
+	eng, sys, evs := traced(t, cfg)
+	post(sys, 0, 1, 64)
+	post(sys, 2, 3, 64)
 	eng.RunUntilQuiet()
-	if len(arrivals) != 2 {
-		t.Fatalf("%d arrivals", len(arrivals))
+	if len(*evs) != 2 {
+		t.Fatalf("%d deliveries, want 2", len(*evs))
 	}
-	if arrivals[0] == arrivals[1] {
-		t.Error("switch arbitration did not serialize the two routes")
+	w := []sim.Time{wire((*evs)[0]), wire((*evs)[1])}
+	sort.Slice(w, func(i, j int) bool { return w[i] < w[j] })
+	u := uncontendedWire(sys.Fabric, 0, 1, 64)
+	if w[0] != u || w[1] != u+cfg.Costs.SwitchFixed {
+		t.Errorf("wires = %v, want [%d %d]: switch arbitration did not serialize the two routes",
+			w, u, u+cfg.Costs.SwitchFixed)
 	}
 }
 
@@ -92,7 +148,7 @@ func TestSwitchSharedAcrossPairs(t *testing.T) {
 func TestMaxPacketBoundaryServiceTimes(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := topo.Default()
-	f := NewFabric(eng, &cfg)
+	f := network.NewFabric(eng, &cfg)
 	for _, n := range []int{cfg.MaxPacket - 1, cfg.MaxPacket} {
 		want := cfg.Costs.LinkFixed + sim.Time(float64(n)*cfg.Costs.LinkPerByte)
 		if got := f.Out[0].ServiceTime(n); got != want {
@@ -102,7 +158,7 @@ func TestMaxPacketBoundaryServiceTimes(t *testing.T) {
 			t.Errorf("in-link service(%d) = %d, want %d", n, got, want)
 		}
 	}
-	want := f.Out[0].ServiceTime(cfg.MaxPacket) + f.Switch.ServiceTime() +
+	want := f.Out[0].ServiceTime(cfg.MaxPacket) + f.Switches[0].ServiceTime() +
 		f.In[0].ServiceTime(cfg.MaxPacket)
 	if got := f.UncontendedNet(cfg.MaxPacket); got != want {
 		t.Errorf("UncontendedNet(MaxPacket) = %d, want %d", got, want)
@@ -118,11 +174,11 @@ func TestMaxPacketBoundaryServiceTimes(t *testing.T) {
 func TestFabricFaultPlanConstruction(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := topo.Default()
-	if f := NewFabric(eng, &cfg); f.Faults != nil {
+	if f := network.NewFabric(eng, &cfg); f.Faults != nil {
 		t.Fatal("fault plan built with faults disabled")
 	}
 	cfg.Faults = topo.FaultMix(0.5, 123)
-	f := NewFabric(eng, &cfg)
+	f := network.NewFabric(eng, &cfg)
 	if f.Faults == nil {
 		t.Fatal("no fault plan built with faults enabled")
 	}
@@ -141,19 +197,11 @@ func TestFabricFaultPlanConstruction(t *testing.T) {
 // bound for the other destinations — the property that lets a downed
 // link stall only its own destination.
 func TestBroadcastFanOutIndependentInLinks(t *testing.T) {
-	eng := sim.NewEngine()
-	cfg := topo.Default()
-	f := NewFabric(eng, &cfg)
-	// Pre-load node 2's in-link with a long transfer.
-	eng.At(0, func() {
-		f.In[2].Transfer(cfg.MaxPacket, func(_, _ sim.Time) {})
-	})
-	arrive := map[int]sim.Time{}
-	eng.At(0, func() {
-		f.Broadcast(0, []int{1, 2, 3}, 64, func(dst int, _, a sim.Time) {
-			arrive[dst] = a
-		})
-	})
+	eng, sys, _ := traced(t, topo.Default())
+	// Pre-load node 2's in-link with a transfer that outlasts the
+	// broadcast's trip to the switch.
+	sys.Fabric.In[2].TransferHandler(1<<20, handlerFunc(func(_, _ sim.Time) {}))
+	arrive := broadcast(eng, sys, 0, []int{1, 2, 3}, 64)
 	eng.RunUntilQuiet()
 	if len(arrive) != 3 {
 		t.Fatalf("%d arrivals, want 3", len(arrive))
@@ -169,40 +217,35 @@ func TestBroadcastFanOutIndependentInLinks(t *testing.T) {
 // Multi-stage fabric regression: routed sends must charge every switch
 // on the compiled route, and per-stage busy accounting must see it.
 
-func clos2Fabric(t *testing.T, nodes, radix int) (*sim.Engine, *Fabric, *topo.Config) {
-	t.Helper()
-	eng := sim.NewEngine()
+func clos2(nodes, radix int) topo.Config {
 	cfg := topo.Default()
 	cfg.Topo, cfg.SwitchRadix, cfg.Nodes = topo.TopoClos2, radix, nodes
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	return eng, NewFabric(eng, &cfg), &cfg
+	return cfg
 }
 
 func TestMultiStageSendMatchesRouteTime(t *testing.T) {
-	eng, f, cfg := clos2Fabric(t, 8, 4) // 2 hosts/leaf: 0->5 is 3 hops
+	cfg := clos2(8, 4) // 2 hosts/leaf: 0->5 is 3 hops
+	eng, sys, evs := traced(t, cfg)
+	f := sys.Fabric
 	if got := len(f.Route(0, 5)); got != 3 {
 		t.Fatalf("route 0->5 has %d hops, want 3", got)
 	}
 	if got := len(f.Route(0, 1)); got != 1 {
 		t.Fatalf("route 0->1 has %d hops, want 1", got)
 	}
-	var sameLeaf, crossLeaf sim.Time
-	eng.At(0, func() {
-		f.Send(0, 1, 256, func(_, a sim.Time) { sameLeaf = a })
-	})
+	post(sys, 0, 1, 256)
 	eng.RunUntilQuiet()
-	eng.At(eng.Now(), func() {
-		f.Send(0, 5, 256, func(_, a sim.Time) { crossLeaf = a })
-	})
-	start := eng.Now()
+	post(sys, 0, 5, 256)
 	eng.RunUntilQuiet()
-	if want := f.UncontendedNetRoute(0, 1, 256); sameLeaf != want {
-		t.Errorf("same-leaf arrive = %d, want %d", sameLeaf, want)
+	if len(*evs) != 2 {
+		t.Fatalf("%d deliveries, want 2", len(*evs))
 	}
-	if want := start + f.UncontendedNetRoute(0, 5, 256); crossLeaf != want {
-		t.Errorf("cross-leaf arrive = %d, want %d", crossLeaf, want)
+	sameLeaf, crossLeaf := (*evs)[0], (*evs)[1]
+	if want := uncontendedWire(f, 0, 1, 256); wire(sameLeaf) != want {
+		t.Errorf("same-leaf wire = %d, want %d", wire(sameLeaf), want)
+	}
+	if want := uncontendedWire(f, 0, 5, 256); wire(crossLeaf) != want {
+		t.Errorf("cross-leaf wire = %d, want %d", wire(crossLeaf), want)
 	}
 	if d := f.UncontendedNetRoute(0, 5, 256) - f.UncontendedNetRoute(0, 1, 256); d != 2*cfg.Costs.SwitchFixed {
 		t.Errorf("cross-leaf route costs %d more, want 2 switch hops = %d", d, 2*cfg.Costs.SwitchFixed)
@@ -210,17 +253,15 @@ func TestMultiStageSendMatchesRouteTime(t *testing.T) {
 }
 
 func TestPerStageBusyAccounting(t *testing.T) {
-	eng, f, cfg := clos2Fabric(t, 8, 4)
-	done := 0
-	eng.At(0, func() {
-		f.Send(0, 1, 64, func(_, _ sim.Time) { done++ }) // leaf-only
-		f.Send(0, 5, 64, func(_, _ sim.Time) { done++ }) // leaf, spine, leaf
-	})
+	cfg := clos2(8, 4)
+	eng, sys, evs := traced(t, cfg)
+	post(sys, 0, 1, 64) // leaf-only
+	post(sys, 0, 5, 64) // leaf, spine, leaf
 	eng.RunUntilQuiet()
-	if done != 2 {
-		t.Fatalf("%d sends completed", done)
+	if len(*evs) != 2 {
+		t.Fatalf("%d sends completed", len(*evs))
 	}
-	busy := f.StageBusy()
+	busy := sys.Fabric.StageBusy()
 	if len(busy) != 2 {
 		t.Fatalf("%d stages reported, want 2", len(busy))
 	}
@@ -234,11 +275,9 @@ func TestPerStageBusyAccounting(t *testing.T) {
 }
 
 func TestMultiStageBroadcastTraversesFirstSwitchOnce(t *testing.T) {
-	eng, f, cfg := clos2Fabric(t, 8, 4)
-	arrive := map[int]sim.Time{}
-	eng.At(0, func() {
-		f.Broadcast(0, []int{1, 5}, 64, func(dst int, _, a sim.Time) { arrive[dst] = a })
-	})
+	cfg := clos2(8, 4)
+	eng, sys, _ := traced(t, cfg)
+	arrive := broadcast(eng, sys, 0, []int{1, 5}, 64)
 	eng.RunUntilQuiet()
 	if len(arrive) != 2 {
 		t.Fatalf("%d arrivals", len(arrive))
@@ -246,13 +285,14 @@ func TestMultiStageBroadcastTraversesFirstSwitchOnce(t *testing.T) {
 	// The shared leaf hop is charged once: exactly 1 (shared leaf) +
 	// 2 (spine+leaf for dst 5) hops of busy time in total.
 	var total sim.Time
-	for _, b := range f.StageBusy() {
+	for _, b := range sys.Fabric.StageBusy() {
 		total += b
 	}
-	if want := 3 * cfg.Costs.SwitchFixed; total != want {
+	sf := cfg.Costs.SwitchFixed
+	if want := 3 * sf; total != want {
 		t.Errorf("broadcast switch busy = %d, want %d", total, want)
 	}
-	if arrive[5] <= arrive[1] {
-		t.Errorf("3-hop copy (%d) not after 1-hop copy (%d)", arrive[5], arrive[1])
+	if d := arrive[5] - arrive[1]; d != 2*sf {
+		t.Errorf("3-hop copy arrived %d after the 1-hop copy, want 2 switch hops = %d", d, 2*sf)
 	}
 }

@@ -344,34 +344,16 @@ func (ni *NI) PostBroadcast(p *sim.Proc, tmpl *Packet, dsts []int, onDeliver fun
 	t.start()
 }
 
-// DepositLocal models the NI DMA-ing size bytes into its own host's
-// memory (e.g. a lock grant handed to a locally spinning acquirer); fn
-// runs when the DMA completes.
-func (ni *NI) DepositLocal(size int, fn func()) {
-	ni.PCI.Enqueue(ni.pciService(size), func(_, _ sim.Time) {
-		if fn != nil {
-			fn()
-		}
-	})
-}
-
-// DepositLocalHandler is DepositLocal on the typed event path: h.Run
-// fires when the DMA completes, with no closure allocation.
+// DepositLocalHandler models the NI DMA-ing size bytes into its own
+// host's memory (e.g. a lock grant handed to a locally spinning
+// acquirer); h.Run fires when the DMA completes.
 func (ni *NI) DepositLocalHandler(size int, h sim.Handler) {
 	ni.PCI.EnqueueHandler(ni.pciService(size), h)
 }
 
-// FirmwareRun charges service time on this NI's firmware processor and
-// runs fn when it completes (local firmware work with no packet).
-func (ni *NI) FirmwareRun(service sim.Time, fn func()) {
-	ni.Firmware.Enqueue(service, func(_, _ sim.Time) {
-		if fn != nil {
-			fn()
-		}
-	})
-}
-
-// FirmwareRunHandler is FirmwareRun on the typed event path.
+// FirmwareRunHandler charges service time on this NI's firmware
+// processor and fires h.Run when it completes (local firmware work with
+// no packet).
 func (ni *NI) FirmwareRunHandler(service sim.Time, h sim.Handler) {
 	ni.Firmware.EnqueueHandler(service, h)
 }

@@ -8,6 +8,11 @@ import (
 	"genima/internal/topo"
 )
 
+// thunk adapts a plain function to sim.Handler for one-off events.
+type thunk func()
+
+func (f thunk) Run(_, _ sim.Time) { f() }
+
 func newTestSystem(t *testing.T) (*sim.Engine, *System, *topo.Config) {
 	t.Helper()
 	eng := sim.NewEngine()
@@ -148,10 +153,10 @@ func TestFirmwareHandledPacketSkipsHostDMA(t *testing.T) {
 func TestFirmwareSendSkipsPostQueue(t *testing.T) {
 	eng, sys, _ := newTestSystem(t)
 	delivered := false
-	eng.At(0, func() {
+	eng.AtHandler(0, 0, thunk(func() {
 		sys.NIs[2].FirmwareSend(&Packet{Src: 2, Dst: 3, Size: 16, Kind: "grant",
 			OnDeliver: func() { delivered = true }}, false)
-	})
+	}))
 	eng.RunUntilQuiet()
 	if !delivered {
 		t.Fatal("firmware-originated packet not delivered")
@@ -192,7 +197,7 @@ func TestPostFromEventOverflowCounted(t *testing.T) {
 	cfg.PostQueueDepth = 2
 	sys := NewSystem(eng, &cfg)
 	delivered := 0
-	eng.At(0, func() {
+	eng.AtHandler(0, 0, thunk(func() {
 		// Five posts in one event: the first two claim the depth-2
 		// queue, the rest are accepted past it and must be counted.
 		for i := 0; i < 5; i++ {
@@ -201,7 +206,7 @@ func TestPostFromEventOverflowCounted(t *testing.T) {
 			pkt.OnDeliver = func() { delivered++ }
 			sys.NIs[0].PostFromEvent(pkt)
 		}
-	})
+	}))
 	eng.RunUntilQuiet()
 	if delivered != 5 {
 		t.Fatalf("delivered %d of 5", delivered)

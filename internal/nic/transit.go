@@ -18,10 +18,9 @@ import (
 // fans out per-destination transits at the switch, each carrying its
 // own pooled Packet copy.
 //
-// The event *stream* is bit-identical to the old closure pipeline: the
-// same resources are reserved in the same order at the same times, and
-// EnqueueHandler shares the engine's seq counter with At, so FIFO
-// tie-breaks are unchanged. Only the Go-level dispatch changed.
+// This is the only walk of a packet across the fabric: the network
+// package reserves links and switches, and every route, hop, and
+// broadcast fan-out is sequenced here.
 type transit struct {
 	ni        *NI // source NI: fabric, peer table, config
 	pkt       *Packet

@@ -70,8 +70,8 @@ func (d *Digest) Sum() uint64 { return d.h }
 // a pure function of the push/pop history, which two runs executing the
 // same event prefix share — so hashing slots in array order is sound.
 // Handler identities cannot be hashed portably; each slot contributes
-// its timestamps, key, and a closure-vs-handler tag, which is enough to
-// catch any divergence in queue contents.
+// its timestamps and key, which is enough to catch any divergence in
+// queue contents.
 func (e *Engine) DigestInto(d *Digest) {
 	d.I64(e.now)
 	d.U64(e.seq)
@@ -84,7 +84,6 @@ func (e *Engine) DigestInto(d *Digest) {
 		d.I64(ev.at)
 		d.U64(ev.seq)
 		d.I64(ev.start)
-		d.Bool(ev.h != nil)
 	}
 }
 

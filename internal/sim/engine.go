@@ -3,8 +3,10 @@
 // The engine advances a virtual clock (int64 nanoseconds) by executing
 // events in timestamp order. Two styles of simulated activity coexist:
 //
-//   - Plain events: closures scheduled with At/After, executed inline by
-//     the engine loop. Used for message deliveries, DMA completions, etc.
+//   - Events: Handler values scheduled with AtHandler (or through a
+//     Resource reservation, or Send across logical processes), executed
+//     inline by the engine loop. Used for message deliveries, DMA
+//     completions, etc.
 //   - Processes: goroutines that model sequential agents (simulated
 //     processors, protocol handlers). Exactly one goroutine — either the
 //     engine loop or a single process — runs at any instant; control is
@@ -33,25 +35,23 @@ const (
 // Micro returns d microseconds as a Time duration.
 func Micro(d float64) Time { return Time(d * float64(Microsecond)) }
 
-// Handler is the typed event form: a pre-built object whose Run method
-// the engine invokes directly from the event queue, with no func() (and
-// therefore no closure allocation) in between. start carries the
-// reservation's begin time when the event was scheduled by a Resource
-// (see Resource.EnqueueHandler); end is the event's own timestamp,
-// equal to Engine.Now() at dispatch. Hot paths (the NI packet pipeline)
-// implement Handler on pooled records; cold paths keep using At/After
-// with plain closures.
+// Handler is an event: a pre-built object whose Run method the engine
+// invokes directly from the event queue. start carries the reservation's
+// begin time when the event was scheduled by a Resource (see
+// Resource.EnqueueHandler) and is whatever the scheduler passed
+// otherwise; end is the event's own timestamp, equal to Engine.Now() at
+// dispatch. Hot paths (the NI packet pipeline) implement Handler on
+// pooled records, so scheduling one costs no allocation.
 type Handler interface {
 	Run(start, end Time)
 }
 
-// event is one queue entry. Exactly one of fn and h is set; h events
-// additionally carry the start word handed to Handler.Run.
+// event is one queue entry: the handler and the start word handed to
+// its Run.
 type event struct {
 	at    Time
 	seq   uint64
 	start Time
-	fn    func()
 	h     Handler
 }
 
@@ -66,8 +66,8 @@ func eventBefore(x, y *event) bool {
 // per push) and dispatches Less/Swap through an interface. The 4-ary
 // shape halves the tree depth, so pops touch fewer cache lines than a
 // binary heap on the deep queues the protocol simulations build.
-// Vacated slots are zeroed on pop so executed event closures (and
-// everything they capture) become garbage-collectable immediately.
+// Vacated slots are zeroed on pop so executed handlers (and everything
+// they reference) become garbage-collectable immediately.
 type eventQueue struct {
 	a []event
 }
@@ -94,7 +94,7 @@ func (q *eventQueue) pop() event {
 	top := a[0]
 	n := len(a) - 1
 	a[0] = a[n]
-	a[n] = event{} // release the closure to the GC
+	a[n] = event{} // release the handler to the GC
 	q.a = a[:n]
 	i := 0
 	for {
@@ -208,24 +208,10 @@ func (e *Engine) nextKey() uint64 {
 	return provBit | e.curPos<<actBits | a
 }
 
-// At schedules fn to run at virtual time t. Scheduling in the past panics:
-// it would make the clock non-monotonic.
-func (e *Engine) At(t Time, fn func()) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, e.now))
-	}
-	e.events.push(event{at: t, seq: e.nextKey(), fn: fn})
-}
-
-// After schedules fn to run d nanoseconds from now.
-func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
-
-// AtHandler schedules h.Run(start, t) at virtual time t. It is the
-// allocation-free counterpart of At: the handler value is stored in the
-// event queue slot directly (no closure), so scheduling a pooled record
-// costs zero heap allocations. Ties with At-scheduled events are broken
-// by the same shared seq counter, so interleaving handler and closure
-// events preserves the global FIFO tie-break order.
+// AtHandler schedules h.Run(start, t) at virtual time t. The handler
+// value is stored in the event queue slot directly, so scheduling a
+// pooled record costs zero heap allocations. Scheduling in the past
+// panics: it would make the clock non-monotonic.
 func (e *Engine) AtHandler(t, start Time, h Handler) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, e.now))
@@ -247,11 +233,7 @@ func (e *Engine) Run(deadline Time) Time {
 		ev := e.events.pop()
 		e.now = ev.at
 		e.nEvents++
-		if ev.h != nil {
-			ev.h.Run(ev.start, ev.at)
-		} else {
-			ev.fn()
-		}
+		ev.h.Run(ev.start, ev.at)
 	}
 	return e.now
 }
@@ -364,11 +346,7 @@ func (e *Engine) runWindow(h Time) {
 		e.curPos = e.logStart + uint64(len(e.roundLog))
 		e.actIdx = 0
 		e.roundLog = append(e.roundLog, logRec{at: ev.at, key: ev.seq})
-		if ev.h != nil {
-			ev.h.Run(ev.start, ev.at)
-		} else {
-			ev.fn()
-		}
+		ev.h.Run(ev.start, ev.at)
 	}
 	e.inRound = false
 }
@@ -390,11 +368,7 @@ func (e *Engine) runLone() {
 		e.curOrd = cl.nextOrd
 		cl.nextOrd++
 		e.actIdx = 0
-		if ev.h != nil {
-			ev.h.Run(ev.start, ev.at)
-		} else {
-			ev.fn()
-		}
+		ev.h.Run(ev.start, ev.at)
 	}
 	cl.lone = nil
 }
@@ -429,16 +403,12 @@ func (e *Engine) Go(name string, body func(p *Proc)) *Proc {
 // Name returns the process's diagnostic name.
 func (p *Proc) Name() string { return p.name }
 
-// Engine returns the engine this process runs on.
-func (p *Proc) Engine() *Engine { return p.eng }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.eng.now }
 
 // Run implements Handler: a scheduled wakeup dispatches the process.
-// It exists so Sleep, Unpark, and Go can schedule dispatches through
-// the typed event path with no closure allocation; it is not meant to
-// be called directly.
+// It lets Sleep, Unpark, and Go schedule dispatches as ordinary events
+// with no allocation; it is not meant to be called directly.
 func (p *Proc) Run(_, _ Time) { p.dispatch() }
 
 // dispatch transfers control from the engine loop to the process and
@@ -469,14 +439,6 @@ func (p *Proc) Sleep(d Time) {
 	t := p.eng.now + d
 	p.eng.AtHandler(t, t, p)
 	p.yield()
-}
-
-// SleepUntil suspends the process until virtual time t (no-op if t <= now).
-func (p *Proc) SleepUntil(t Time) {
-	if t <= p.eng.now {
-		return
-	}
-	p.Sleep(t - p.eng.now)
 }
 
 // Park suspends the process indefinitely; something else must hold a

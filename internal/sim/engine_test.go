@@ -4,14 +4,15 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestEventOrdering(t *testing.T) {
 	e := NewEngine()
 	var got []int
-	e.At(30, func() { got = append(got, 3) })
-	e.At(10, func() { got = append(got, 1) })
-	e.At(20, func() { got = append(got, 2) })
+	schedule(e, 30, func() { got = append(got, 3) })
+	schedule(e, 10, func() { got = append(got, 1) })
+	schedule(e, 20, func() { got = append(got, 2) })
 	end := e.RunUntilQuiet()
 	if end != 30 {
 		t.Fatalf("end time = %d, want 30", end)
@@ -29,7 +30,7 @@ func TestTieBreakBySchedulingOrder(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(5, func() { got = append(got, i) })
+		schedule(e, 5, func() { got = append(got, i) })
 	}
 	e.RunUntilQuiet()
 	for i := 0; i < 10; i++ {
@@ -41,13 +42,13 @@ func TestTieBreakBySchedulingOrder(t *testing.T) {
 
 func TestSchedulingInPastPanics(t *testing.T) {
 	e := NewEngine()
-	e.At(100, func() {
+	schedule(e, 100, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.At(50, func() {})
+		schedule(e, 50, func() {})
 	})
 	e.RunUntilQuiet()
 }
@@ -55,7 +56,7 @@ func TestSchedulingInPastPanics(t *testing.T) {
 func TestDeadline(t *testing.T) {
 	e := NewEngine()
 	fired := false
-	e.At(1000, func() { fired = true })
+	schedule(e, 1000, func() { fired = true })
 	end := e.Run(500)
 	if fired {
 		t.Error("event beyond deadline fired")
@@ -72,10 +73,10 @@ func TestNestedScheduling(t *testing.T) {
 	ping = func() {
 		depth++
 		if depth < 100 {
-			e.After(7, ping)
+			schedule(e, e.Now()+7, ping)
 		}
 	}
-	e.After(7, ping)
+	schedule(e, 7, ping)
 	end := e.RunUntilQuiet()
 	if depth != 100 {
 		t.Fatalf("depth = %d, want 100", depth)
@@ -140,7 +141,7 @@ func TestParkUnpark(t *testing.T) {
 		p.Park()
 		woke = p.Now()
 	})
-	e.At(123, func() { target.Unpark() })
+	schedule(e, 123, func() { target.Unpark() })
 	e.RunUntilQuiet()
 	if woke != 123 {
 		t.Fatalf("woke at %d, want 123", woke)
@@ -159,7 +160,7 @@ func TestWaitQFIFO(t *testing.T) {
 			order = append(order, i)
 		})
 	}
-	e.At(100, func() {
+	schedule(e, 100, func() {
 		for q.WakeOne() {
 		}
 	})
@@ -184,7 +185,7 @@ func TestFlag(t *testing.T) {
 			t.Error("wait on set flag blocked")
 		}
 	})
-	e.At(55, func() { f.Set() })
+	schedule(e, 55, func() { f.Set() })
 	e.RunUntilQuiet()
 	if at != 55 {
 		t.Fatalf("flag wait released at %d, want 55", at)
@@ -207,7 +208,7 @@ func TestCounterThresholds(t *testing.T) {
 	}
 	for i := 1; i <= 5; i++ {
 		at := Time(i * 10)
-		e.At(at, func() { c.Add(1) })
+		schedule(e, at, func() { c.Add(1) })
 	}
 	e.RunUntilQuiet()
 	want := [3]Time{10, 30, 50}
@@ -225,8 +226,8 @@ func TestMailbox(t *testing.T) {
 			got = append(got, mb.Recv(p))
 		}
 	})
-	e.At(10, func() { mb.Send(1) })
-	e.At(20, func() { mb.Send(2); mb.Send(3) })
+	schedule(e, 10, func() { mb.Send(1) })
+	schedule(e, 20, func() { mb.Send(2); mb.Send(3) })
 	e.RunUntilQuiet()
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("got %v", got)
@@ -237,12 +238,12 @@ func TestResourceFIFO(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "pci")
 	var ends []Time
-	e.At(0, func() {
-		r.Enqueue(100, func(s, en Time) { ends = append(ends, en) })
-		r.Enqueue(50, func(s, en Time) { ends = append(ends, en) })
+	schedule(e, 0, func() {
+		r.EnqueueHandler(100, handlerFunc(func(_, en Time) { ends = append(ends, en) }))
+		r.EnqueueHandler(50, handlerFunc(func(_, en Time) { ends = append(ends, en) }))
 	})
-	e.At(10, func() {
-		r.Enqueue(10, func(s, en Time) { ends = append(ends, en) })
+	schedule(e, 10, func() {
+		r.EnqueueHandler(10, handlerFunc(func(_, en Time) { ends = append(ends, en) }))
 	})
 	e.RunUntilQuiet()
 	want := []Time{100, 150, 160}
@@ -264,23 +265,12 @@ func TestResourceIdleGap(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "link")
 	var starts []Time
-	e.At(0, func() { r.Enqueue(10, func(s, _ Time) { starts = append(starts, s) }) })
-	e.At(100, func() { r.Enqueue(10, func(s, _ Time) { starts = append(starts, s) }) })
+	record := handlerFunc(func(s, _ Time) { starts = append(starts, s) })
+	schedule(e, 0, func() { r.EnqueueHandler(10, record) })
+	schedule(e, 100, func() { r.EnqueueHandler(10, record) })
 	e.RunUntilQuiet()
 	if starts[0] != 0 || starts[1] != 100 {
 		t.Fatalf("starts = %v; idle resource must start immediately", starts)
-	}
-}
-
-func TestResourceUseReportsWait(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, "bus")
-	var w1, w2 Time
-	e.Go("a", func(p *Proc) { w1 = r.Use(p, 100) })
-	e.Go("b", func(p *Proc) { w2 = r.Use(p, 100) })
-	e.RunUntilQuiet()
-	if w1 != 0 || w2 != 100 {
-		t.Fatalf("waits = %d,%d; want 0,100", w1, w2)
 	}
 }
 
@@ -337,7 +327,7 @@ func TestEventOrderProperty(t *testing.T) {
 			if at > maxT {
 				maxT = at
 			}
-			e.At(at, func() { seen = append(seen, e.Now()) })
+			schedule(e, at, func() { seen = append(seen, e.Now()) })
 		}
 		end := e.RunUntilQuiet()
 		if end != maxT {
@@ -368,8 +358,8 @@ func TestResourceFIFOProperty(t *testing.T) {
 		for i := 0; i < jobs; i++ {
 			at := Time(rng.Intn(1000))
 			svc := Time(rng.Intn(100) + 1)
-			e.At(at, func() {
-				r.Enqueue(svc, func(s, en Time) { spans = append(spans, span{s, en}) })
+			schedule(e, at, func() {
+				r.EnqueueHandler(svc, handlerFunc(func(s, en Time) { spans = append(spans, span{s, en}) }))
 			})
 		}
 		e.RunUntilQuiet()
@@ -397,44 +387,30 @@ func TestMicroConversion(t *testing.T) {
 func TestEngineStop(t *testing.T) {
 	e := NewEngine()
 	ran := 0
-	e.At(10, func() { ran++; e.Stop() })
-	e.At(20, func() { ran++ })
+	schedule(e, 10, func() { ran++; e.Stop() })
+	schedule(e, 20, func() { ran++ })
 	e.RunUntilQuiet()
 	if ran != 1 {
 		t.Fatalf("ran %d events after Stop, want 1", ran)
 	}
 }
 
-func TestSleepUntilPastIsNoop(t *testing.T) {
-	e := NewEngine()
-	var at Time
-	e.Go("p", func(p *Proc) {
-		p.Sleep(100)
-		p.SleepUntil(50) // already past
-		at = p.Now()
-	})
-	e.RunUntilQuiet()
-	if at != 100 {
-		t.Fatalf("SleepUntil in the past moved time to %d", at)
-	}
-}
-
 func TestResourceBacklog(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "x")
-	e.At(0, func() {
-		r.Enqueue(100, nil)
-		r.Enqueue(100, nil)
+	schedule(e, 0, func() {
+		r.Reserve(100)
+		r.Reserve(100)
 		if got := r.Backlog(); got != 200 {
 			t.Errorf("backlog = %d, want 200", got)
 		}
 	})
-	e.At(150, func() {
+	schedule(e, 150, func() {
 		if got := r.Backlog(); got != 50 {
 			t.Errorf("backlog at t=150 = %d, want 50", got)
 		}
 	})
-	e.At(250, func() {
+	schedule(e, 250, func() {
 		if got := r.Backlog(); got != 0 {
 			t.Errorf("backlog after drain = %d", got)
 		}
@@ -505,14 +481,14 @@ func TestEventQueueOrderProperty(t *testing.T) {
 }
 
 // TestDrainedEngineHoldsNoEvents is the regression test for the event
-// closure retention leak: after the queue drains, every slot of the
-// backing array must be zeroed so executed closures are collectable.
+// retention leak: after the queue drains, every slot of the backing
+// array must be zeroed so executed handlers are collectable.
 func TestDrainedEngineHoldsNoEvents(t *testing.T) {
 	e := NewEngine()
 	var ran int
 	for i := 0; i < 1000; i++ {
 		d := Time(i % 37)
-		e.At(d, func() { ran++ })
+		schedule(e, d, func() { ran++ })
 	}
 	e.RunUntilQuiet()
 	if ran != 1000 {
@@ -523,8 +499,17 @@ func TestDrainedEngineHoldsNoEvents(t *testing.T) {
 	}
 	backing := e.events.a[:cap(e.events.a)]
 	for i, ev := range backing {
-		if ev.fn != nil {
-			t.Fatalf("drained queue retains closure at slot %d of %d", i, len(backing))
+		if ev.h != nil {
+			t.Fatalf("drained queue retains a handler at slot %d of %d", i, len(backing))
 		}
+	}
+}
+
+// TestEventSlotSize pins the heap slot at five words (at, seq, start,
+// and the two-word Handler interface): every queued event pays this,
+// and the 4-ary heap moves whole slots on every push and pop.
+func TestEventSlotSize(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 40 {
+		t.Fatalf("event slot is %d bytes, want 40", got)
 	}
 }

@@ -1,10 +1,20 @@
 package sim
 
-// Tests for the typed (Handler) event path and for the queueing
-// statistics the suite reports: Gate.Blocked/BlockedTime and
-// Resource.MaxQueued.
+// Tests for Handler dispatch and for the queueing statistics the suite
+// reports: Gate.Blocked/BlockedTime and Resource.MaxQueued.
 
 import "testing"
+
+// handlerFunc adapts a function to Handler, so tests can schedule
+// one-off events without declaring a type for each.
+type handlerFunc func(start, end Time)
+
+func (f handlerFunc) Run(start, end Time) { f(start, end) }
+
+// schedule runs fn at virtual time t on e.
+func schedule(e *Engine, t Time, fn func()) {
+	e.AtHandler(t, t, handlerFunc(func(_, _ Time) { fn() }))
+}
 
 // recordingHandler records every (start, end) pair it is dispatched with.
 type recordingHandler struct {
@@ -20,7 +30,7 @@ func TestEnqueueHandlerPassesReservationBounds(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "bus")
 	h := &recordingHandler{}
-	e.At(0, func() {
+	schedule(e, 0, func() {
 		r.EnqueueHandler(50, h) // idle: starts now
 		r.EnqueueHandler(30, h) // queued behind the first
 	})
@@ -44,19 +54,22 @@ type orderHandler struct {
 
 func (h *orderHandler) Run(_, _ Time) { *h.log = append(*h.log, h.tag) }
 
-// Handler and closure events scheduled at the same timestamp must fire
-// in scheduling order: both forms share the engine's seq counter, which
-// is what keeps the pooled pipeline's event stream bit-identical to the
-// closure pipeline it replaced.
-func TestHandlerAndClosureShareTieBreakOrder(t *testing.T) {
+// Events that land on the same timestamp fire in scheduling order, no
+// matter which of the three scheduling calls queued them: AtHandler,
+// a Resource completion, and Send all draw from one seq counter.
+func TestSameTimestampFIFOAcrossSchedulers(t *testing.T) {
 	e := NewEngine()
+	r := NewResource(e, "bus")
 	var log []string
-	e.At(10, func() { log = append(log, "fn-1") })
-	e.AtHandler(10, 0, &orderHandler{log: &log, tag: "h-1"})
-	e.At(10, func() { log = append(log, "fn-2") })
-	e.AtHandler(10, 0, &orderHandler{log: &log, tag: "h-2"})
+	tag := func(s string) Handler { return &orderHandler{log: &log, tag: s} }
+	r.EnqueueHandler(10, tag("res-1")) // idle: completes at 10
+	e.AtHandler(10, 0, tag("at-1"))
+	e.Send(e, 10, 0, tag("send-1"))
+	e.AtHandler(10, 0, tag("at-2"))
+	e.Send(e, 10, 0, tag("send-2"))
+	r.EnqueueHandler(0, tag("res-2")) // queued behind res-1: also at 10
 	e.RunUntilQuiet()
-	want := []string{"fn-1", "h-1", "fn-2", "h-2"}
+	want := []string{"res-1", "at-1", "send-1", "at-2", "send-2", "res-2"}
 	if len(log) != len(want) {
 		t.Fatalf("log = %v, want %v", log, want)
 	}
@@ -69,7 +82,7 @@ func TestHandlerAndClosureShareTieBreakOrder(t *testing.T) {
 
 func TestAtHandlerPastPanics(t *testing.T) {
 	e := NewEngine()
-	e.At(100, func() {
+	schedule(e, 100, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("AtHandler in the past did not panic")
@@ -80,13 +93,13 @@ func TestAtHandlerPastPanics(t *testing.T) {
 	e.RunUntilQuiet()
 }
 
-// Handler events count toward Events() exactly like closure events.
+// Every dispatched event counts toward Events().
 func TestHandlerEventsCounted(t *testing.T) {
 	e := NewEngine()
 	h := &recordingHandler{}
 	e.AtHandler(1, 0, h)
 	e.AtHandler(2, 0, h)
-	e.At(3, func() {})
+	e.AtHandler(3, 0, h)
 	e.RunUntilQuiet()
 	if got := e.Events(); got != 3 {
 		t.Fatalf("Events() = %d, want 3", got)
@@ -133,13 +146,13 @@ func TestGateUncontendedAcquireNotCounted(t *testing.T) {
 func TestResourceMaxQueuedTracksWorstBacklog(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "bus")
-	e.At(0, func() {
-		r.Enqueue(100, nil) // starts at 0, backlog 0
-		r.Enqueue(100, nil) // backlog 100
-		r.Enqueue(100, nil) // backlog 200
+	schedule(e, 0, func() {
+		r.Reserve(100) // starts at 0, backlog 0
+		r.Reserve(100) // backlog 100
+		r.Reserve(100) // backlog 200
 	})
-	e.At(250, func() {
-		r.Enqueue(100, nil) // backlog 50: must not lower the max
+	schedule(e, 250, func() {
+		r.Reserve(100) // backlog 50: must not lower the max
 	})
 	e.RunUntilQuiet()
 	if r.MaxQueued != 200 {
@@ -153,12 +166,12 @@ func TestResourceMaxQueuedTracksWorstBacklog(t *testing.T) {
 	}
 }
 
-// EnqueueHandler must feed the same statistics as Enqueue.
+// EnqueueHandler must feed the same statistics as Reserve.
 func TestEnqueueHandlerUpdatesStats(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "bus")
 	h := &recordingHandler{}
-	e.At(0, func() {
+	schedule(e, 0, func() {
 		r.EnqueueHandler(100, h)
 		r.EnqueueHandler(100, h)
 	})

@@ -22,15 +22,6 @@ func (m *Mailbox[T]) Recv(p *Proc) T {
 	return m.pop()
 }
 
-// TryRecv dequeues the oldest item without blocking.
-func (m *Mailbox[T]) TryRecv() (T, bool) {
-	var zero T
-	if len(m.items) == 0 {
-		return zero, false
-	}
-	return m.pop(), true
-}
-
 // pop removes the head, compacting in place so the backing array is
 // reused instead of re-sliced away (a steady send/recv cycle then
 // allocates nothing).

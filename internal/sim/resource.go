@@ -5,7 +5,7 @@ package sim
 // arrival order; each job occupies the server for its service time.
 //
 // Because the engine is sequential, "arrival order" is simply the order of
-// Enqueue/Use calls, so a running-tail timestamp (busyUntil) is a complete
+// reservation calls, so a running-tail timestamp (busyUntil) is a complete
 // FIFO model: a job arriving at time t starts at max(t, busyUntil).
 //
 // The resource keeps utilization and queueing statistics so callers can
@@ -59,22 +59,9 @@ func (r *Resource) reserve(service Time) (start, end Time) {
 	return start, end
 }
 
-// Enqueue reserves the next FIFO slot for a job with the given service
-// time and returns the job's (start, end) times. If fn is non-nil it is
-// scheduled to run at end. Enqueue may be called from any context.
-func (r *Resource) Enqueue(service Time, fn func(start, end Time)) (start, end Time) {
-	start, end = r.reserve(service)
-	if fn != nil {
-		r.eng.At(end, func() { fn(start, end) })
-	}
-	return start, end
-}
-
-// EnqueueHandler is Enqueue for the typed event path: the reservation's
-// completion is scheduled as h.Run(start, end) with zero closure
-// allocations. It shares reserve and the engine's seq counter with
-// Enqueue, so a pipeline mixing both forms keeps the exact event order
-// the closure-only pipeline produced.
+// EnqueueHandler reserves the next FIFO slot for a job with the given
+// service time, schedules the completion h.Run(start, end), and returns
+// the job's (start, end) times. It may be called from any context.
 func (r *Resource) EnqueueHandler(service Time, h Handler) (start, end Time) {
 	start, end = r.reserve(service)
 	r.eng.AtHandler(end, start, h)
@@ -99,15 +86,6 @@ func (r *Resource) EnqueueHandlerCross(from, to *Engine, service Time, h Handler
 	start, end = r.reserve(service)
 	from.Send(to, end, start, h)
 	return start, end
-}
-
-// Use runs a job on behalf of process p, blocking it until the job
-// completes, and returns how long the job waited before service began.
-func (r *Resource) Use(p *Proc, service Time) (waited Time) {
-	start, end := r.Enqueue(service, nil)
-	waited = start - p.eng.now
-	p.SleepUntil(end)
-	return waited
 }
 
 // Gate is a counting-semaphore admission control used to model a bounded

@@ -55,27 +55,23 @@ func TestWatchdogQuietOnHealthyRun(t *testing.T) {
 		}
 		e.Send(to, e.Now()+10, e.Now(), handlerFunc(func(_, _ Time) { ping(to, depth-1) }))
 	}
-	eng.At(0, func() { ping(eng, 100) })
+	schedule(eng, 0, func() { ping(eng, 100) })
 	cl.Run()
 	if got != 101 {
 		t.Fatalf("executed %d pings, want 101", got)
 	}
 }
 
-type handlerFunc func(start, end Time)
-
-func (f handlerFunc) Run(start, end Time) { f(start, end) }
-
 // Two engines that execute the same schedule must produce the same
 // digest; diverging by one event must change it.
 func TestEngineDigestDeterminism(t *testing.T) {
 	build := func(extra bool) uint64 {
 		e := NewEngine()
-		e.At(5, func() { e.After(7, func() {}) })
-		e.At(9, func() {})
+		schedule(e, 5, func() { schedule(e, e.Now()+7, func() {}) })
+		schedule(e, 9, func() {})
 		e.Run(6) // leave events in the heap so the digest covers them
 		if extra {
-			e.At(11, func() {})
+			schedule(e, 11, func() {})
 		}
 		d := NewDigest()
 		e.DigestInto(d)

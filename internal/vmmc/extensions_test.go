@@ -55,11 +55,16 @@ func TestDepositBroadcastCheaperForSender(t *testing.T) {
 	}
 }
 
+// sgFunc adapts a plain function to SGApplier.
+type sgFunc func()
+
+func (f sgFunc) ApplySG() { f() }
+
 func TestDepositGatheredHandledInFirmware(t *testing.T) {
 	eng, l, _ := newLayer(2)
 	applied := false
 	eng.Go("s", func(p *sim.Proc) {
-		l.Endpoint(0).DepositGathered(p, 1, 600, "sg", func() { applied = true })
+		l.Endpoint(0).DepositGatheredTo(p, 1, 600, "sg", sgFunc(func() { applied = true }))
 	})
 	eng.RunUntilQuiet()
 	if !applied {
@@ -74,7 +79,7 @@ func TestDepositGatheredMultiPacket(t *testing.T) {
 	eng, l, _ := newLayer(2)
 	applied := 0
 	eng.Go("s", func(p *sim.Proc) {
-		l.Endpoint(0).DepositGathered(p, 1, 10000, "sg", func() { applied++ })
+		l.Endpoint(0).DepositGatheredTo(p, 1, 10000, "sg", sgFunc(func() { applied++ }))
 	})
 	eng.RunUntilQuiet()
 	if applied != 1 {
@@ -94,7 +99,7 @@ func TestDepositGatheredSlowerPerByteThanPlain(t *testing.T) {
 		var done sim.Time
 		eng.Go("s", func(p *sim.Proc) {
 			if gathered {
-				l.Endpoint(0).DepositGathered(p, 1, 4096, "x", func() { done = eng.Now() })
+				l.Endpoint(0).DepositGatheredTo(p, 1, 4096, "x", sgFunc(func() { done = eng.Now() }))
 			} else {
 				l.Endpoint(0).Deposit(p, 1, 4096, "x", nil, func() { done = eng.Now() })
 			}

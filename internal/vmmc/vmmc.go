@@ -301,43 +301,17 @@ func (ep *Endpoint) buildBcastDsts() {
 	}
 }
 
-// DepositGathered sends size bytes of scattered data as ONE message
-// that the destination NI scatters into memory itself (the
-// scatter-gather extension, paper §3.3): extra firmware occupancy on
-// both NIs, no host involvement at the destination. apply runs in the
-// destination NI's firmware context.
-func (ep *Endpoint) DepositGathered(p *sim.Proc, dst, size int, kind string, apply func()) {
-	c := &ep.layer.cfg.Costs
-	max := ep.layer.cfg.MaxPacket
-	for rem := size; ; {
-		sz, last := splitStep(rem, max)
-		pkt := ep.ni.NewPacket()
-		pkt.Src, pkt.Dst, pkt.Size, pkt.Kind = ep.Node, dst, sz, kind
-		pkt.FwSendExtra = sim.Time(float64(sz) * c.NISGPerByte)
-		pkt.FwService = sim.Time(float64(sz) * c.NISGPerByte)
-		pkt.FwHandler = SGApplyHandler
-		if last && apply != nil {
-			// The scatter-gather payload slot carries the apply hook so
-			// one shared handler serves every sg packet (no per-packet
-			// closure); sg messages have no protocol payload of their own.
-			pkt.Payload = apply
-		}
-		ep.ni.Post(p, pkt)
-		if last {
-			break
-		}
-		rem -= sz
-	}
-}
-
-// SGApplier is the typed scatter-gather apply hook: a pooled record
-// implementing it replaces the per-flush closure of DepositGathered.
+// SGApplier is the scatter-gather apply hook, usually a pooled record.
 type SGApplier interface {
 	ApplySG()
 }
 
-// DepositGatheredTo is DepositGathered with a typed apply record
-// instead of a closure.
+// DepositGatheredTo sends size bytes of scattered data as ONE message
+// that the destination NI scatters into memory itself (the
+// scatter-gather extension, paper §3.3): extra firmware occupancy on
+// both NIs, no host involvement at the destination. apply (optional)
+// runs in the destination NI's firmware context when the last fragment
+// lands.
 func (ep *Endpoint) DepositGatheredTo(p *sim.Proc, dst, size int, kind string, apply SGApplier) {
 	c := &ep.layer.cfg.Costs
 	max := ep.layer.cfg.MaxPacket
@@ -349,6 +323,9 @@ func (ep *Endpoint) DepositGatheredTo(p *sim.Proc, dst, size int, kind string, a
 		pkt.FwService = sim.Time(float64(sz) * c.NISGPerByte)
 		pkt.FwHandler = SGApplyHandler
 		if last {
+			// The payload slot carries the apply hook so one shared
+			// handler serves every sg packet; sg messages have no
+			// protocol payload of their own.
 			pkt.Payload = apply
 		}
 		ep.ni.Post(p, pkt)
@@ -365,30 +342,8 @@ func (ep *Endpoint) DepositGatheredTo(p *sim.Proc, dst, size int, kind string, a
 // Exported so machine-context senders can stamp it on the packets they
 // build themselves.
 func SGApplyHandler(_ *nic.NI, pkt *nic.Packet) {
-	switch f := pkt.Payload.(type) {
-	case func():
-		f()
-	case SGApplier:
+	if f, ok := pkt.Payload.(SGApplier); ok {
 		f.ApplySG()
-	}
-}
-
-// DepositFromEvent is Deposit from engine context (protocol handlers).
-func (ep *Endpoint) DepositFromEvent(dst, size int, kind string, payload any, onDeliver func()) {
-	max := ep.layer.cfg.MaxPacket
-	for rem := size; ; {
-		sz, last := splitStep(rem, max)
-		pkt := ep.ni.NewPacket()
-		pkt.Src, pkt.Dst, pkt.Size, pkt.Kind = ep.Node, dst, sz, kind
-		if last {
-			pkt.Payload = payload
-			pkt.OnDeliver = onDeliver
-		}
-		ep.ni.PostFromEvent(pkt)
-		if last {
-			break
-		}
-		rem -= sz
 	}
 }
 
@@ -396,19 +351,6 @@ func (ep *Endpoint) DepositFromEvent(dst, size int, kind string, payload any, on
 // processor and is handed to the destination's InterruptSink after the
 // interrupt dispatch cost (the Base protocol's delivery mode).
 func (ep *Endpoint) SendInterrupt(p *sim.Proc, dst, size int, kind MsgKind, payload any) {
-	ep.sendInterruptPkts(dst, size, kind, payload, func(pkt *nic.Packet) {
-		ep.ni.Post(p, pkt)
-	})
-}
-
-// SendInterruptFromEvent is SendInterrupt from engine context.
-func (ep *Endpoint) SendInterruptFromEvent(dst, size int, kind MsgKind, payload any) {
-	ep.sendInterruptPkts(dst, size, kind, payload, func(pkt *nic.Packet) {
-		ep.ni.PostFromEvent(pkt)
-	})
-}
-
-func (ep *Endpoint) sendInterruptPkts(dst, size int, kind MsgKind, payload any, post func(*nic.Packet)) {
 	max := ep.layer.cfg.MaxPacket
 	for rem := size; ; {
 		sz, last := splitStep(rem, max)
@@ -419,7 +361,7 @@ func (ep *Endpoint) sendInterruptPkts(dst, size int, kind MsgKind, payload any, 
 			pkt.Meta = int(kind)
 			pkt.DeliverTo = &ep.layer.intrDel
 		}
-		post(pkt)
+		ep.ni.Post(p, pkt)
 		if last {
 			break
 		}
