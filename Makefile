@@ -17,8 +17,15 @@ vet:
 test:
 	$(GO) test ./...
 
+# race runs every test under the race detector with the -short budget
+# race-intrarun uses: the 512-node leg of the intra-run scale matrix
+# alone outlasts go test's 10-minute timeout under -race on a 2-CPU
+# box. `make test` still runs that leg without -race. The concurrent
+# suite runner's serial-vs-parallel check skips itself under -short,
+# so it is raced on its own.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -short ./...
+	$(GO) test -race -run 'TestParallelSuiteMatchesSerial' -count=1 .
 
 # race-intrarun runs the intra-run parallel-simulation determinism
 # tests (byte-identical traces across -jrun and -lpshards combinations,
@@ -130,10 +137,13 @@ smoke-serve:
 # handoff cost of the conservative-parallel engine.
 bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 1x ./internal/sim ./internal/memory ./internal/vmmc
-	$(GO) test -run xxx -bench 'Suite|CollectiveBarrier' -benchtime 1x .
+	$(GO) test -run xxx -bench 'Suite|CollectiveBarrier|Build512' -benchtime 1x .
 
 # bench-mem measures allocation pressure on the messaging hot paths
-# (Deposit, remote fetch, broadcast, NI locks). The pooled pipeline
-# keeps the closed-loop paths at 0 allocs/op.
+# (Deposit, remote fetch, broadcast, NI locks) and the bytes it takes
+# to build a 512-node cluster. The pooled pipeline keeps the
+# closed-loop paths at 0 allocs/op; per-peer state allocated on first
+# contact keeps the build linear in Nodes.
 bench-mem:
 	$(GO) test -run xxx -bench . -benchmem ./internal/vmmc ./internal/sim
+	$(GO) test -run xxx -bench 'Build512' -benchmem .

@@ -14,6 +14,7 @@ import (
 	genima "genima"
 	"genima/internal/apps"
 	"genima/internal/apps/barnes"
+	"genima/internal/apps/barrierbench"
 	"genima/internal/apps/ocean"
 	"genima/internal/apps/waterns"
 	"genima/internal/sim"
@@ -342,5 +343,32 @@ func BenchmarkCollectiveBarrier(b *testing.B) {
 		}
 		b.ReportMetric(float64(flat.Elapsed)/float64(tree.Elapsed), "tree-speedup")
 		b.ReportMetric(float64(flat.Events+tree.Events), "sim-events")
+	}
+}
+
+// BenchmarkBuild512 times building the fabric workload's 512-node fat
+// tree (radix 16, NI collective trees) ready to run: workspace, protocol
+// nodes, NIs and per-page tables, on clean links and under 1% faults
+// (which adds the reliable-delivery engine). Per-peer state is
+// allocated on first contact, so B/op tracks the topology, not Nodes².
+func BenchmarkBuild512(b *testing.B) {
+	a := barrierbench.New(16)
+	for _, leg := range []struct {
+		name   string
+		faults genima.FaultPlan
+	}{
+		{"clean", genima.FaultPlan{}},
+		{"faults", genima.FaultMix(0.01, 1)},
+	} {
+		cfg := build512Config()
+		cfg.Faults = leg.faults
+		b.Run(leg.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if sys := build(&cfg, a); len(sys.Nodes) != cfg.Nodes {
+					b.Fatalf("built %d nodes, want %d", len(sys.Nodes), cfg.Nodes)
+				}
+			}
+		})
 	}
 }

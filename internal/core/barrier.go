@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"genima/internal/sim"
 	"genima/internal/vmmc"
@@ -24,15 +23,22 @@ import (
 // all flags arrive — no interrupts anywhere. Invalidations (and their
 // mprotect) are applied locally before leaving.
 
-// barArriveMsg is an arrival record: a DW flag deposit (one pooled
-// record fanned out to all peers, refcounted, freed at the last
-// delivery) or a Base arrival sent to the master (freed there after
-// aggregation). In a parallel run the fan-out deliveries may land on
-// different logical processes within one round, so refs is decremented
-// atomically and the last delivery returns the record to the pool of
-// the node it landed on (records are fungible across node pools).
+// barArriveMsg is an arrival record: a DW flag deposit (one record
+// fanned out to all peers) or a Base arrival sent to the master. Each
+// node owns two, picked by epoch parity (barArrAt); readers never
+// release or copy them.
+//
+// Parity reuse is safe because a node reuses the epoch-k record only
+// when it starts barrier k+2, after it has passed barrier k+1. DW: it
+// passed k+1 only once every peer's k+1 flag arrived, and a peer sends
+// that flag only after it has left barrier k, which needed this node's
+// k flag — so every delivery of the k record has run. Base: the master
+// released k+1 only after aggregating every k+1 arrival, which it
+// processed after its own k aggregation had read the record. A
+// retransmitted copy of an old deposit may still point at the record,
+// but the reliability gate discards duplicates before delivery
+// dereferences the payload.
 type barArriveMsg struct {
-	refs      int32
 	src       int
 	seq       int
 	vc        []uint64
@@ -47,13 +53,13 @@ func (m *barArriveMsg) wireSize() int {
 	return n
 }
 
-// barReleaseMsg is the master's release (Base): one pooled record
-// shared by all Nodes deliveries; each leader decrements refs (atomic:
-// leaders run on different logical processes) after applying it and the
-// last one frees it into its own node's pool. The interval union is
+// barReleaseMsg is the master's release (Base): one record shared by
+// all Nodes deliveries. The master owns two, picked by epoch parity
+// (barRelAt); the epoch-k record is rebuilt for k+2 only after every
+// node arrived at k+2, and each node's leader finished applying
+// release k before its node arrived at k+1. The interval union is
 // swapped out of the master's epoch state, not copied.
 type barReleaseMsg struct {
-	refs      int32
 	seq       int
 	vc        []uint64
 	intervals []*interval
@@ -74,7 +80,7 @@ func (m *barReleaseMsg) wireSize() int {
 type barEpoch struct {
 	seq   int         // epoch using this slot; -1 = never used
 	count sim.Counter // DW: arrival flags deposited
-	vc    []uint64    // DW: element-wise max vc of arrivals
+	vc    []uint64    // DW: element-wise max vc of arrivals (nil under Base)
 	flag  sim.Flag    // Base: release arrived
 	rel   *barReleaseMsg
 
@@ -82,27 +88,51 @@ type barEpoch struct {
 	localArrived int
 	localDone    sim.Flag
 
-	// Base master aggregation (node 0 only).
+	// Base master aggregation (node 0 only; mVC is nil elsewhere).
 	mArrived int
 	mVC      []uint64
 	mIvs     []*interval
 }
 
+// reset recycles the slot for epoch seq. Only the vectors this node's
+// barrier path allocated exist, so at most one is cleared.
 func (e *barEpoch) reset(seq int) {
 	e.seq = seq
 	e.count.Reset()
-	for i := range e.vc {
-		e.vc[i] = 0
-	}
+	clear(e.vc)
 	e.flag.Reset()
 	e.rel = nil
 	e.localArrived = 0
 	e.localDone.Reset()
 	e.mArrived = 0
-	for i := range e.mVC {
-		e.mVC[i] = 0
-	}
+	clear(e.mVC)
 	e.mIvs = e.mIvs[:0]
+}
+
+// barArrAt returns this node's arrival record for epoch seq, emptied
+// and stamped. The two records alternate by parity; see barArriveMsg
+// for why the epoch-(seq-2) record is free by now.
+func (n *Node) barArrAt(seq int) *barArriveMsg {
+	m := n.barArr[seq&1]
+	if m == nil {
+		m = &barArriveMsg{vc: make([]uint64, n.sys.Cfg.Nodes)}
+		n.barArr[seq&1] = m
+	}
+	m.src, m.seq = n.ID, seq
+	m.intervals = m.intervals[:0]
+	return m
+}
+
+// barRelAt returns the master's release record for epoch seq (Base),
+// stamped, with the previous use's intervals for the caller to reuse.
+func (n *Node) barRelAt(seq int) *barReleaseMsg {
+	m := n.barRel[seq&1]
+	if m == nil {
+		m = &barReleaseMsg{vc: make([]uint64, n.sys.Cfg.Nodes)}
+		n.barRel[seq&1] = m
+	}
+	m.seq = seq
+	return m
 }
 
 // barEpochAt returns the epoch record for barrier seq, claiming (and
@@ -155,15 +185,13 @@ func (n *Node) barrierDW(p *sim.Proc, seq int) sim.Time {
 	t0 := p.Now()
 	n.closeInterval(p) // diffs + eager notices
 	// Record own arrival locally, then deposit the flag everywhere: one
-	// pooled record fanned out to every peer, freed at last delivery.
+	// parity-owned record fanned out to every peer.
 	e := n.barEpochAt(seq)
 	vecMergeMax(e.vc, n.vc)
 	e.count.Add(1)
 	if n.sys.Cfg.Nodes > 1 {
-		m := n.getBarArr()
-		m.src, m.seq = n.ID, seq
+		m := n.barArrAt(seq)
 		copy(m.vc, n.vc)
-		m.refs = int32(n.sys.Cfg.Nodes - 1)
 		for dst := 0; dst < n.sys.Cfg.Nodes; dst++ {
 			if dst == n.ID {
 				continue
@@ -236,8 +264,7 @@ func (n *Node) barrierBase(p *sim.Proc, seq int) sim.Time {
 	prevSelf := n.lastBarSelfSeq
 	n.closeInterval(p)
 	n.lastBarSelfSeq = n.vc[n.ID]
-	arrive := n.getBarArr()
-	arrive.src, arrive.seq = n.ID, seq
+	arrive := n.barArrAt(seq)
 	copy(arrive.vc, n.vc)
 	arrive.intervals = n.appendIntervalsAfter(arrive.intervals, n.ID, prevSelf, n.vc[n.ID])
 	if n.ID == 0 {
@@ -260,9 +287,6 @@ func (n *Node) barrierBase(p *sim.Proc, seq int) sim.Time {
 		}
 	}
 	n.applyUpTo(p, rel.vc)
-	if atomic.AddInt32(&rel.refs, -1) == 0 {
-		n.putBarRel(rel)
-	}
 	return protoSoFar + (p.Now() - t2)
 }
 

@@ -189,6 +189,28 @@ type interval struct {
 // wireSize returns the interval's size as a write-notice message.
 func (iv *interval) wireSize() int { return 16 + 4*len(iv.Pages) }
 
+// srcLog is what a node holds about one source node's intervals.
+type srcLog struct {
+	ivs []*interval // received intervals, indexed seq-1
+	// arrived counts the source's eagerly deposited notices. It is
+	// allocated on the first deposit or wait (see arrivedFrom): under
+	// DW every node hears from every writer, but a barrier-only run
+	// deposits nothing at all.
+	arrived *sim.Counter
+}
+
+// arrivedFrom returns the notice-arrival counter for src, creating it
+// on first use. Deposits and waits both run on this node's logical
+// process.
+func (n *Node) arrivedFrom(src int) *sim.Counter {
+	c := n.log[src].arrived
+	if c == nil {
+		c = &sim.Counter{}
+		n.log[src].arrived = c
+	}
+	return c
+}
+
 // pageState is a node's view of one page.
 type pageState uint8
 
@@ -219,9 +241,8 @@ type Node struct {
 	fetchQ    []sim.WaitQ // per page: waiters on the in-flight fetch
 	homeWaitQ []sim.WaitQ // per page homed here: accessors waiting on version
 
-	vc      []uint64      // applied interval seq per source node
-	arrived []sim.Counter // deposited notice count per source node
-	log     [][]*interval // received intervals per source, indexed seq-1
+	vc  []uint64 // applied interval seq per source node
+	log []srcLog // per source node: received intervals, notice arrivals
 
 	need       vecTable // per page: required home version per writer node
 	copyVer    vecTable // per page: home version row at fetch time
@@ -261,6 +282,12 @@ type Node struct {
 	barEpochs      [4]barEpoch
 	lastBarSelfSeq uint64 // own intervals already exchanged at barriers
 
+	// Barrier records owned by this node, picked by epoch parity and
+	// allocated on first use (see barArrAt/barRelAt): its own arrival
+	// records, and on the Base master the release records.
+	barArr [2]*barArriveMsg
+	barRel [2]*barReleaseMsg
+
 	// Free lists for pooled protocol records (see pool.go) and scratch
 	// storage reused across installFetched calls.
 	pageReqFree []*pageReqMsg
@@ -269,8 +296,6 @@ type Node struct {
 	lockReqFree []*lockReqMsg
 	grantFree   []*lockGrant
 	vcMsgFree   []*vcMsg
-	barArrFree  []*barArriveMsg
-	barRelFree  []*barReleaseMsg
 	runDepFree  []*runDep
 	verMarkFree []*verMark
 	sgDepFree   []*sgDep
@@ -288,29 +313,36 @@ func newNode(s *System, id int) *Node {
 		ID:          id,
 		eng:         s.Eng.LPNode(id),
 		ep:          s.Layer.Endpoint(id),
-		arrived:     make([]sim.Counter, s.Cfg.Nodes),
-		log:         make([][]*interval, s.Cfg.Nodes),
+		vc:          make([]uint64, s.Cfg.Nodes),
+		log:         make([]srcLog, s.Cfg.Nodes),
 		ivGate:      sim.NewGate(1),
 		pendingReqs: map[int][]pendingPage{},
 		locks:       map[int]*nodeLock{},
 		lockDir:     map[int]*lockMeta{},
 		steal:       make([]sim.Time, s.Cfg.ProcsPerNode),
 	}
-	// One backing array serves the node vector clock and the barrier
-	// epochs' vectors (nine fixed-size vectors; full slice caps keep
-	// them from spilling into each other).
+	// Barrier epoch vectors exist only where a barrier path reads them:
+	// the DW flag and tree barriers merge arrivals into vc at every
+	// node, the Base barrier aggregates into mVC at the master only.
+	// One backing array serves the ring (full slice caps keep the
+	// vectors from spilling into each other).
 	nn := s.Cfg.Nodes
-	vecs := make([]uint64, (1+2*len(n.barEpochs))*nn)
-	cut := func() []uint64 {
-		v := vecs[:nn:nn]
-		vecs = vecs[nn:]
-		return v
+	var vecs []uint64
+	if s.Feat.DW || id == 0 {
+		vecs = make([]uint64, len(n.barEpochs)*nn)
 	}
-	n.vc = cut()
 	for i := range n.barEpochs {
-		n.barEpochs[i].seq = -1
-		n.barEpochs[i].vc = cut()
-		n.barEpochs[i].mVC = cut()
+		e := &n.barEpochs[i]
+		e.seq = -1
+		if vecs == nil {
+			continue
+		}
+		v := vecs[i*nn : (i+1)*nn : (i+1)*nn]
+		if s.Feat.DW {
+			e.vc = v
+		} else {
+			e.mVC = v
+		}
 	}
 	n.pm.n = n
 	n.ep.Perturb = n.perturb
@@ -412,7 +444,7 @@ func (n *Node) applyIntervalMeta(iv *interval, invalidate *[]int) {
 // still zero from the backing array's make); growth jumps geometrically
 // rather than entry by entry.
 func (n *Node) recordInterval(iv *interval) {
-	lg := n.log[iv.Src]
+	lg := n.log[iv.Src].ivs
 	if uint64(len(lg)) < iv.Seq {
 		if uint64(cap(lg)) < iv.Seq {
 			newCap := uint64(cap(lg)) * 4
@@ -430,14 +462,14 @@ func (n *Node) recordInterval(iv *interval) {
 		}
 	}
 	lg[iv.Seq-1] = iv
-	n.log[iv.Src] = lg
+	n.log[iv.Src].ivs = lg
 }
 
 // appendIntervalsAfter appends this node's known intervals from src in
 // (from, to] onto out (piggybacked on Base lock grants and barrier
 // arrivals), reusing out's backing array.
 func (n *Node) appendIntervalsAfter(out []*interval, src int, from, to uint64) []*interval {
-	lg := n.log[src]
+	lg := n.log[src].ivs
 	for s := from + 1; s <= to; s++ {
 		if s-1 < uint64(len(lg)) && lg[s-1] != nil {
 			out = append(out, lg[s-1])

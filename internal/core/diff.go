@@ -279,17 +279,18 @@ func (n *Node) depositNotice(iv *interval) {
 	n.recordInterval(iv)
 	// Per-pair FIFO delivery means notices from one source arrive in
 	// seq order, so the arrival counter equals the highest arrived seq.
-	n.arrived[iv.Src].Add(1)
+	n.arrivedFrom(iv.Src).Add(1)
 }
 
 // waitNotices blocks until every source's notices up to target have
-// been deposited locally (the protocol "flags" of §2).
+// been deposited locally (the protocol "flags" of §2). A zero target
+// is met by any counter, so it neither waits nor creates one.
 func (n *Node) waitNotices(p *sim.Proc, target []uint64) {
 	for src, want := range target {
-		if src == n.ID {
+		if src == n.ID || want == 0 {
 			continue
 		}
-		n.arrived[src].WaitFor(p, want)
+		n.arrivedFrom(src).WaitFor(p, want)
 	}
 }
 
@@ -304,7 +305,7 @@ func (n *Node) applyUpTo(p *sim.Proc, target []uint64) sim.Time {
 			continue
 		}
 		for seq := n.vc[src] + 1; seq <= target[src]; seq++ {
-			iv := n.log[src][seq-1]
+			iv := n.log[src].ivs[seq-1]
 			if iv == nil {
 				panic("core: applying unknown interval")
 			}

@@ -37,9 +37,13 @@ func (n *Node) digestInto(d *sim.Digest) {
 	for _, v := range n.vc {
 		d.U64(v)
 	}
-	for i := range n.arrived {
-		d.U64(n.arrived[i].Value())
-		d.U64(uint64(len(n.log[i])))
+	for i := range n.log {
+		var arrived uint64
+		if c := n.log[i].arrived; c != nil {
+			arrived = c.Value()
+		}
+		d.U64(arrived)
+		d.U64(uint64(len(n.log[i].ivs)))
 	}
 	n.need.digestInto(d)
 	n.copyVer.digestInto(d)
@@ -98,17 +102,13 @@ func (n *Node) digestInto(d *sim.Digest) {
 		e := &n.barEpochs[i]
 		d.U64(uint64(e.seq))
 		d.U64(e.count.Value())
-		for _, v := range e.vc {
-			d.U64(v)
-		}
+		digestVec(d, e.vc, len(n.vc))
 		d.Bool(e.flag.IsSet())
 		d.Bool(e.rel != nil)
 		d.U64(uint64(e.localArrived))
 		d.Bool(e.localDone.IsSet())
 		d.U64(uint64(e.mArrived))
-		for _, v := range e.mVC {
-			d.U64(v)
-		}
+		digestVec(d, e.mVC, len(n.vc))
 		d.U64(uint64(len(e.mIvs)))
 	}
 
@@ -124,8 +124,6 @@ func (n *Node) digestInto(d *sim.Digest) {
 	d.U64(uint64(len(n.lockReqFree)))
 	d.U64(uint64(len(n.grantFree)))
 	d.U64(uint64(len(n.vcMsgFree)))
-	d.U64(uint64(len(n.barArrFree)))
-	d.U64(uint64(len(n.barRelFree)))
 	d.U64(uint64(len(n.runDepFree)))
 	d.U64(uint64(len(n.verMarkFree)))
 	d.U64(uint64(len(n.sgDepFree)))
@@ -134,6 +132,20 @@ func (n *Node) digestInto(d *sim.Digest) {
 	d.U64(uint64(len(n.ivPages)))
 
 	n.Acct.DigestInto(d)
+}
+
+// digestVec folds a per-node vector of length nodes; an unallocated
+// one digests as the zero vector it stands for.
+func digestVec(d *sim.Digest, v []uint64, nodes int) {
+	if v == nil {
+		for i := 0; i < nodes; i++ {
+			d.U64(0)
+		}
+		return
+	}
+	for _, x := range v {
+		d.U64(x)
+	}
 }
 
 func (t *vecTable) digestInto(d *sim.Digest) {

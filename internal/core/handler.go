@@ -272,19 +272,16 @@ func (pm *protoMachine) barArrive(m *barArriveMsg) {
 	seq := m.seq
 	e.mArrived++
 	vecMergeMax(e.mVC, m.vc)
-	e.mIvs = append(e.mIvs, m.intervals...)
-	n.putBarArr(m) // aggregated; intervals are arena-backed
+	e.mIvs = append(e.mIvs, m.intervals...) // intervals are arena-backed
 	if e.mArrived < n.sys.Cfg.Nodes {
 		pm.st = pmBodyDone
 		return
 	}
-	rel := n.getBarRel()
-	rel.seq = seq
+	rel := n.barRelAt(seq)
 	copy(rel.vc, e.mVC)
 	// Hand the interval union to the release record by swapping slices:
 	// the epoch keeps the (empty) old backing for its next reuse.
 	rel.intervals, e.mIvs = e.mIvs, rel.intervals[:0]
-	rel.refs = int32(n.sys.Cfg.Nodes)
 	pm.barRel, pm.barDst = rel, 0
 	pm.st = pmBarRel
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
-
 	"genima/internal/memory"
 	"genima/internal/nic"
 )
@@ -164,54 +162,6 @@ func (n *Node) putVCMsg(m *vcMsg) {
 	n.vcMsgFree = append(n.vcMsgFree, m)
 }
 
-func (n *Node) getBarArr() *barArriveMsg {
-	if k := len(n.barArrFree); k > 0 {
-		r := n.barArrFree[k-1]
-		n.barArrFree[k-1] = nil
-		n.barArrFree = n.barArrFree[:k-1]
-		return r
-	}
-	nn := n.sys.Cfg.Nodes
-	chunk := make([]barArriveMsg, 8)
-	vcs := make([]uint64, len(chunk)*nn)
-	for i := len(chunk) - 1; i >= 0; i-- {
-		chunk[i].vc = vcs[i*nn : (i+1)*nn : (i+1)*nn]
-		if i > 0 {
-			n.barArrFree = append(n.barArrFree, &chunk[i])
-		}
-	}
-	return &chunk[0]
-}
-
-func (n *Node) putBarArr(m *barArriveMsg) {
-	m.intervals = m.intervals[:0]
-	n.barArrFree = append(n.barArrFree, m)
-}
-
-func (n *Node) getBarRel() *barReleaseMsg {
-	if k := len(n.barRelFree); k > 0 {
-		r := n.barRelFree[k-1]
-		n.barRelFree[k-1] = nil
-		n.barRelFree = n.barRelFree[:k-1]
-		return r
-	}
-	nn := n.sys.Cfg.Nodes
-	chunk := make([]barReleaseMsg, 8)
-	vcs := make([]uint64, len(chunk)*nn)
-	for i := len(chunk) - 1; i >= 0; i-- {
-		chunk[i].vc = vcs[i*nn : (i+1)*nn : (i+1)*nn]
-		if i > 0 {
-			n.barRelFree = append(n.barRelFree, &chunk[i])
-		}
-	}
-	return &chunk[0]
-}
-
-func (n *Node) putBarRel(m *barReleaseMsg) {
-	m.intervals = m.intervals[:0]
-	n.barRelFree = append(n.barRelFree, m)
-}
-
 func (n *Node) getRunDep() *runDep {
 	if k := len(n.runDepFree); k > 0 {
 		r := n.runDepFree[k-1]
@@ -346,16 +296,11 @@ func (d *grantDeliver) Deliver(pkt *nic.Packet) {
 	d.s.Nodes[pkt.Dst].receiveGrant(pkt.Payload.(*lockGrant))
 }
 
-// barFlagDeliver lands a DW barrier arrival flag at pkt.Dst. One pooled
-// record serves all Nodes-1 deposits; the last delivery frees it into
-// the pool of the node it landed on (the deliveries may run on
-// different logical processes within one round, hence the atomic).
+// barFlagDeliver lands a DW barrier arrival flag at pkt.Dst. The
+// record belongs to its sender, which reuses it two epochs later (see
+// barArriveMsg), so delivery only reads it.
 type barFlagDeliver struct{ s *System }
 
 func (d *barFlagDeliver) Deliver(pkt *nic.Packet) {
-	m := pkt.Payload.(*barArriveMsg)
-	d.s.Nodes[pkt.Dst].depositBarFlag(m)
-	if atomic.AddInt32(&m.refs, -1) == 0 {
-		d.s.Nodes[pkt.Dst].putBarArr(m)
-	}
+	d.s.Nodes[pkt.Dst].depositBarFlag(pkt.Payload.(*barArriveMsg))
 }

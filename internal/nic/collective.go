@@ -94,9 +94,6 @@ func (ni *NI) EnableCollectives(arity int, sink ColBarrierSink) {
 		}
 		c.childCount++
 	}
-	for i := range c.ops {
-		c.ops[i].vec = make([]uint64, n)
-	}
 	ni.col = c
 }
 
@@ -139,13 +136,17 @@ func (c *colState) getMsg(n int) *colMsg {
 
 func (c *colState) putMsg(m *colMsg) { c.msgFree = append(c.msgFree, m) }
 
-// opAt claims (or finds) the epoch ring slot for seq.
+// opAt claims (or finds) the epoch ring slot for seq. A slot's combine
+// vector is allocated the first time the slot is claimed.
 func (c *colState) opAt(seq int) *colOp {
 	op := &c.ops[seq&3]
 	if !op.active {
 		op.active = true
 		op.seq = seq
 		op.got = 0
+		if op.vec == nil {
+			op.vec = make([]uint64, c.nodes)
+		}
 		return op
 	}
 	if op.seq != seq {

@@ -42,8 +42,11 @@ func (ni *NI) digestInto(d *sim.Digest) {
 
 func (r *relState) digestInto(d *sim.Digest) {
 	d.U64(uint64(len(r.flows)))
-	for i := range r.flows {
-		f := &r.flows[i]
+	var zero relFlow
+	for _, f := range r.flows {
+		if f == nil {
+			f = &zero // a peer never contacted digests as the zero flow
+		}
 		d.U64(f.nextSeq)
 		d.I64(f.rto)
 		d.I64(f.srtt)

@@ -196,8 +196,12 @@ type relFlow struct {
 
 // relState is one NI's reliable-delivery engine.
 type relState struct {
-	ni       *NI
-	flows    []relFlow
+	ni *NI
+	// flows is indexed by peer id and filled on first contact (see
+	// flow): a node exchanges packets with a handful of peers — tree
+	// neighbours, the barrier master, page homes — so a dense table
+	// of flows would be almost all untouched state at scale.
+	flows    []*relFlow
 	ackEvery int
 
 	// Report counts what this NI's firmware did to mask faults (the
@@ -209,13 +213,23 @@ type relState struct {
 }
 
 func newRelState(ni *NI, ackEvery int) *relState {
-	r := &relState{ni: ni, flows: make([]relFlow, len(ni.peers)), ackEvery: ackEvery}
-	for i := range r.flows {
-		f := &r.flows[i]
-		f.retx = relTimer{rel: r, peer: i, kind: 0}
-		f.ackT = relTimer{rel: r, peer: i, kind: 1}
+	return &relState{ni: ni, flows: make([]*relFlow, len(ni.peers)), ackEvery: ackEvery}
+}
+
+// flow returns the flow to peer, creating it on first contact. Every
+// caller runs on this NI's own logical process (send-firmware stamp,
+// receive gate, its own timers), so creation needs no synchronization.
+// A fresh flow is the zero flow, which is exactly what an untouched
+// dense entry used to be.
+func (r *relState) flow(peer int) *relFlow {
+	f := r.flows[peer]
+	if f == nil {
+		f = &relFlow{}
+		f.retx = relTimer{rel: r, peer: peer, kind: 0}
+		f.ackT = relTimer{rel: r, peer: peer, kind: 1}
+		r.flows[peer] = f
 	}
-	return r
+	return f
 }
 
 // relService is the extra firmware occupancy reliable delivery charges
@@ -267,7 +281,7 @@ func (r *relState) notePiggyback(f *relFlow) {
 func (r *relState) stamp(t *transit, now sim.Time) {
 	pkt := t.pkt
 	if pkt.RelFlags&relCtrl != 0 {
-		pkt.Ack = r.flows[pkt.Dst].recvd
+		pkt.Ack = r.flow(pkt.Dst).recvd
 		pkt.Csum = relChecksum(pkt)
 		return
 	}
@@ -278,7 +292,7 @@ func (r *relState) stamp(t *transit, now sim.Time) {
 		r.stampBroadcast(t, now)
 		return
 	}
-	f := &r.flows[pkt.Dst]
+	f := r.flow(pkt.Dst)
 	f.nextSeq++
 	pkt.Seq = f.nextSeq
 	pkt.RelFlags = relHasSeq | relHasAck
@@ -306,7 +320,7 @@ func (r *relState) stampBroadcast(t *transit, now sim.Time) {
 	tmpl.RelFlags = relHasSeq | relHasAck
 	tmpl.Csum = 0
 	for _, dst := range t.dsts {
-		f := &r.flows[dst]
+		f := r.flow(dst)
 		f.nextSeq++
 		e := r.getEntry()
 		e.pkt = *tmpl
@@ -350,7 +364,7 @@ func (r *relState) addPending(f *relFlow, e *retxEntry, now sim.Time) {
 // when a round trip has genuinely been exceeded, not on a fixed
 // schedule a congested barrier burst can never meet.
 func (r *relState) retxFire(peer int, now sim.Time) {
-	f := &r.flows[peer]
+	f := r.flow(peer)
 	if len(f.pending) == 0 {
 		return
 	}
@@ -388,7 +402,7 @@ func (r *relState) retxFire(peer int, now sim.Time) {
 // peer, resets the backoff on progress, and records recovery time for
 // packets that needed retransmission.
 func (r *relState) processAck(peer int, ack uint64, now sim.Time) {
-	f := &r.flows[peer]
+	f := r.flow(peer)
 	n := 0
 	for n < len(f.pending) && f.pending[n].pkt.Seq <= ack {
 		e := f.pending[n]
@@ -453,7 +467,7 @@ func (r *relState) receive(pkt *Packet, now sim.Time) bool {
 	if pkt.RelFlags&relCtrl != 0 {
 		return false
 	}
-	f := &r.flows[pkt.Src]
+	f := r.flow(pkt.Src)
 	switch {
 	case pkt.Seq == f.recvd+1:
 		f.recvd++
@@ -477,7 +491,7 @@ func (r *relState) receive(pkt *Packet, now sim.Time) bool {
 
 // sendAck emits a standalone cumulative ack to peer from NI memory.
 func (r *relState) sendAck(peer int) {
-	f := &r.flows[peer]
+	f := r.flow(peer)
 	f.unacked = 0
 	f.ackT.disarm()
 	r.Report.AcksSent++
@@ -502,7 +516,7 @@ func (r *relState) armAck(f *relFlow, now sim.Time) {
 }
 
 func (r *relState) ackFire(peer int, _ sim.Time) {
-	if r.flows[peer].unacked > 0 {
+	if r.flow(peer).unacked > 0 {
 		r.sendAck(peer)
 	}
 }
