@@ -8,8 +8,10 @@ package genima_test
 
 import (
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	genima "genima"
 )
@@ -99,6 +101,42 @@ func TestCheckpointRestoreByteIdentical(t *testing.T) {
 					t.Errorf("restored-at-%d hash %s != uninterrupted %s", cut, got, want)
 				}
 			})
+		}
+	}
+}
+
+// A run halted by ShouldStop leaves its processors suspended
+// mid-body; the runner must release them, or every interrupted run
+// leaks one goroutine and its stack per processor. Five interrupted
+// runs, serial and intra-run parallel, end with the goroutine count
+// back at its starting value.
+func TestInterruptedRunsReleaseProcesses(t *testing.T) {
+	a, _ := appByName(t, "fft")
+	for _, workers := range []int{1, 2} {
+		cfg := genima.DefaultConfig()
+		cfg.IntraRunWorkers = workers
+		start := runtime.NumGoroutine()
+		for i := 0; i < 5; i++ {
+			boundaries := 0
+			cr, err := genima.RunCheckpointed(cfg, genima.GeNIMA, a, genima.CheckpointOptions{
+				Every: 50, App: "fft", Scale: "test",
+				ShouldStop: func() bool { boundaries++; return boundaries >= 2 },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !cr.Interrupted {
+				t.Fatalf("workers=%d: run finished before the stop boundary", workers)
+			}
+		}
+		// The cluster's worker goroutines exit once their channels
+		// close, which need not happen before Run returns.
+		got := runtime.NumGoroutine()
+		for deadline := time.Now().Add(5 * time.Second); got > start && time.Now().Before(deadline); got = runtime.NumGoroutine() {
+			time.Sleep(time.Millisecond)
+		}
+		if got > start {
+			t.Errorf("workers=%d: %d goroutines after 5 interrupted runs, want %d", workers, got, start)
 		}
 	}
 }

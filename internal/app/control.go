@@ -94,8 +94,10 @@ func RunSVMControlled(cfg topo.Config, kind core.Kind, a App, ctl *RunControl) (
 		cl = sim.NewCluster(cfg.Nodes, cfg.EffectiveLPShards(), cfg.IntraRunWorkers, nodeLA, fabLA)
 		cl.MarkBipartite()
 		eng = cl.Main()
+		defer cl.Release()
 	} else {
 		eng = sim.NewEngine()
+		defer eng.Release()
 	}
 	ws := NewWorkspace(&cfg)
 	a.Setup(ws)
@@ -176,7 +178,7 @@ func RunSVMControlled(cfg topo.Config, kind core.Kind, a App, ctl *RunControl) (
 		nd, cpu := i/cfg.ProcsPerNode, i%cfg.ProcsPerNode
 		be := NewSVMBackend(sys, nd, cpu)
 		ctxs[i] = NewCtx(i, n, nil, be, ws, &cfg, mi)
-		// Each processor goroutine lives on its node's logical process
+		// Each simulated processor lives on its node's logical process
 		// (LPNode is the engine itself in a serial run).
 		eng.LPNode(nd).Go(a.Name()+"-p"+strconv.Itoa(i), func(p *sim.Proc) {
 			ctxs[i].p = p

@@ -103,6 +103,7 @@ func RunHW(cfg topo.Config, a App) (*Result, *Workspace, error) {
 		return nil, nil, err
 	}
 	eng := sim.NewEngine()
+	defer eng.Release()
 	ws := NewWorkspace(&cfg)
 	a.Setup(ws)
 	sys := hwdsm.New(eng, &cfg, ws.Space)
@@ -140,6 +141,7 @@ func RunSeq(cfg topo.Config, a App) (*Result, *Workspace, error) {
 		return nil, nil, err
 	}
 	eng := sim.NewEngine()
+	defer eng.Release()
 	ws := NewWorkspace(&cfg)
 	a.Setup(ws)
 

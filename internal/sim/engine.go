@@ -7,11 +7,14 @@
 //     Resource reservation, or Send across logical processes), executed
 //     inline by the engine loop. Used for message deliveries, DMA
 //     completions, etc.
-//   - Processes: goroutines that model sequential agents (simulated
-//     processors, protocol handlers). Exactly one goroutine — either the
-//     engine loop or a single process — runs at any instant; control is
-//     handed over synchronously, so simulations are deterministic and
-//     race-free without locks.
+//   - Processes: runtime coroutines (iter.Pull) that model sequential
+//     agents (simulated processors). Exactly one of the engine loop or a
+//     single process runs at any instant; a dispatch switches straight
+//     to the process's coroutine and a blocking call switches straight
+//     back, on one thread and without the Go scheduler, so simulations
+//     are deterministic and race-free without locks. A panic in a
+//     process body is re-raised by the dispatch and reaches the caller
+//     of Run. Engine.Release unwinds processes a run left unfinished.
 //
 // Ties between events at the same timestamp are broken by scheduling
 // order, which makes runs bit-reproducible.
@@ -128,11 +131,7 @@ type Engine struct {
 	seq    uint64
 	events eventQueue
 
-	// park receives control back from a running process.
-	park chan struct{}
-
-	procs   []*Proc
-	running int // number of live (not finished) processes
+	procs   []*Proc // every process spawned by Go, for Release
 	stopped bool
 
 	nEvents uint64
@@ -164,7 +163,7 @@ type Engine struct {
 
 // NewEngine returns an empty engine at virtual time zero.
 func NewEngine() *Engine {
-	return &Engine{park: make(chan struct{})}
+	return &Engine{}
 }
 
 // Now returns the current virtual time.
@@ -371,83 +370,4 @@ func (e *Engine) runLone() {
 		ev.h.Run(ev.start, ev.at)
 	}
 	cl.lone = nil
-}
-
-// Proc is a simulated sequential agent backed by a goroutine. All Proc
-// methods that block (Sleep, WaitOn, ...) must be called from the process's
-// own goroutine.
-type Proc struct {
-	eng  *Engine
-	name string
-	wake chan struct{}
-	done bool
-}
-
-// Go spawns a new process running body. The process starts at the current
-// virtual time (as a scheduled event, so Go may be called before Run).
-func (e *Engine) Go(name string, body func(p *Proc)) *Proc {
-	p := &Proc{eng: e, name: name, wake: make(chan struct{})}
-	e.procs = append(e.procs, p)
-	e.running++
-	go func() {
-		<-p.wake // wait for first dispatch
-		body(p)
-		p.done = true
-		e.running--
-		e.park <- struct{}{} // return control to the engine loop
-	}()
-	e.AtHandler(e.now, e.now, p)
-	return p
-}
-
-// Name returns the process's diagnostic name.
-func (p *Proc) Name() string { return p.name }
-
-// Now returns the current virtual time.
-func (p *Proc) Now() Time { return p.eng.now }
-
-// Run implements Handler: a scheduled wakeup dispatches the process.
-// It lets Sleep, Unpark, and Go schedule dispatches as ordinary events
-// with no allocation; it is not meant to be called directly.
-func (p *Proc) Run(_, _ Time) { p.dispatch() }
-
-// dispatch transfers control from the engine loop to the process and
-// waits for it to yield back. It must run in engine (event) context.
-func (p *Proc) dispatch() {
-	if p.done {
-		panic("sim: dispatch of finished process " + p.name)
-	}
-	p.wake <- struct{}{}
-	<-p.eng.park
-}
-
-// yield returns control to the engine loop and blocks until the next
-// dispatch. It must run in process context.
-func (p *Proc) yield() {
-	p.eng.park <- struct{}{}
-	<-p.wake
-}
-
-// Sleep suspends the process for d nanoseconds of virtual time.
-func (p *Proc) Sleep(d Time) {
-	if d < 0 {
-		panic("sim: negative sleep")
-	}
-	if d == 0 {
-		return
-	}
-	t := p.eng.now + d
-	p.eng.AtHandler(t, t, p)
-	p.yield()
-}
-
-// Park suspends the process indefinitely; something else must hold a
-// reference and call Unpark (in engine/event or another process's context).
-func (p *Proc) Park() { p.yield() }
-
-// Unpark resumes a parked process at the current virtual time. It must be
-// called from engine (event) context — e.g. inside an event callback — or
-// via WaitQ/Mailbox which handle this correctly.
-func (p *Proc) Unpark() {
-	p.eng.AtHandler(p.eng.now, p.eng.now, p)
 }

@@ -1,8 +1,8 @@
 package sim
 
 // Wall-clock micro-benchmarks for the simulation hot paths: event
-// scheduling/dispatch (the typed 4-ary heap) and process switching (the
-// two channel handoffs per dispatch). `make bench-smoke` runs these once;
+// scheduling/dispatch (the typed 4-ary heap) and process switching (two
+// coroutine switches per dispatch). `make bench-smoke` runs these once;
 // compare before/after with `go test -bench Engine -benchmem ./internal/sim`.
 
 import (
@@ -62,7 +62,7 @@ func BenchmarkEventCascade(b *testing.B) {
 }
 
 // BenchmarkProcSwitch measures a full process dispatch round trip
-// (engine -> goroutine -> engine) via 1-tick sleeps.
+// (engine -> coroutine -> engine) via 1-tick sleeps.
 func BenchmarkProcSwitch(b *testing.B) {
 	e := NewEngine()
 	e.Go("switcher", func(p *Proc) {

@@ -1,9 +1,9 @@
 package sim
 
 // Waiter is anything that can park in a WaitQ and be resumed later:
-// goroutine-backed Procs and resumable Handler state machines alike.
+// coroutine-backed Procs and resumable Handler state machines alike.
 // Unpark schedules the waiter to run at the current virtual time; for a
-// Proc that resumes the goroutine, for a machine it re-enters Run.
+// Proc that resumes the coroutine, for a machine it re-enters Run.
 type Waiter interface {
 	Unpark()
 }
@@ -42,7 +42,7 @@ func (q *WaitQ) Wait(p *Proc) {
 	p.Park()
 }
 
-// Enqueue adds a non-goroutine waiter (a Handler state machine) to the
+// Enqueue adds a non-process waiter (a Handler state machine) to the
 // queue; the machine must return to the engine loop after calling it
 // and resume from its Unpark.
 func (q *WaitQ) Enqueue(w Waiter) {
