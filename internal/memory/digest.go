@@ -2,14 +2,14 @@ package memory
 
 import "genima/internal/sim"
 
-// DigestInto folds the pool's reuse state: the free-list depth and the
-// hit/miss counters. Buffer identities are not portable, but the depth
-// plus the deterministic LIFO discipline pin the reuse order.
+// DigestInto folds the pool's buffer size. Pooled buffers are fungible
+// host caches (every Get is fully overwritten), so the free-list depth
+// and the hit/miss counters fold as zeros.
 func (p *BufPool) DigestInto(d *sim.Digest) {
 	d.U64(uint64(p.size))
-	d.U64(uint64(len(p.free)))
-	d.U64(p.Hits)
-	d.U64(p.Allocs)
+	d.U64(0)
+	d.U64(0)
+	d.U64(0)
 }
 
 // DigestInto folds the node's materialized page copies and twins —
