@@ -119,8 +119,14 @@ func New(eng *sim.Engine, cfg *topo.Config, kind Kind, space *memory.Space) *Sys
 	s.grantDel.s = s
 	s.barFlagDel.s = s
 	s.Nodes = make([]*Node, cfg.Nodes)
+	pools := map[*sim.Engine]*recordPool{}
 	for i := range s.Nodes {
-		s.Nodes[i] = newNode(s, i)
+		n := newNode(s, i)
+		if pools[n.eng] == nil {
+			pools[n.eng] = newRecordPool(cfg.Nodes, cfg.PageSize)
+		}
+		n.pool = pools[n.eng]
+		s.Nodes[i] = n
 	}
 	if cfg.Collectives && s.Feat.DW && cfg.Nodes > 1 {
 		// NI-firmware collective trees need the deposit-write capability
@@ -288,21 +294,14 @@ type Node struct {
 	barArr [2]*barArriveMsg
 	barRel [2]*barReleaseMsg
 
-	// Free lists for pooled protocol records (see pool.go) and scratch
-	// storage reused across installFetched calls.
-	pageReqFree []*pageReqMsg
-	fpFree      []*fetchPayload
-	diffFree    []*diffMsg
-	lockReqFree []*lockReqMsg
-	grantFree   []*lockGrant
-	vcMsgFree   []*vcMsg
-	runDepFree  []*runDep
-	verMarkFree []*verMark
-	sgDepFree   []*sgDep
-	invFree     [][]int
-	lockChunk   []nodeLock // arena for nodeLock records (see Node.lock)
-	modsRuns    []memory.Run
-	modsBuf     []byte
+	// pool holds the pooled protocol records of the node's logical
+	// process, shared by every node on it (see pool.go).
+	pool *recordPool
+
+	lockChunk []nodeLock // arena for nodeLock records (see Node.lock)
+	// Scratch storage reused across installFetched calls.
+	modsRuns []memory.Run
+	modsBuf  []byte
 
 	Acct stats.SVMAccounting
 }

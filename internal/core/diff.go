@@ -39,7 +39,7 @@ func (d *diffMsg) wireSize() int {
 // runDep is one direct-diff run deposit (pooled, freed at delivery).
 // Its run data aliases the owning flush's diffMsg buffer.
 type runDep struct {
-	owner *Node // origin node (pool + Space access)
+	owner *Node // origin node (Space access)
 	pg    int
 	run   memory.Run
 }
@@ -68,12 +68,12 @@ type sgDep struct {
 
 // ApplySG implements vmmc.SGApplier (engine context, home NI firmware —
 // the home's logical process, so the consumed records go to the home's
-// pools, not the origin's).
+// LP pool).
 func (m *sgDep) ApplySG() {
 	memory.ApplyRuns(m.origin.sys.Space.HomeCopy(m.pg), m.d.runs)
 	m.home.bumpVersion(m.pg, m.src, m.seq)
-	m.home.putDiff(m.d)
-	m.home.putSGDep(m)
+	m.home.pool.putDiff(m.d)
+	m.home.pool.putSGDep(m)
 }
 
 // closeInterval closes the node's open write interval: computes diffs
@@ -143,7 +143,7 @@ func (n *Node) flushPage(p *sim.Proc, pg int, seq uint64) {
 		// Word-by-word comparison of the page against its twin.
 		p.Sleep(sim.Time(float64(n.sys.Cfg.PageSize) * c.DiffPerByte))
 		n.Acct.DiffCompute += sim.Time(float64(n.sys.Cfg.PageSize) * c.DiffPerByte)
-		d = n.getDiff()
+		d = n.pool.getDiff()
 		d.page, d.src, d.seq = pg, n.ID, seq
 		d.runs, d.buf = n.Mem.DiffCopy(pg, d.runs[:0], d.buf)
 		n.Mem.DropTwin(pg)
@@ -159,7 +159,7 @@ func (n *Node) flushPage(p *sim.Proc, pg int, seq uint64) {
 			// there): all runs travel as one gathered message that the
 			// home NI scatters itself — one message instead of many, at
 			// extra NI occupancy on both sides.
-			sg := n.getSGDep()
+			sg := n.pool.getSGDep()
 			sg.origin, sg.home, sg.pg, sg.src, sg.seq, sg.d = n, n.sys.Nodes[home], pg, n.ID, seq, d
 			n.ep.DepositGatheredTo(p, home, d.wireSize(), "sg-diff", sg)
 			return
@@ -169,7 +169,7 @@ func (n *Node) flushPage(p *sim.Proc, pg int, seq uint64) {
 		// releases the diff storage (FIFO: it lands after every run).
 		if d != nil {
 			for i := range d.runs {
-				rd := n.getRunDep()
+				rd := n.pool.getRunDep()
 				rd.owner, rd.pg, rd.run = n, pg, d.runs[i]
 				n.ep.DepositTo(p, home, runHeader+len(rd.run.Data), "direct-diff", rd, runDepDel)
 			}
@@ -182,7 +182,7 @@ func (n *Node) flushPage(p *sim.Proc, pg int, seq uint64) {
 	// (sent even when empty so the home's version row advances under
 	// protocol-process control and queued page requests are retried).
 	if d == nil {
-		d = n.getDiff()
+		d = n.pool.getDiff()
 		d.page, d.src, d.seq = pg, n.ID, seq
 	}
 	n.ep.SendInterrupt(p, home, d.wireSize(), vmmc.MsgDiff, d)
@@ -226,7 +226,7 @@ func (n *Node) closePageEarly(p *sim.Proc, pg int) {
 // run deposits land first. d (if any) is the diff storage the marker's
 // delivery releases.
 func (n *Node) sendVersionMarker(p *sim.Proc, home, pg int, seq uint64, d *diffMsg) {
-	vm := n.getVerMark()
+	vm := n.pool.getVerMark()
 	vm.origin, vm.home, vm.pg, vm.seq, vm.d = n, n.sys.Nodes[home], pg, seq, d
 	n.ep.DepositTo(p, home, 16, "diff-done", vm, verMarkDel)
 }
@@ -299,7 +299,7 @@ func (n *Node) waitNotices(p *sim.Proc, target []uint64) {
 // mprotect cost. Dirty pages being invalidated are flushed first
 // (concurrent-writer case). Returns the mprotect time charged.
 func (n *Node) applyUpTo(p *sim.Proc, target []uint64) sim.Time {
-	invalidate := n.getInv()
+	invalidate := n.pool.getInv()
 	for src := range target {
 		if src == n.ID {
 			continue
@@ -325,7 +325,7 @@ func (n *Node) applyUpTo(p *sim.Proc, target []uint64) sim.Time {
 		}
 	}
 	if len(invalidate) == 0 {
-		n.putInv(invalidate)
+		n.pool.putInv(invalidate)
 		return 0
 	}
 	c := &n.sys.Cfg.Costs
@@ -333,6 +333,6 @@ func (n *Node) applyUpTo(p *sim.Proc, target []uint64) sim.Time {
 	p.Sleep(cost)
 	n.Acct.Mprotect += cost
 	n.Acct.MprotectOps += uint64(calls)
-	n.putInv(invalidate)
+	n.pool.putInv(invalidate)
 	return cost
 }

@@ -35,7 +35,7 @@ type pageReqMsg struct {
 	page int
 	need []uint64 // requester's requirement row (copied at send time)
 	done sim.Flag
-	data []byte   // reply: page snapshot (from the home's buffer pool)
+	data []byte   // reply: page snapshot (the record's own page buffer)
 	ver  []uint64 // reply: home version row at snapshot time
 }
 
@@ -126,14 +126,15 @@ func (n *Node) faultIn(p *sim.Proc, page int) {
 		}
 		n.fetching[page] = true
 
-		var data []byte
 		if n.sys.Feat.RF {
-			data = n.fetchRF(p, page)
+			pl := n.fetchRF(p, page)
+			n.installFetched(page, pl.data)
+			n.pool.putFetchPayload(pl)
 		} else {
-			data = n.fetchBase(p, page)
+			req := n.fetchBase(p, page)
+			n.installFetched(page, req.data)
+			n.pool.putPageReq(req)
 		}
-		n.installFetched(page, data)
-		n.Mem.Pool().Put(data) // snapshot consumed: recycle the buffer
 		n.state[page] = pageValid
 		// Map the fresh page read-only.
 		p.Sleep(c.MprotectBase)
@@ -165,12 +166,13 @@ func (n *Node) installFetched(page int, data []byte) {
 }
 
 // fetchBase is the interrupt path: request -> home protocol process ->
-// reply deposit. The home queues the request if diffs are pending. The
-// fetched snapshot's version row is recorded in copyVer before the
-// pooled request is released.
-func (n *Node) fetchBase(p *sim.Proc, page int) []byte {
+// reply deposit. The home queues the request if diffs are pending and
+// writes its reply into the request record's page buffer. The fetched
+// snapshot's version row is recorded in copyVer; the caller installs
+// the page and releases the record.
+func (n *Node) fetchBase(p *sim.Proc, page int) *pageReqMsg {
 	home := n.sys.Space.Home(page)
-	req := n.getPageReq()
+	req := n.pool.getPageReq()
 	req.page = page
 	for {
 		// Another processor in this node may raise the page's
@@ -183,19 +185,17 @@ func (n *Node) fetchBase(p *sim.Proc, page int) []byte {
 			break
 		}
 		n.Acct.FetchRetries++
-		n.Mem.Pool().Put(req.data) // stale snapshot: recycle
-		req.done.Reset()
+		req.done.Reset() // stale snapshot: the retry's reply overwrites it
 	}
 	copy(n.copyVer.row(page), req.ver)
 	n.copyVerSet[page] = true
-	data := req.data
-	n.putPageReq(req)
-	return data
+	return req
 }
 
 // fetchRF is the NI remote-fetch path with requester retry on stale
-// versions (no home processor involvement).
-func (n *Node) fetchRF(p *sim.Proc, page int) []byte {
+// versions (no home processor involvement). It returns the current
+// reply; the caller installs the page and releases the record.
+func (n *Node) fetchRF(p *sim.Proc, page int) *fetchPayload {
 	home := n.sys.Space.Home(page)
 	size := n.sys.Cfg.PageSize + pageReplyOverhead
 	for {
@@ -204,25 +204,21 @@ func (n *Node) fetchRF(p *sim.Proc, page int) []byte {
 		if n.needSatisfied(page, pl.ver) {
 			copy(n.copyVer.row(page), pl.ver)
 			n.copyVerSet[page] = true
-			data := pl.data
-			n.putFetchPayload(pl)
-			return data
+			return pl
 		}
 		n.Acct.FetchRetries++
-		n.Mem.Pool().Put(pl.data) // stale snapshot: recycle
-		n.putFetchPayload(pl)
+		n.pool.putFetchPayload(pl) // stale snapshot: recycle
 		p.Sleep(n.sys.Cfg.Costs.FetchRetryBackoff)
 	}
 }
 
 // serveFetch runs in the home NI's firmware: snapshot the page and its
-// version row into a pooled payload (released by the requester). No
-// host time is charged.
+// version row into a pooled payload and its page buffer (released by
+// the requester). No host time is charged.
 func (n *Node) serveFetch(req vmmc.FetchReq) vmmc.FetchReply {
 	page := req.Tag
-	pl := n.getFetchPayload()
+	pl := n.pool.getFetchPayload()
 	pl.page = page
-	pl.data = n.Mem.Pool().Get()
 	copy(pl.data, n.sys.Space.HomeCopy(page))
 	copy(pl.ver, n.homeVer.row(page))
 	return vmmc.FetchReply{

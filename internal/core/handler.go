@@ -226,11 +226,10 @@ func (pm *protoMachine) startSendSG(dst, size int, label string, apply vmmc.SGAp
 }
 
 // startReply snapshots the home copy and version row into the pooled
-// request (the reply rides the request record) and starts the reply
-// deposit.
+// request's page buffer and version row (the reply rides the request
+// record) and starts the reply deposit.
 func (pm *protoMachine) startReply(src int, req *pageReqMsg, ret pmState) {
 	n := pm.n
-	req.data = n.Mem.Pool().Get()
 	copy(req.data, n.sys.Space.HomeCopy(req.page))
 	copy(req.ver, n.homeVer.row(req.page))
 	pm.startSend(src, n.sys.Cfg.PageSize+pageReplyOverhead, "page-reply", req, pageReplyDel, ret)
@@ -260,7 +259,7 @@ func (pm *protoMachine) lockFwd(req *lockReqMsg) {
 		lk.pendingVC = make([]uint64, n.sys.Cfg.Nodes)
 	}
 	copy(lk.pendingVC, req.reqVC)
-	n.putLockReq(req)
+	n.pool.putLockReq(req)
 	pm.st = pmBodyDone
 }
 
@@ -296,7 +295,7 @@ func (pm *protoMachine) fpRoute() {
 	pg, home, seq := pm.fpPg, pm.fpHome, pm.ivSeq
 	if n.sys.Feat.DD {
 		if d != nil && n.sys.Cfg.ScatterGather && len(d.runs) > 1 {
-			sg := n.getSGDep()
+			sg := n.pool.getSGDep()
 			sg.origin, sg.home, sg.pg, sg.src, sg.seq, sg.d = n, n.sys.Nodes[home], pg, n.ID, seq, d
 			pm.d = nil
 			pm.startSendSG(home, d.wireSize(), "sg-diff", sg, pmCIPage)
@@ -313,7 +312,7 @@ func (pm *protoMachine) fpRoute() {
 	// Packed diff (sent even when empty so the home's version row
 	// advances under protocol-process control).
 	if d == nil {
-		d = n.getDiff()
+		d = n.pool.getDiff()
 		d.page, d.src, d.seq = pg, n.ID, seq
 	}
 	pm.d = nil
@@ -324,7 +323,7 @@ func (pm *protoMachine) fpRoute() {
 // pm.d (if any) at delivery.
 func (pm *protoMachine) startVerMarker(ret pmState) {
 	n := pm.n
-	vm := n.getVerMark()
+	vm := n.pool.getVerMark()
 	vm.origin, vm.home, vm.pg, vm.seq, vm.d = n, n.sys.Nodes[pm.fpHome], pm.fpPg, pm.ivSeq, pm.d
 	pm.d = nil
 	pm.startSend(pm.fpHome, 16, "diff-done", vm, verMarkDel, ret)
@@ -393,7 +392,7 @@ func (pm *protoMachine) step() {
 			pm.d = nil
 			memory.ApplyRuns(n.sys.Space.HomeCopy(d.page), d.runs)
 			page, src, seq := d.page, d.src, d.seq
-			n.putDiff(d) // consumed; free before the retry path yields
+			n.pool.putDiff(d) // consumed; free before the retry path yields
 			n.bumpVersion(page, src, seq)
 			reqs := n.pendingReqs[page]
 			if len(reqs) == 0 {
@@ -498,7 +497,7 @@ func (pm *protoMachine) step() {
 
 		case pmFPDiffed:
 			pg := pm.fpPg
-			d := n.getDiff()
+			d := n.pool.getDiff()
 			d.page, d.src, d.seq = pg, n.ID, pm.ivSeq
 			d.runs, d.buf = n.Mem.DiffCopy(pg, d.runs[:0], d.buf)
 			n.Mem.DropTwin(pg)
@@ -509,7 +508,7 @@ func (pm *protoMachine) step() {
 		case pmFPRun:
 			d := pm.d
 			if pm.runIdx < len(d.runs) {
-				rd := n.getRunDep()
+				rd := n.pool.getRunDep()
 				rd.owner, rd.pg, rd.run = n, pm.fpPg, d.runs[pm.runIdx]
 				pm.runIdx++
 				pm.startSend(pm.fpHome, runHeader+len(rd.run.Data), "direct-diff", rd, runDepDel, pmFPRun)
@@ -537,7 +536,7 @@ func (pm *protoMachine) step() {
 
 		case pmGrantSend:
 			req := pm.lkReq
-			g := n.getGrant()
+			g := n.pool.getGrant()
 			g.id = pm.lk.id
 			copy(g.vc, n.vc)
 			if !n.sys.Feat.DW {
@@ -550,7 +549,7 @@ func (pm *protoMachine) step() {
 
 		case pmGrantSent:
 			pm.lk.localQ.WakeAll() // local waiters must now go remote
-			n.putLockReq(pm.lkReq)
+			n.pool.putLockReq(pm.lkReq)
 			pm.lkReq, pm.lk = nil, nil
 			pm.st = pmBodyDone
 

@@ -158,12 +158,12 @@ func (n *Node) acquireNIL(p *sim.Proc, lk *nodeLock) {
 	vm := payload.(*vcMsg)
 	n.waitNotices(p, vm.vc)
 	n.applyUpTo(p, vm.vc)
-	n.putVCMsg(vm)
+	n.pool.putVCMsg(vm)
 }
 
 func (n *Node) acquireBase(p *sim.Proc, lk *nodeLock) {
 	lk.wantGrant = true
-	req := n.getLockReq()
+	req := n.pool.getLockReq()
 	req.id, req.requester = lk.id, n.ID
 	copy(req.reqVC, n.vc)
 	home := n.sys.lockHome(lk.id)
@@ -188,7 +188,7 @@ func (n *Node) acquireBase(p *sim.Proc, lk *nodeLock) {
 		n.waitNotices(p, g.vc)
 	}
 	n.applyUpTo(p, g.vc)
-	n.putGrant(g)
+	n.pool.putGrant(g)
 }
 
 // LockRelease releases lock id. A waiting local processor gets the lock
@@ -218,7 +218,7 @@ func (n *Node) LockRelease(p *sim.Proc, id int) {
 	if n.sys.Feat.NIL {
 		n.closeInterval(p) // ensure notices precede the NI release
 		lk.cached = false
-		vm := n.getVCMsg()
+		vm := n.pool.getVCMsg()
 		copy(vm.vc, n.vc)
 		n.ep.NILockRelease(p, id, vm, 8*len(vm.vc))
 		lk.releasing = false
@@ -246,7 +246,7 @@ func (n *Node) grantRemote(p *sim.Proc, lk *nodeLock, requester int, reqVC []uin
 	// local processor grabs the lock while it is being shipped away.
 	lk.cached = false
 	n.closeInterval(p)
-	g := n.getGrant()
+	g := n.pool.getGrant()
 	g.id = lk.id
 	copy(g.vc, n.vc)
 	if !n.sys.Feat.DW {

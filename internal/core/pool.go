@@ -5,75 +5,115 @@ import (
 	"genima/internal/nic"
 )
 
-// Deterministic free lists for protocol records, one set per node.
+// Deterministic free lists for protocol records, one set per logical
+// process (see DESIGN.md §7). New builds one recordPool for each
+// distinct LP engine and every node mapped to that LP points to it, so
+// a serial run has exactly one. A record is taken from the executing
+// LP's pool, travels through the protocol as a typed packet payload,
+// and is released by the single party the protocol designates as its
+// final consumer — into that party's LP pool, which is the only pool
+// the executing event may touch. In a serial run every record returns
+// to the pool it came from, so the one-way protocol flows (diffs from
+// writer to home, page copies from home to faulter) recycle instead of
+// draining one node's lists into another's.
 //
-// Ownership rules (see DESIGN.md §7): a record is taken from some
-// node's free list, travels through the protocol as a typed packet
-// payload, and is released — possibly at a different node — by the
-// single party the protocol designates as its final consumer. Records
-// therefore migrate between per-node pools; the engine is
-// single-threaded, so the migration order (and hence every Get) is
-// deterministic. Embedded sim.Flag values are Reset (not reallocated)
-// when a record is recycled, which is safe only after the flag's
-// waiters have resumed — the protocol guarantees a record's waiter has
-// consumed the result before the record is released.
+// Pooled records are fungible: every user overwrites what it reads, so
+// which pool holds a record never affects the simulation. Embedded
+// sim.Flag values are Reset (not reallocated) when a record is
+// recycled, which is safe only after the flag's waiters have resumed —
+// the protocol guarantees a record's waiter has consumed the result
+// before the record is released.
 
-func (n *Node) getPageReq() *pageReqMsg {
-	if k := len(n.pageReqFree); k > 0 {
-		r := n.pageReqFree[k-1]
-		n.pageReqFree[k-1] = nil
-		n.pageReqFree = n.pageReqFree[:k-1]
-		return r
-	}
-	nn := n.sys.Cfg.Nodes
-	return &pageReqMsg{need: make([]uint64, nn), ver: make([]uint64, nn)}
+// recordPool is one LP's set of free lists.
+type recordPool struct {
+	nodes, pageSize int
+
+	pageReq freeList[*pageReqMsg]
+	fp      freeList[*fetchPayload]
+	diff    freeList[*diffMsg]
+	lockReq freeList[*lockReqMsg]
+	grant   freeList[*lockGrant]
+	vcMsg   freeList[*vcMsg]
+	runDep  freeList[*runDep]
+	verMark freeList[*verMark]
+	sgDep   freeList[*sgDep]
+	inv     freeList[[]int]
 }
 
-func (n *Node) putPageReq(r *pageReqMsg) {
-	r.data = nil
+func newRecordPool(nodes, pageSize int) *recordPool {
+	return &recordPool{nodes: nodes, pageSize: pageSize}
+}
+
+// freeList is a LIFO stack of pooled records.
+type freeList[T any] []T
+
+func (f *freeList[T]) pop() (T, bool) {
+	var zero T
+	k := len(*f)
+	if k == 0 {
+		return zero, false
+	}
+	r := (*f)[k-1]
+	(*f)[k-1] = zero
+	*f = (*f)[:k-1]
+	return r, true
+}
+
+func (f *freeList[T]) push(r T) { *f = append(*f, r) }
+
+// getPageReq returns a Base page request record. It owns the page
+// buffer the home fills with its reply.
+func (rp *recordPool) getPageReq() *pageReqMsg {
+	if r, ok := rp.pageReq.pop(); ok {
+		return r
+	}
+	nn := rp.nodes
+	return &pageReqMsg{
+		need: make([]uint64, nn),
+		ver:  make([]uint64, nn),
+		data: make([]byte, rp.pageSize),
+	}
+}
+
+func (rp *recordPool) putPageReq(r *pageReqMsg) {
 	r.done.Reset()
-	n.pageReqFree = append(n.pageReqFree, r)
+	rp.pageReq.push(r)
 }
 
-func (n *Node) getFetchPayload() *fetchPayload {
-	if k := len(n.fpFree); k > 0 {
-		r := n.fpFree[k-1]
-		n.fpFree[k-1] = nil
-		n.fpFree = n.fpFree[:k-1]
+// getFetchPayload returns a remote-fetch reply record with its own
+// page buffer and version row, for the home NI to fill.
+func (rp *recordPool) getFetchPayload() *fetchPayload {
+	if r, ok := rp.fp.pop(); ok {
 		return r
 	}
-	// Pool miss: build a chunk of records over one backing version
-	// array, so a growing in-flight window costs two allocations per
+	// Pool miss: build a chunk of records over one backing array per
+	// field, so a growing in-flight window costs three allocations per
 	// eight records.
-	nn := n.sys.Cfg.Nodes
+	nn, ps := rp.nodes, rp.pageSize
 	chunk := make([]fetchPayload, 8)
 	vers := make([]uint64, len(chunk)*nn)
+	pages := make([]byte, len(chunk)*ps)
 	for i := len(chunk) - 1; i >= 0; i-- {
 		chunk[i].ver = vers[i*nn : (i+1)*nn : (i+1)*nn]
+		chunk[i].data = pages[i*ps : (i+1)*ps : (i+1)*ps]
 		if i > 0 {
-			n.fpFree = append(n.fpFree, &chunk[i])
+			rp.fp.push(&chunk[i])
 		}
 	}
 	return &chunk[0]
 }
 
-func (n *Node) putFetchPayload(r *fetchPayload) {
-	r.data = nil
-	n.fpFree = append(n.fpFree, r)
-}
+func (rp *recordPool) putFetchPayload(r *fetchPayload) { rp.fp.push(r) }
 
-func (n *Node) getDiff() *diffMsg {
-	if k := len(n.diffFree); k > 0 {
-		r := n.diffFree[k-1]
-		n.diffFree[k-1] = nil
-		n.diffFree = n.diffFree[:k-1]
+func (rp *recordPool) getDiff() *diffMsg {
+	if r, ok := rp.diff.pop(); ok {
 		return r
 	}
 	// Presize fresh records so DiffCopy does not regrow runs/buf word
 	// by word on first use (buf holds at most one page of changed
 	// bytes), and chunk them: diff records go in flight in bursts at
 	// interval close, so misses cluster.
-	ps := n.sys.Cfg.PageSize
+	ps := rp.pageSize
 	chunk := make([]diffMsg, 4)
 	runsBack := make([]memory.Run, len(chunk)*64)
 	bufBack := make([]byte, len(chunk)*ps)
@@ -81,158 +121,131 @@ func (n *Node) getDiff() *diffMsg {
 		chunk[i].runs = runsBack[i*64 : i*64 : (i+1)*64]
 		chunk[i].buf = bufBack[i*ps : i*ps : (i+1)*ps]
 		if i > 0 {
-			n.diffFree = append(n.diffFree, &chunk[i])
+			rp.diff.push(&chunk[i])
 		}
 	}
 	return &chunk[0]
 }
 
-func (n *Node) putDiff(d *diffMsg) {
+func (rp *recordPool) putDiff(d *diffMsg) {
 	d.runs = d.runs[:0]
-	n.diffFree = append(n.diffFree, d)
+	rp.diff.push(d)
 }
 
-func (n *Node) getLockReq() *lockReqMsg {
-	if k := len(n.lockReqFree); k > 0 {
-		r := n.lockReqFree[k-1]
-		n.lockReqFree[k-1] = nil
-		n.lockReqFree = n.lockReqFree[:k-1]
+func (rp *recordPool) getLockReq() *lockReqMsg {
+	if r, ok := rp.lockReq.pop(); ok {
 		return r
 	}
-	nn := n.sys.Cfg.Nodes
+	nn := rp.nodes
 	chunk := make([]lockReqMsg, 8)
 	vcs := make([]uint64, len(chunk)*nn)
 	for i := len(chunk) - 1; i >= 0; i-- {
 		chunk[i].reqVC = vcs[i*nn : (i+1)*nn : (i+1)*nn]
 		if i > 0 {
-			n.lockReqFree = append(n.lockReqFree, &chunk[i])
+			rp.lockReq.push(&chunk[i])
 		}
 	}
 	return &chunk[0]
 }
 
-func (n *Node) putLockReq(r *lockReqMsg) {
-	n.lockReqFree = append(n.lockReqFree, r)
-}
+func (rp *recordPool) putLockReq(r *lockReqMsg) { rp.lockReq.push(r) }
 
-func (n *Node) getGrant() *lockGrant {
-	if k := len(n.grantFree); k > 0 {
-		r := n.grantFree[k-1]
-		n.grantFree[k-1] = nil
-		n.grantFree = n.grantFree[:k-1]
+func (rp *recordPool) getGrant() *lockGrant {
+	if r, ok := rp.grant.pop(); ok {
 		return r
 	}
-	nn := n.sys.Cfg.Nodes
+	nn := rp.nodes
 	chunk := make([]lockGrant, 8)
 	vcs := make([]uint64, len(chunk)*nn)
 	for i := len(chunk) - 1; i >= 0; i-- {
 		chunk[i].vc = vcs[i*nn : (i+1)*nn : (i+1)*nn]
 		if i > 0 {
-			n.grantFree = append(n.grantFree, &chunk[i])
+			rp.grant.push(&chunk[i])
 		}
 	}
 	return &chunk[0]
 }
 
-func (n *Node) putGrant(g *lockGrant) {
+func (rp *recordPool) putGrant(g *lockGrant) {
 	g.intervals = g.intervals[:0]
-	n.grantFree = append(n.grantFree, g)
+	rp.grant.push(g)
 }
 
-func (n *Node) getVCMsg() *vcMsg {
-	if k := len(n.vcMsgFree); k > 0 {
-		r := n.vcMsgFree[k-1]
-		n.vcMsgFree[k-1] = nil
-		n.vcMsgFree = n.vcMsgFree[:k-1]
+func (rp *recordPool) getVCMsg() *vcMsg {
+	if r, ok := rp.vcMsg.pop(); ok {
 		return r
 	}
-	nn := n.sys.Cfg.Nodes
+	nn := rp.nodes
 	chunk := make([]vcMsg, 8)
 	vcs := make([]uint64, len(chunk)*nn)
 	for i := len(chunk) - 1; i >= 0; i-- {
 		chunk[i].vc = vcs[i*nn : (i+1)*nn : (i+1)*nn]
 		if i > 0 {
-			n.vcMsgFree = append(n.vcMsgFree, &chunk[i])
+			rp.vcMsg.push(&chunk[i])
 		}
 	}
 	return &chunk[0]
 }
 
-func (n *Node) putVCMsg(m *vcMsg) {
-	n.vcMsgFree = append(n.vcMsgFree, m)
-}
+func (rp *recordPool) putVCMsg(m *vcMsg) { rp.vcMsg.push(m) }
 
-func (n *Node) getRunDep() *runDep {
-	if k := len(n.runDepFree); k > 0 {
-		r := n.runDepFree[k-1]
-		n.runDepFree[k-1] = nil
-		n.runDepFree = n.runDepFree[:k-1]
+func (rp *recordPool) getRunDep() *runDep {
+	if r, ok := rp.runDep.pop(); ok {
 		return r
 	}
 	// Direct diffs put one runDep in flight per run of a page diff, so
 	// misses come in bursts; chunk them.
 	chunk := make([]runDep, 16)
 	for i := len(chunk) - 1; i > 0; i-- {
-		n.runDepFree = append(n.runDepFree, &chunk[i])
+		rp.runDep.push(&chunk[i])
 	}
 	return &chunk[0]
 }
 
-func (n *Node) putRunDep(r *runDep) {
+func (rp *recordPool) putRunDep(r *runDep) {
 	r.run = memory.Run{}
-	n.runDepFree = append(n.runDepFree, r)
+	rp.runDep.push(r)
 }
 
-func (n *Node) getVerMark() *verMark {
-	if k := len(n.verMarkFree); k > 0 {
-		r := n.verMarkFree[k-1]
-		n.verMarkFree[k-1] = nil
-		n.verMarkFree = n.verMarkFree[:k-1]
+func (rp *recordPool) getVerMark() *verMark {
+	if r, ok := rp.verMark.pop(); ok {
 		return r
 	}
 	chunk := make([]verMark, 8)
 	for i := len(chunk) - 1; i > 0; i-- {
-		n.verMarkFree = append(n.verMarkFree, &chunk[i])
+		rp.verMark.push(&chunk[i])
 	}
 	return &chunk[0]
 }
 
-func (n *Node) putVerMark(v *verMark) {
+func (rp *recordPool) putVerMark(v *verMark) {
 	v.d = nil
-	n.verMarkFree = append(n.verMarkFree, v)
+	rp.verMark.push(v)
 }
 
-func (n *Node) getSGDep() *sgDep {
-	if k := len(n.sgDepFree); k > 0 {
-		r := n.sgDepFree[k-1]
-		n.sgDepFree[k-1] = nil
-		n.sgDepFree = n.sgDepFree[:k-1]
+func (rp *recordPool) getSGDep() *sgDep {
+	if r, ok := rp.sgDep.pop(); ok {
 		return r
 	}
 	return &sgDep{}
 }
 
-func (n *Node) putSGDep(m *sgDep) {
+func (rp *recordPool) putSGDep(m *sgDep) {
 	m.d = nil
-	n.sgDepFree = append(n.sgDepFree, m)
+	rp.sgDep.push(m)
 }
 
 // getInv returns a zero-length invalidation scratch slice. applyUpTo can
 // nest (closePageEarly yields and another processor may enter applyUpTo),
 // so the scratch comes from a free list rather than a single field.
-func (n *Node) getInv() []int {
-	if k := len(n.invFree); k > 0 {
-		s := n.invFree[k-1]
-		n.invFree[k-1] = nil
-		n.invFree = n.invFree[:k-1]
+func (rp *recordPool) getInv() []int {
+	if s, ok := rp.inv.pop(); ok {
 		return s[:0]
 	}
 	return make([]int, 0, 16)
 }
 
-func (n *Node) putInv(s []int) {
-	n.invFree = append(n.invFree, s)
-}
+func (rp *recordPool) putInv(s []int) { rp.inv.push(s) }
 
 // Shared packet deliverers: singletons invoked by the NI when the final
 // packet of a protocol message lands, replacing per-send OnDeliver
@@ -250,9 +263,8 @@ func (pageReplyDeliver) Deliver(pkt *nic.Packet) { pkt.Payload.(*pageReqMsg).don
 
 // runDepDeliver applies one direct-diff run into the home copy (DD: the
 // destination NI deposits the run, no host involvement). The record is
-// freed into the destination node's pool — delivery runs on the
-// destination's logical process, and the origin node may be executing
-// concurrently, so its free list must not be touched here.
+// freed into the destination's pool: delivery runs on the destination's
+// logical process.
 type runDepDeliver struct{}
 
 var runDepDel runDepDeliver
@@ -260,7 +272,7 @@ var runDepDel runDepDeliver
 func (runDepDeliver) Deliver(pkt *nic.Packet) {
 	rd := pkt.Payload.(*runDep)
 	memory.ApplyRun(rd.owner.sys.Space.HomeCopy(rd.pg), rd.run)
-	rd.owner.sys.Nodes[pkt.Dst].putRunDep(rd)
+	rd.owner.sys.Nodes[pkt.Dst].pool.putRunDep(rd)
 }
 
 // verMarkDeliver lands a direct-diff version marker. Per-pair FIFO
@@ -275,9 +287,9 @@ func (verMarkDeliver) Deliver(pkt *nic.Packet) {
 	vm := pkt.Payload.(*verMark)
 	vm.home.bumpVersion(vm.pg, vm.origin.ID, vm.seq)
 	if vm.d != nil {
-		vm.home.putDiff(vm.d)
+		vm.home.pool.putDiff(vm.d)
 	}
-	vm.home.putVerMark(vm)
+	vm.home.pool.putVerMark(vm)
 }
 
 // noticeDeliver records an eagerly deposited write notice at pkt.Dst

@@ -111,13 +111,12 @@ func (s *Space) PageRange(addr, size int) (first, last int) {
 	return addr / s.PageSize, (addr + size - 1) / s.PageSize
 }
 
-// BufPool is a deterministic free list of fixed-size page buffers.
-// Engines are share-nothing and single-threaded, so a plain LIFO slice
-// (rather than sync.Pool) keeps buffer reuse bit-deterministic from run
-// to run and race-free without atomics; every NodeMem owns its own pool
-// and no pool state crosses simulated runs. Buffers may migrate between
-// the pools of one simulation (a page snapshot allocated at the home is
-// released at the requester) — still within a single engine goroutine.
+// BufPool is a deterministic free list of fixed-size page buffers: the
+// node's twins. Engines are share-nothing and single-threaded, so a
+// plain LIFO slice (rather than sync.Pool) keeps buffer reuse
+// bit-deterministic from run to run and race-free without atomics;
+// every NodeMem owns its own pool, a twin is taken and returned by the
+// same node, and no pool state crosses simulated runs.
 type BufPool struct {
 	size int
 	free [][]byte
@@ -183,10 +182,6 @@ func NewNodeMem(s *Space) *NodeMem {
 		pool:  NewBufPool(s.PageSize),
 	}
 }
-
-// Pool returns the node's page-buffer free list, shared by twins and by
-// the protocol layer's transient page snapshots (fetch replies).
-func (m *NodeMem) Pool() *BufPool { return m.pool }
 
 // Page returns the node's copy of a page, allocating it zeroed on first
 // use.
