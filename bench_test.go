@@ -372,3 +372,23 @@ func BenchmarkBuild512(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkServePoint times one bench-scale svmkv serving point under
+// GeNIMA on clean links. Diff records and page-fetch buffers are pooled
+// per logical process, so B/op stays flat in the request count rather
+// than paying for every diff and page copy in flight.
+func BenchmarkServePoint(b *testing.B) {
+	e, ok := apps.ByName(apps.Bench, "svmkv")
+	if !ok {
+		b.Fatal("svmkv missing")
+	}
+	cfg := genima.DefaultConfig()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, _, err := genima.Run(cfg, genima.GeNIMA, e.App)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(res.Events), "sim-events")
+	}
+}

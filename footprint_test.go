@@ -1,9 +1,12 @@
 package genima_test
 
-// Memory-footprint pins for per-peer state. A node or NI holds state
-// only for the peers it has contacted, so building a large cluster
-// costs what its topology needs, not Nodes² tables, and barrier records
-// are owned by their senders rather than piling up at the master.
+// Memory-footprint pins for per-peer state and pooled records. A node
+// or NI holds state only for the peers it has contacted, so building a
+// large cluster costs what its topology needs, not Nodes² tables;
+// barrier records are owned by their senders rather than piling up at
+// the master; and protocol records are pooled per logical process, so
+// the one-way diff and page-fetch flows recycle instead of draining one
+// node's free lists into another's.
 
 import (
 	"runtime"
@@ -12,6 +15,7 @@ import (
 	genima "genima"
 	"genima/internal/app"
 	"genima/internal/apps/barrierbench"
+	"genima/internal/apps/svmkv"
 	"genima/internal/core"
 	"genima/internal/sim"
 )
@@ -111,6 +115,52 @@ func TestBarrierBytesPerBarrierFlat(t *testing.T) {
 			if per > limit {
 				t.Errorf("%s: %.0f B allocated per extra barrier at %d nodes, want <= %d",
 					pt.name, per, nodes, limit)
+			}
+		})
+	}
+}
+
+// TestServeBytesPerRequestFlat runs svmkv at test scale for R and 4R
+// requests and checks that the bytes allocated per extra request stay
+// under a constant. Diff records flow from writers to homes and page
+// copies from homes to faulters; with per-node pools each such record
+// was allocated fresh at its producer (about 0.7–1.1 KB per request
+// here), while one pool per logical process recycles them.
+func TestServeBytesPerRequestFlat(t *testing.T) {
+	const (
+		requests = 1536
+		limit    = 128 // bytes per extra request
+	)
+	for _, pt := range []struct {
+		name   string
+		proto  genima.Protocol
+		faults genima.FaultPlan
+	}{
+		{"Base/clean", genima.Base, genima.FaultPlan{}},
+		{"Base/faults", genima.Base, genima.FaultMix(0.01, 42)},
+		{"GeNIMA/clean", genima.GeNIMA, genima.FaultPlan{}},
+		{"GeNIMA/faults", genima.GeNIMA, genima.FaultMix(0.01, 42)},
+	} {
+		t.Run(pt.name, func(t *testing.T) {
+			cfg := genima.DefaultConfig()
+			cfg.Faults = pt.faults
+			runBytes := func(r int) uint64 {
+				p := svmkv.DefaultParams(false)
+				p.Requests = r
+				a := svmkv.New(p) // the request schedule is input, not run cost
+				return allocBytes(func() {
+					if _, _, err := genima.Run(cfg, pt.proto, a); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			short, long := runBytes(requests), runBytes(4*requests)
+			per := (float64(long) - float64(short)) / float64(3*requests)
+			t.Logf("%s: %.0f B per extra request (%d vs %d requests: %d / %d B)",
+				pt.name, per, requests, 4*requests, short, long)
+			if per > limit {
+				t.Errorf("%s: %.0f B allocated per extra request, want <= %d",
+					pt.name, per, limit)
 			}
 		})
 	}

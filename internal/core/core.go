@@ -123,7 +123,7 @@ func New(eng *sim.Engine, cfg *topo.Config, kind Kind, space *memory.Space) *Sys
 	for i := range s.Nodes {
 		n := newNode(s, i)
 		if pools[n.eng] == nil {
-			pools[n.eng] = newRecordPool(cfg.Nodes, cfg.PageSize)
+			pools[n.eng] = &recordPool{nodes: cfg.Nodes, pageSize: cfg.PageSize}
 		}
 		n.pool = pools[n.eng]
 		s.Nodes[i] = n

@@ -118,8 +118,9 @@ func (n *Node) digestInto(d *sim.Digest) {
 	d.U64(uint64(n.victim))
 
 	// Pooled records are fungible host caches, not simulated state: the
-	// ten free-list slots fold as zeros. The interval arena is live
-	// state (its entries are logged intervals): lengths only.
+	// ten slots the per-node free lists once held fold as zeros, so the
+	// pinned digests stay stable. The interval arena is live state (its
+	// entries are logged intervals): lengths only.
 	for i := 0; i < 10; i++ {
 		d.U64(0)
 	}

@@ -74,8 +74,7 @@ type protoMachine struct {
 	n  *Node
 	st pmState
 
-	// Incoming message queue: a head-indexed slice reused in place
-	// (the machine analogue of sim.Mailbox).
+	// Incoming message queue: a head-indexed slice reused in place.
 	q    []vmmc.Msg
 	head int
 
@@ -129,8 +128,7 @@ type protoMachine struct {
 func (pm *protoMachine) HandleMsg(m vmmc.Msg) { pm.post(m) }
 
 // post queues a message and, when the machine is idle, schedules the
-// dispatch cycle at the current time (the counterpart of Mailbox.Send
-// waking the parked goroutine).
+// dispatch cycle at the current time.
 func (pm *protoMachine) post(m vmmc.Msg) {
 	pm.q = append(pm.q, m)
 	if pm.st != pmIdle {

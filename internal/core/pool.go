@@ -17,9 +17,9 @@ import (
 // writer to home, page copies from home to faulter) recycle instead of
 // draining one node's lists into another's.
 //
-// Pooled records are fungible: every user overwrites what it reads, so
-// which pool holds a record never affects the simulation. Embedded
-// sim.Flag values are Reset (not reallocated) when a record is
+// Pooled records are fungible: every user writes a field before it
+// reads it, so which pool holds a record never affects the simulation.
+// Embedded sim.Flag values are Reset (not reallocated) when a record is
 // recycled, which is safe only after the flag's waiters have resumed —
 // the protocol guarantees a record's waiter has consumed the result
 // before the record is released.
@@ -38,10 +38,6 @@ type recordPool struct {
 	verMark freeList[*verMark]
 	sgDep   freeList[*sgDep]
 	inv     freeList[[]int]
-}
-
-func newRecordPool(nodes, pageSize int) *recordPool {
-	return &recordPool{nodes: nodes, pageSize: pageSize}
 }
 
 // freeList is a LIFO stack of pooled records.
@@ -278,7 +274,7 @@ func (runDepDeliver) Deliver(pkt *nic.Packet) {
 // verMarkDeliver lands a direct-diff version marker. Per-pair FIFO
 // delivery guarantees the run deposits (sent first) have already been
 // applied, so the diff record whose buffer they aliased can be freed —
-// into the home's pool: delivery runs on the home's logical process.
+// into the home's LP pool: delivery runs on the home's logical process.
 type verMarkDeliver struct{}
 
 var verMarkDel verMarkDeliver

@@ -74,21 +74,30 @@ func BenchmarkProcSwitch(b *testing.B) {
 	e.RunUntilQuiet()
 }
 
-// BenchmarkProcPingPong measures two processes alternating through a
-// mailbox, the protocol-process communication pattern.
+// BenchmarkProcPingPong measures two processes handing a token back
+// and forth through a pair of wait queues.
 func BenchmarkProcPingPong(b *testing.B) {
 	e := NewEngine()
-	var mbA, mbB Mailbox[int]
+	var qA, qB WaitQ
+	var toA, toB int
 	e.Go("ping", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
-			mbB.Send(1)
-			mbA.Recv(p)
+			toB++
+			qB.WakeOne()
+			for toA == 0 {
+				qA.Wait(p)
+			}
+			toA--
 		}
 	})
 	e.Go("pong", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
-			mbB.Recv(p)
-			mbA.Send(1)
+			for toB == 0 {
+				qB.Wait(p)
+			}
+			toB--
+			toA++
+			qA.WakeOne()
 		}
 	})
 	b.ResetTimer()

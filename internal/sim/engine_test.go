@@ -217,17 +217,28 @@ func TestCounterThresholds(t *testing.T) {
 	}
 }
 
-func TestMailbox(t *testing.T) {
+// TestWaitQMessageHandoff: a receiver parked on a WaitQ drains a
+// message queue in FIFO order, however many messages arrive between
+// its wakeups.
+func TestWaitQMessageHandoff(t *testing.T) {
 	e := NewEngine()
-	var mb Mailbox[int]
-	var got []int
+	var q WaitQ
+	var items, got []int
+	send := func(v int) {
+		items = append(items, v)
+		q.WakeOne()
+	}
 	e.Go("recv", func(p *Proc) {
 		for i := 0; i < 3; i++ {
-			got = append(got, mb.Recv(p))
+			for len(items) == 0 {
+				q.Wait(p)
+			}
+			got = append(got, items[0])
+			items = items[1:]
 		}
 	})
-	schedule(e, 10, func() { mb.Send(1) })
-	schedule(e, 20, func() { mb.Send(2); mb.Send(3) })
+	schedule(e, 10, func() { send(1) })
+	schedule(e, 20, func() { send(2); send(3) })
 	e.RunUntilQuiet()
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("got %v", got)

@@ -115,7 +115,7 @@ func (p *Proc) Park() { p.yield() }
 
 // Unpark resumes a parked process at the current virtual time. It must be
 // called from engine (event) context — e.g. inside an event callback — or
-// via WaitQ/Mailbox which handle this correctly.
+// via WaitQ, which handles this correctly.
 func (p *Proc) Unpark() {
 	p.eng.AtHandler(p.eng.now, p.eng.now, p)
 }
