@@ -6,9 +6,11 @@ package genima_test
 // exactly as the zero entry a dense table would hold. These values were
 // recorded from dense per-peer tables, with the fold omitting the two
 // barrier-record free-list lengths (barrier records are owned by their
-// senders) and folding every other pooled-record free-list length and
+// senders), folding every other pooled-record free-list length and
 // the page-buffer pool's depth and hit/miss counters as zero (pooled
-// records are fungible host caches, whichever pool holds them); any
+// records are fungible host caches, whichever pool holds them), and
+// folding the protocol process as a busy flag plus its queued messages
+// (its resume point inside a message body is control state); any
 // drift in how live state digests shows up here at every checkpoint
 // cut.
 
@@ -62,15 +64,15 @@ func TestStateDigestGolden(t *testing.T) {
 		want  []string
 	}{
 		{"xbar8/fft/GeNIMA", xbar8, genima.GeNIMA, "fft", 150, []string{
-			"645e8464dc5d73dc", "eadcc9dee5b003d0", "cb01ec0c5d2f9fa9",
-			"7a92429df2ea7245", "de89203b41520f70", "d421e461d112652f",
+			"21b4212f20fc82fc", "97159c0041af6710", "e34cd2a22f3403c9",
+			"7da9ecf2d28e6b65", "6e91ac7caf569170", "37a3e013fb0932cf",
 		}},
 		{"fattree64/barrierbench/Base", fattree64, genima.Base, "barrierbench", 500, []string{
-			"a95463fd650626af", "cb70f19766f41bdc", "85cffa9f16994d6f", "e0bd33e296fa9c63",
+			"d86d9ac25c88da62", "49e365193e7d6a3a", "74ee2c97668d619b", "ed57ca4c2fa45555",
 		}},
 		{"fattree64/barrierbench/GeNIMA-tree", fattree64Tree, genima.GeNIMA, "barrierbench", 500, []string{
-			"65d4a63e254342b1", "8de9184e03ba3f02", "f997625335d9e88a", "623681447bec5c14",
-			"d2160c8e4ae9703b",
+			"b285b1cc750c9811", "e3ea2cbce42324e2", "5677fd146b59d54a", "8d32fb4a7646f774",
+			"dbea1a0010b2827b",
 		}},
 	} {
 		got := stateDigests(t, tc.cfg, tc.proto, tc.app, tc.every)
