@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check build vet test race race-intrarun smoke-faults smoke-scale smoke-soak smoke-serve bench-smoke bench-mem
+.PHONY: check build vet test race race-intrarun smoke-faults smoke-scale smoke-soak smoke-serve bench-smoke bench-mem loc
 
 check: build vet test race race-intrarun smoke-faults smoke-scale smoke-soak smoke-serve
 
@@ -149,3 +149,10 @@ bench-smoke:
 bench-mem:
 	$(GO) test -run xxx -bench . -benchmem ./internal/vmmc ./internal/sim
 	$(GO) test -run xxx -bench 'Build512|ServePoint' -benchmem .
+
+# loc prints the number of non-test Go source lines outside benchmark/
+# (and outside hidden build directories such as .bench_build/): the
+# reproducible size figure a simplification cites before and after.
+loc:
+	@find . -path './.*' -prune -o -path './benchmark' -prune -o \
+		-name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l

@@ -107,9 +107,11 @@ func TestCheckpointRestoreByteIdentical(t *testing.T) {
 
 // A run halted by ShouldStop leaves its processors suspended
 // mid-body; the runner must release them, or every interrupted run
-// leaks one goroutine and its stack per processor. Five interrupted
-// runs, serial and intra-run parallel, end with the goroutine count
-// back at its starting value.
+// leaks one goroutine and its stack per processor. A completed Base run
+// leaves its nodes' protocol processes parked on empty queues, which
+// the runner must release too. Five interrupted GeNIMA runs and three
+// completed Base runs, serial and intra-run parallel, end with the
+// goroutine count back at its starting value.
 func TestInterruptedRunsReleaseProcesses(t *testing.T) {
 	a, _ := appByName(t, "fft")
 	for _, workers := range []int{1, 2} {
@@ -129,6 +131,15 @@ func TestInterruptedRunsReleaseProcesses(t *testing.T) {
 				t.Fatalf("workers=%d: run finished before the stop boundary", workers)
 			}
 		}
+		for i := 0; i < 3; i++ {
+			res, _, err := genima.Run(cfg, genima.Base, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Acct.Interrupts == 0 {
+				t.Fatalf("workers=%d: Base run took no interrupts, so no protocol process ran", workers)
+			}
+		}
 		// The cluster's worker goroutines exit once their channels
 		// close, which need not happen before Run returns.
 		got := runtime.NumGoroutine()
@@ -136,7 +147,7 @@ func TestInterruptedRunsReleaseProcesses(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 		if got > start {
-			t.Errorf("workers=%d: %d goroutines after 5 interrupted runs, want %d", workers, got, start)
+			t.Errorf("workers=%d: %d goroutines after 5 interrupted and 3 completed runs, want %d", workers, got, start)
 		}
 	}
 }

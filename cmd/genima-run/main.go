@@ -296,8 +296,6 @@ func main() {
 			fmt.Printf("post-queue stalls: %d (%.3f s lost)\n",
 				res.PostQueueStalls, stats.Seconds(res.PostQueueStallTime))
 		}
-		fmt.Printf("post-queue overflows (event-context posts past a full queue): %d\n",
-			res.PostQueueOverflows)
 		if f := &res.Faults; f.Any() {
 			fmt.Println("\nFault injection and NI reliable delivery:")
 			fmt.Printf("  injected: %d drops, %d dups, %d delays, %d corruptions, %d down-window drops\n",

@@ -33,7 +33,7 @@ type Boundary struct {
 
 // StateDigest computes the live-state fingerprint at this cut: engine/LP
 // heaps and clocks, NI pools and reliable-delivery flows, protocol
-// tables and machines, page contents, fault-stream cursors. It walks
+// tables and process queues, page contents, fault-stream cursors. It walks
 // the whole simulator state, so call it only when the digest is
 // actually wanted (checkpoint writes, verification cuts). The value is
 // comparable only between runs in the same execution mode — a parallel
@@ -217,7 +217,6 @@ func RunSVMControlled(cfg topo.Config, kind core.Kind, a App, ctl *RunControl) (
 	for i, ni := range nis.NIs {
 		res.PostQueueStalls += ni.PostQueue.Blocked
 		res.PostQueueStallTime += ni.PostQueue.BlockedTime
-		res.PostQueueOverflows += ni.Overflows
 		res.Util.Firmware = max(res.Util.Firmware, frac(ni.Firmware.BusyTime))
 		res.Util.PCI = max(res.Util.PCI, frac(ni.PCI.BusyTime))
 		res.Util.Link = max(res.Util.Link,

@@ -29,11 +29,8 @@ type Result struct {
 	// PostQueueStalls counts host sends that blocked on a full NI post
 	// queue; PostQueueStallTime is the total time lost to those stalls
 	// (the Barnes-spatial direct-diff effect of §3.3).
-	// PostQueueOverflows counts event-context posts accepted past a full
-	// post queue (those cannot stall, so the depth bound is waived).
 	PostQueueStalls    uint64
 	PostQueueStallTime sim.Time
-	PostQueueOverflows uint64
 	// Faults aggregates fault-injection and reliable-delivery counters
 	// (all zeros when fault injection is disabled).
 	Faults stats.FaultReport

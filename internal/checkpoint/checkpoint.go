@@ -7,7 +7,7 @@
 // the number of trace events emitted, the SHA-256 midstate of the
 // canonical trace prefix, the virtual clock, and a digest of the live
 // simulator state (event heaps, pools, version-vector tables, protocol
-// machines, reliable-delivery flows, fault cursors, collective trees;
+// process queues, reliable-delivery flows, fault cursors, collective trees;
 // see the DigestInto methods across internal/...) — plus everything
 // needed to rebuild the run from its inputs. Restore re-executes the
 // run from event zero with trace emission suppressed up to the cut,

@@ -235,7 +235,7 @@ type Node struct {
 
 	// eng is the node's logical process. In a serial run it is the
 	// system engine; in a parallel run every engine-context action of
-	// this node (protocol machine resumptions, gate wakeups) must be
+	// this node (protocol process wakeups, gate wakeups) must be
 	// scheduled here so it stays on the node's own event heap.
 	eng *sim.Engine
 
@@ -264,16 +264,16 @@ type Node struct {
 	locks map[int]*nodeLock
 
 	// lockDir is the Base-path home-side lock directory for locks homed
-	// at this node (only the home's protocol machine touches it).
+	// at this node (only the home's protocol process touches it).
 	lockDir map[int]*lockMeta
 
 	// Interval arena backing for intervals created by this node.
 	ivChunk []interval
 	ivPages []int32
 
-	// The floating protocol process: a resumable state machine (see
-	// handler.go), not a goroutine.
-	pm protoMachine
+	// The floating protocol process and its message queue (see
+	// handler.go).
+	proto protoProc
 
 	// Interrupt scheduling perturbation, charged round-robin to the
 	// node's compute processors at their next compute step.
@@ -343,9 +343,9 @@ func newNode(s *System, id int) *Node {
 			e.mVC = v
 		}
 	}
-	n.pm.n = n
+	n.proto.n = n
 	n.ep.Perturb = n.perturb
-	n.ep.Sink = &n.pm
+	n.ep.Sink = &n.proto
 	return n
 }
 
@@ -376,10 +376,9 @@ func (n *Node) start() {
 	if n.sys.Feat.RF {
 		n.ep.FetchServer = n.serveFetch
 	}
-	// The floating protocol process (n.pm) exists in all configurations
-	// (some residual interrupt-class traffic exists until GeNIMA), but
-	// under GeNIMA it never receives a message. As a state machine it
-	// needs no startup event: it runs only when a message arrives.
+	// The floating protocol process (n.proto) is spawned by the node's
+	// first message (some residual interrupt-class traffic exists until
+	// GeNIMA); under GeNIMA it never receives one and never exists.
 }
 
 // perturb charges interrupt scheduling perturbation to the next victim

@@ -29,6 +29,7 @@ func newCluster(t *testing.T, kind Kind, nodes, procsPerNode, pages int) *testCl
 	space.Alloc("shared", pages*cfg.PageSize, memory.RoundRobin)
 	sys := New(eng, &cfg, kind, space)
 	sys.Start()
+	t.Cleanup(eng.Release) // unwind protocol processes left parked
 	return &testCluster{eng: eng, cfg: cfg, space: space, sys: sys}
 }
 

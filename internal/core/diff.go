@@ -231,14 +231,21 @@ func (n *Node) sendVersionMarker(p *sim.Proc, home, pg int, seq uint64, d *diffM
 	n.ep.DepositTo(p, home, 16, "diff-done", vm, verMarkDel)
 }
 
-// Packed diff application runs on the home's protocol machine (Base
-// path): see pmDiffApply/pmRetryLoop in handler.go, which also retry
-// queued page requests after the version advances.
+// applyPackedDiff applies a packed diff at the home (Base path,
+// protocol process), then retries the page requests queued on it.
+func (n *Node) applyPackedDiff(p *sim.Proc, d *diffMsg) {
+	p.Sleep(sim.Time(float64(d.wireSize()) * n.sys.Cfg.Costs.HandlerPerByte))
+	memory.ApplyRuns(n.sys.Space.HomeCopy(d.page), d.runs)
+	page, src, seq := d.page, d.src, d.seq
+	n.pool.putDiff(d) // consumed; free before the retry path yields
+	n.bumpVersion(page, src, seq)
+	n.retryPending(p, page)
+}
 
 // bumpVersion advances the applied-version row for a page homed here
 // and wakes local accessors waiting on the home copy. Queued Base page
-// requests are retried only by the protocol machine's diff body — the
-// sole context where they can become answerable.
+// requests are retried only after a packed diff (applyPackedDiff) —
+// the sole context where they can become answerable.
 func (n *Node) bumpVersion(pg, src int, seq uint64) {
 	if row := n.homeVer.row(pg); row[src] < seq {
 		row[src] = seq

@@ -227,6 +227,45 @@ func (n *Node) serveFetch(req vmmc.FetchReq) vmmc.FetchReply {
 	}
 }
 
-// Base page-request servicing (handle, reply, pending retry) lives on
-// the protocol machine: see pmDispatch/startReply/pmRetryLoop in
-// handler.go.
+// handlePageReq services a Base page request at the home (protocol
+// process): reply now if the home copy covers the requester's need,
+// otherwise queue the request until a diff advances the version (see
+// retryPending).
+func (n *Node) handlePageReq(p *sim.Proc, src int, req *pageReqMsg) {
+	if !vecCovered(req.need, n.homeVer.row(req.page)) {
+		n.pendingReqs[req.page] = append(n.pendingReqs[req.page], pendingPage{src: src, msg: req})
+		return
+	}
+	n.sendPageReply(p, src, req)
+}
+
+// sendPageReply snapshots the home copy and version row into the
+// pooled request's page buffer and version row (the reply rides the
+// request record) and deposits the reply.
+func (n *Node) sendPageReply(p *sim.Proc, src int, req *pageReqMsg) {
+	copy(req.data, n.sys.Space.HomeCopy(req.page))
+	copy(req.ver, n.homeVer.row(req.page))
+	n.ep.DepositTo(p, src, n.sys.Cfg.PageSize+pageReplyOverhead, "page-reply", req, pageReplyDel)
+}
+
+// retryPending answers the queued page requests for pg that the home
+// copy now covers, keeping the rest queued in order. Only the protocol
+// process appends to the queue, so compacting it in place across the
+// reply deposits is safe.
+func (n *Node) retryPending(p *sim.Proc, pg int) {
+	reqs := n.pendingReqs[pg]
+	if len(reqs) == 0 {
+		return
+	}
+	keep := 0
+	for _, r := range reqs {
+		if vecCovered(r.msg.need, n.homeVer.row(pg)) {
+			n.sendPageReply(p, r.src, r.msg)
+			continue
+		}
+		reqs[keep] = r
+		keep++
+	}
+	clear(reqs[keep:])
+	n.pendingReqs[pg] = reqs[:keep]
+}

@@ -32,11 +32,14 @@ func traced(t *testing.T, cfg topo.Config) (*sim.Engine, *nic.System, *[]nic.Tra
 	return eng, sys, evs
 }
 
-// post submits one n-byte src->dst packet at the current virtual time.
-func post(sys *nic.System, src, dst, n int) {
-	pkt := sys.NIs[src].NewPacket()
-	pkt.Src, pkt.Dst, pkt.Size = src, dst, n
-	sys.NIs[src].PostFromEvent(pkt)
+// post spawns a host process that submits one n-byte src->dst packet
+// at the current virtual time.
+func post(eng *sim.Engine, sys *nic.System, src, dst, n int) {
+	eng.Go("post", func(p *sim.Proc) {
+		pkt := sys.NIs[src].NewPacket()
+		pkt.Src, pkt.Dst, pkt.Size = src, dst, n
+		sys.NIs[src].Post(p, pkt)
+	})
 }
 
 // broadcast submits one n-byte packet from src to every node in dsts and
@@ -87,7 +90,7 @@ func TestLinkSerializesTransfers(t *testing.T) {
 
 func TestFabricEndToEnd(t *testing.T) {
 	eng, sys, evs := traced(t, topo.Default())
-	post(sys, 0, 2, 4096)
+	post(eng, sys, 0, 2, 4096)
 	eng.RunUntilQuiet()
 	if len(*evs) != 1 {
 		t.Fatalf("%d deliveries, want 1", len(*evs))
@@ -124,8 +127,8 @@ func TestSwitchSharedAcrossPairs(t *testing.T) {
 	// once, and the second waits out the first's routing slot.
 	cfg := topo.Default()
 	eng, sys, evs := traced(t, cfg)
-	post(sys, 0, 1, 64)
-	post(sys, 2, 3, 64)
+	post(eng, sys, 0, 1, 64)
+	post(eng, sys, 2, 3, 64)
 	eng.RunUntilQuiet()
 	if len(*evs) != 2 {
 		t.Fatalf("%d deliveries, want 2", len(*evs))
@@ -233,9 +236,9 @@ func TestMultiStageSendMatchesRouteTime(t *testing.T) {
 	if got := len(f.Route(0, 1)); got != 1 {
 		t.Fatalf("route 0->1 has %d hops, want 1", got)
 	}
-	post(sys, 0, 1, 256)
+	post(eng, sys, 0, 1, 256)
 	eng.RunUntilQuiet()
-	post(sys, 0, 5, 256)
+	post(eng, sys, 0, 5, 256)
 	eng.RunUntilQuiet()
 	if len(*evs) != 2 {
 		t.Fatalf("%d deliveries, want 2", len(*evs))
@@ -255,8 +258,8 @@ func TestMultiStageSendMatchesRouteTime(t *testing.T) {
 func TestPerStageBusyAccounting(t *testing.T) {
 	cfg := clos2(8, 4)
 	eng, sys, evs := traced(t, cfg)
-	post(sys, 0, 1, 64) // leaf-only
-	post(sys, 0, 5, 64) // leaf, spine, leaf
+	post(eng, sys, 0, 1, 64) // leaf-only
+	post(eng, sys, 0, 5, 64) // leaf, spine, leaf
 	eng.RunUntilQuiet()
 	if len(*evs) != 2 {
 		t.Fatalf("%d sends completed", len(*evs))

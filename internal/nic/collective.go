@@ -270,17 +270,6 @@ func colDnFw(dst *NI, pkt *Packet) {
 func (ni *NI) ColBroadcast(p *sim.Proc, size int, kind string, payload any, to Deliverer) {
 	p.Sleep(ni.cfg.Costs.PostOverhead)
 	ni.PostQueue.Acquire(p)
-	ni.colBcastStart(size, kind, payload, to)
-}
-
-// ColBroadcastPosted is ColBroadcast for machine-context senders that
-// charged the post overhead and claimed the post-queue slot themselves
-// (the protocol state machine cannot block).
-func (ni *NI) ColBroadcastPosted(size int, kind string, payload any, to Deliverer) {
-	ni.colBcastStart(size, kind, payload, to)
-}
-
-func (ni *NI) colBcastStart(size int, kind string, payload any, to Deliverer) {
 	h := ni.col.getHostOp()
 	h.ni, h.barrier, h.release = ni, false, true
 	h.size, h.kind, h.payload, h.to = size, kind, payload, to

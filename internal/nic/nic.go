@@ -127,12 +127,6 @@ type NI struct {
 	PCI       *sim.Resource // the node's I/O bus: both send and receive DMA
 	Firmware  *sim.Resource // the NI processor (one, shared by both directions)
 
-	// Overflows counts event-context posts accepted past a full post
-	// queue (PostFromEvent cannot block, so the depth bound is waived
-	// for them). Reported beside the PostQueue Gate statistics so the
-	// condition is observable instead of silent.
-	Overflows uint64
-
 	mon *Monitor
 
 	// rel is the firmware reliable-delivery engine, non-nil only when
@@ -263,23 +257,6 @@ func (ni *NI) Post(p *sim.Proc, pkt *Packet) {
 	ni.launch(pkt)
 }
 
-// PostFromEvent submits a packet from engine context (e.g. a protocol
-// handler modeled as an event). It cannot block; if the post queue is
-// full the packet is still accepted (queue-depth accounting via Gate is
-// skipped) and the NI's Overflows counter is bumped, which callers use
-// only for low-rate control traffic.
-func (ni *NI) PostFromEvent(pkt *Packet) {
-	if !ni.PostQueue.TryAcquire() {
-		// Overflow is tolerated for event-context posts; the packet
-		// still pays all pipeline stage costs.
-		ni.Overflows++
-		pkt.tPost = ni.eng.Now()
-		ni.newTransit(pkt).start()
-		return
-	}
-	ni.launch(pkt)
-}
-
 // FirmwareSend transmits a firmware-originated packet (fetch reply, lock
 // forward/grant). If dataFromHost is true the packet's payload must first
 // be DMA'd from host memory over PCI (e.g. a fetched page); otherwise the
@@ -304,24 +281,6 @@ func (ni *NI) launch(pkt *Packet) {
 	pkt.tPost = ni.eng.Now()
 	t := ni.newTransit(pkt)
 	t.holdsSlot = true
-	t.start()
-}
-
-// LaunchPosted launches a packet whose post-queue slot the caller has
-// already claimed via TryAcquire/Gate.Enqueue (machine-context senders
-// cannot block in Post, so they drive the admission step themselves).
-// The slot is released when the source DMA completes, exactly as for
-// Post.
-func (ni *NI) LaunchPosted(pkt *Packet) { ni.launch(pkt) }
-
-// LaunchPostedBroadcast is LaunchPosted for a broadcast template (see
-// PostBroadcast for the dsts/onDeliver semantics).
-func (ni *NI) LaunchPostedBroadcast(tmpl *Packet, dsts []int, onDeliver func(dst int)) {
-	tmpl.tPost = ni.eng.Now()
-	t := ni.newTransit(tmpl)
-	t.holdsSlot = true
-	t.dsts = dsts
-	t.bcastDeliver = onDeliver
 	t.start()
 }
 

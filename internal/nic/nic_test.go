@@ -191,37 +191,6 @@ func TestPostQueueBackpressure(t *testing.T) {
 	}
 }
 
-func TestPostFromEventOverflowCounted(t *testing.T) {
-	eng := sim.NewEngine()
-	cfg := topo.Default()
-	cfg.PostQueueDepth = 2
-	sys := NewSystem(eng, &cfg)
-	delivered := 0
-	eng.AtHandler(0, 0, thunk(func() {
-		// Five posts in one event: the first two claim the depth-2
-		// queue, the rest are accepted past it and must be counted.
-		for i := 0; i < 5; i++ {
-			pkt := sys.NIs[0].NewPacket()
-			pkt.Src, pkt.Dst, pkt.Size, pkt.Kind = 0, 1, 64, "ctl"
-			pkt.OnDeliver = func() { delivered++ }
-			sys.NIs[0].PostFromEvent(pkt)
-		}
-	}))
-	eng.RunUntilQuiet()
-	if delivered != 5 {
-		t.Fatalf("delivered %d of 5", delivered)
-	}
-	if got := sys.NIs[0].Overflows; got != 3 {
-		t.Errorf("Overflows = %d, want 3", got)
-	}
-	if sys.NIs[0].PostQueue.Blocked != 0 {
-		t.Errorf("event-context overflow must not count as a Gate stall")
-	}
-	if sys.NIs[0].PostQueue.InUse() != 0 {
-		t.Errorf("post-queue slots leaked: InUse = %d", sys.NIs[0].PostQueue.InUse())
-	}
-}
-
 func TestPostQueueStallTimeExact(t *testing.T) {
 	// Depth-1 queue, two back-to-back posts: the second stalls from the
 	// end of its post overhead until the first packet's source DMA

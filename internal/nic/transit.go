@@ -416,7 +416,7 @@ func (pl *pktPool) putTransit(t *transit) {
 func (ni *NI) getPacket() *Packet { return ni.pool.getPacket() }
 
 // NewPacket hands callers a pooled Packet for a subsequent Post /
-// PostFromEvent / FirmwareSend / PostBroadcast. The pipeline owns the
+// FirmwareSend / PostBroadcast. The pipeline owns the
 // packet once posted and recycles it after delivery, so callers must
 // not retain or reuse it; fields are zeroed.
 func (ni *NI) NewPacket() *Packet { return ni.getPacket() }

@@ -309,20 +309,6 @@ func TestGateBlocksAtDepth(t *testing.T) {
 	}
 }
 
-func TestGateTryAcquire(t *testing.T) {
-	g := NewGate(1)
-	if !g.TryAcquire() {
-		t.Fatal("first TryAcquire failed")
-	}
-	if g.TryAcquire() {
-		t.Fatal("second TryAcquire succeeded at depth 1")
-	}
-	g.Release()
-	if !g.TryAcquire() {
-		t.Fatal("TryAcquire after Release failed")
-	}
-}
-
 // Property: for any set of event times, the engine executes them in
 // nondecreasing time order and ends at the max time.
 func TestEventOrderProperty(t *testing.T) {

@@ -117,21 +117,6 @@ func (g *Gate) Acquire(p *Proc) {
 	g.inUse++
 }
 
-// Enqueue parks a machine-context waiter in the gate's FIFO: the
-// Acquire path for Handler state machines, which cannot block. The
-// waiter is woken by the next Release and must retry TryAcquire,
-// mirroring Acquire's Blocked/BlockedTime accounting itself.
-func (g *Gate) Enqueue(w Waiter) { g.q.Enqueue(w) }
-
-// TryAcquire claims a slot if one is free without blocking.
-func (g *Gate) TryAcquire() bool {
-	if g.inUse >= g.Depth {
-		return false
-	}
-	g.inUse++
-	return true
-}
-
 // Release frees a slot and wakes one blocked producer. May be called from
 // any context.
 func (g *Gate) Release() {

@@ -6,7 +6,8 @@
 //     involvement (VMMC's native capability).
 //   - Interrupt delivery: deposits that additionally interrupt a host
 //     processor and hand the message to a registered sink — the only
-//     delivery mode the Base protocol uses for protocol requests.
+//     delivery mode the Base protocol uses for protocol requests, whose
+//     sink queues them for the node's floating protocol process.
 //   - Remote fetch: pull data from exported remote memory entirely via
 //     the home NI's firmware (extension §2 "Remote fetch").
 //   - NI locks: a distributed lock algorithm (static home, last-owner
@@ -69,8 +70,8 @@ type Msg struct {
 }
 
 // MsgSink is the typed interrupt receiver: a persistent per-node object
-// (the protocol machine) that replaces a per-node closure. It runs in
-// engine context after the interrupt dispatch delay.
+// (the node's protocol-process queue) that replaces a per-node closure.
+// It runs in engine context after the interrupt dispatch delay.
 type MsgSink interface {
 	HandleMsg(m Msg)
 }
@@ -135,23 +136,9 @@ func New(eng *sim.Engine, cfg *topo.Config) *Layer {
 // Endpoint returns node n's endpoint.
 func (l *Layer) Endpoint(n int) *Endpoint { return l.eps[n] }
 
-// NI exposes the endpoint's network interface for machine-context
-// senders that drive the post pipeline step by step (sim.Handler state
-// machines cannot block in Post, so they claim the post-queue slot and
-// call LaunchPosted themselves).
+// NI exposes the endpoint's network interface for the NI services the
+// endpoint does not wrap: firmware collectives and queue statistics.
 func (ep *Endpoint) NI() *nic.NI { return ep.ni }
-
-// InterruptDeliverer returns the shared deliverer interrupt-class
-// packets carry (with Meta = MsgKind), so machine-built packets follow
-// the exact delivery path of SendInterrupt.
-func (ep *Endpoint) InterruptDeliverer() nic.Deliverer { return &ep.layer.intrDel }
-
-// BroadcastDsts returns the cached everyone-but-self destination set
-// used by broadcast posts.
-func (ep *Endpoint) BroadcastDsts() []int {
-	ep.buildBcastDsts()
-	return ep.bcastDsts
-}
 
 // Monitor returns the NI firmware performance monitor.
 func (l *Layer) Monitor() *nic.Monitor { return l.sys.Monitor }
@@ -171,8 +158,9 @@ type Endpoint struct {
 	eng *sim.Engine
 
 	// Sink receives interrupt-class messages after the interrupt
-	// dispatch delay. Runs in engine context. Takes precedence over
-	// InterruptSink when both are set.
+	// dispatch delay. Runs in engine context, so it must not block: the
+	// protocol core's sink queues the message for the node's protocol
+	// process. Takes precedence over InterruptSink when both are set.
 	Sink MsgSink
 	// InterruptSink is the closure form of Sink (tests, ad-hoc
 	// receivers).
@@ -321,7 +309,7 @@ func (ep *Endpoint) DepositGatheredTo(p *sim.Proc, dst, size int, kind string, a
 		pkt.Src, pkt.Dst, pkt.Size, pkt.Kind = ep.Node, dst, sz, kind
 		pkt.FwSendExtra = sim.Time(float64(sz) * c.NISGPerByte)
 		pkt.FwService = sim.Time(float64(sz) * c.NISGPerByte)
-		pkt.FwHandler = SGApplyHandler
+		pkt.FwHandler = sgApplyHandler
 		if last {
 			// The payload slot carries the apply hook so one shared
 			// handler serves every sg packet; sg messages have no
@@ -336,12 +324,10 @@ func (ep *Endpoint) DepositGatheredTo(p *sim.Proc, dst, size int, kind string, a
 	}
 }
 
-// SGApplyHandler is the shared firmware handler for scatter-gather
+// sgApplyHandler is the shared firmware handler for scatter-gather
 // deposits: it scatters the fragment in NI firmware (the service time is
 // on the packet) and runs the apply hook carried by the final fragment.
-// Exported so machine-context senders can stamp it on the packets they
-// build themselves.
-func SGApplyHandler(_ *nic.NI, pkt *nic.Packet) {
+func sgApplyHandler(_ *nic.NI, pkt *nic.Packet) {
 	if f, ok := pkt.Payload.(SGApplier); ok {
 		f.ApplySG()
 	}

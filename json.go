@@ -20,12 +20,11 @@ type ResultJSON struct {
 	AvgBreakdown BreakdownJSON   `json:"avg_breakdown"`
 	Breakdowns   []BreakdownJSON `json:"breakdowns"`
 
-	Accounting         AccountingJSON `json:"accounting"`
-	BarrierProtoNs     int64          `json:"barrier_proto_ns"`
-	Events             uint64         `json:"events"`
-	PostQueueStalls    uint64         `json:"post_queue_stalls"`
-	PostQueueStallNs   int64          `json:"post_queue_stall_ns"`
-	PostQueueOverflows uint64         `json:"post_queue_overflows"`
+	Accounting       AccountingJSON `json:"accounting"`
+	BarrierProtoNs   int64          `json:"barrier_proto_ns"`
+	Events           uint64         `json:"events"`
+	PostQueueStalls  uint64         `json:"post_queue_stalls"`
+	PostQueueStallNs int64          `json:"post_queue_stall_ns"`
 
 	Faults FaultsJSON `json:"faults"`
 	Util   UtilJSON   `json:"util"`
@@ -132,11 +131,10 @@ func NewResultJSON(res *Result) *ResultJSON {
 			LockOps:        res.Acct.LockOps,
 			Interrupts:     res.Acct.Interrupts,
 		},
-		BarrierProtoNs:     int64(res.BarrierProto),
-		Events:             res.Events,
-		PostQueueStalls:    res.PostQueueStalls,
-		PostQueueStallNs:   int64(res.PostQueueStallTime),
-		PostQueueOverflows: res.PostQueueOverflows,
+		BarrierProtoNs:   int64(res.BarrierProto),
+		Events:           res.Events,
+		PostQueueStalls:  res.PostQueueStalls,
+		PostQueueStallNs: int64(res.PostQueueStallTime),
 		Faults: FaultsJSON{
 			DropsInjected:    res.Faults.DropsInjected,
 			DupsInjected:     res.Faults.DupsInjected,
