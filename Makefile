@@ -137,18 +137,20 @@ smoke-serve:
 # handoff cost of the conservative-parallel engine.
 bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 1x ./internal/sim ./internal/memory ./internal/vmmc
-	$(GO) test -run xxx -bench 'Suite|CollectiveBarrier|Build512|ServePoint' -benchtime 1x .
+	$(GO) test -run xxx -bench 'Suite|CollectiveBarrier|Build512|Run512|ServePoint' -benchtime 1x .
 
 # bench-mem measures allocation pressure on the messaging hot paths
 # (Deposit, remote fetch, broadcast, NI locks), the bytes it takes to
-# build a 512-node cluster, and the bytes one bench-scale serve point
-# allocates. The pooled pipeline keeps the closed-loop paths at 0
-# allocs/op; per-peer state allocated on first contact keeps the build
-# linear in Nodes; per-LP record pools keep the serve point's diff and
-# page-fetch records recycling.
+# build a 512-node cluster and to run one 512-node Base flat barrier
+# benchmark, and the bytes one bench-scale serve point allocates. The
+# pooled pipeline keeps the closed-loop paths at 0 allocs/op; per-peer
+# state allocated on first contact keeps the build linear in Nodes;
+# per-node tables allocated on first touch keep the run small; per-LP
+# record pools keep the serve point's diff and page-fetch records
+# recycling.
 bench-mem:
 	$(GO) test -run xxx -bench . -benchmem ./internal/vmmc ./internal/sim
-	$(GO) test -run xxx -bench 'Build512|ServePoint' -benchmem .
+	$(GO) test -run xxx -bench 'Build512|Run512|ServePoint' -benchmem .
 
 # loc prints the number of non-test Go source lines outside benchmark/
 # (and outside hidden build directories such as .bench_build/): the

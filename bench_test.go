@@ -346,6 +346,16 @@ func BenchmarkCollectiveBarrier(b *testing.B) {
 	}
 }
 
+// BenchmarkRun512 times one 2-round barrierbench run on the fabric
+// workload's 512-node fat tree under the Base flat barrier, build
+// included; B/op is the run footprint TestRunFootprint512 pins.
+func BenchmarkRun512(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		run512(b, genima.Base, false)
+	}
+}
+
 // BenchmarkBuild512 times building the fabric workload's 512-node fat
 // tree (radix 16, NI collective trees) ready to run: workspace, protocol
 // nodes, NIs and per-page tables, on clean links and under 1% faults

@@ -3,9 +3,11 @@ package genima_test
 // Memory-footprint pins for per-peer state and pooled records. A node
 // or NI holds state only for the peers it has contacted, so building a
 // large cluster costs what its topology needs, not Nodes² tables;
-// barrier records are owned by their senders rather than piling up at
-// the master; and protocol records are pooled per logical process, so
-// the one-way diff and page-fetch flows recycle instead of draining one
+// version-vector rows, source logs and latency buckets are allocated on
+// first touch; barrier epochs hold vectors only while live; barrier
+// records are owned by their senders rather than piling up at the
+// master; and protocol records are pooled per logical process, so the
+// one-way diff and page-fetch flows recycle instead of draining one
 // node's free lists into another's.
 
 import (
@@ -54,12 +56,13 @@ func allocBytes(fn func()) uint64 {
 }
 
 // TestBuildFootprint512 pins the bytes allocated to build the 512-node
-// fabric cluster. Dense per-peer tables (a reliable flow and a notice
-// counter per peer at every node, per-epoch barrier vectors everywhere)
-// cost about 114 MB here; lazy per-peer state stays well under the
-// bound.
+// fabric cluster, about 12 MB. Dense per-peer tables (a reliable flow
+// and a notice counter per peer at every node, per-epoch barrier
+// vectors everywhere) would cost about 114 MB here, and dense per-node
+// tables (version-vector rows for every page, a source log per node)
+// another 20 MB.
 func TestBuildFootprint512(t *testing.T) {
-	const limit = 48 << 20
+	const limit = 16 << 20
 	cfg := build512Config()
 	a := barrierbench.New(16)
 	var sys *core.System
@@ -70,6 +73,42 @@ func TestBuildFootprint512(t *testing.T) {
 	t.Logf("512-node build allocated %.1f MB", float64(got)/(1<<20))
 	if got > limit {
 		t.Errorf("512-node build allocated %.1f MB, want <= %d MB", float64(got)/(1<<20), limit>>20)
+	}
+}
+
+// run512 runs the fabric workload's 512-node point for two barrier
+// rounds: the Base flat barrier, or the GeNIMA NI collective tree.
+func run512(tb testing.TB, proto genima.Protocol, tree bool) {
+	cfg := build512Config()
+	cfg.Collectives = tree
+	if _, _, err := genima.Run(cfg, proto, barrierbench.New(2)); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// TestRunFootprint512 pins the bytes one 2-round barrierbench run
+// allocates at 512 nodes, build included: about 33 MB (Base flat) and
+// 28 MB (GeNIMA tree). Dense per-node tables, a full epoch vector ring
+// or per-processor latency buckets would each add 2–24 MB. What is
+// left is mostly state the barrier touches: every node's vector clock,
+// its row of the one shared page, and the barrier's arrival records
+// and live epoch vectors.
+func TestRunFootprint512(t *testing.T) {
+	for _, pt := range []struct {
+		name  string
+		proto genima.Protocol
+		tree  bool
+		limit uint64
+	}{
+		{"Base-flat", genima.Base, false, 35 << 20},
+		{"GeNIMA-tree", genima.GeNIMA, true, 29 << 20},
+	} {
+		got := allocBytes(func() { run512(t, pt.proto, pt.tree) })
+		t.Logf("%s: one 512-node run allocated %.1f MB", pt.name, float64(got)/(1<<20))
+		if got > pt.limit {
+			t.Errorf("%s: one 512-node run allocated %.1f MB, want <= %d MB",
+				pt.name, float64(got)/(1<<20), pt.limit>>20)
+		}
 	}
 }
 

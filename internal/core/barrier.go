@@ -80,7 +80,7 @@ func (m *barReleaseMsg) wireSize() int {
 type barEpoch struct {
 	seq   int         // epoch using this slot; -1 = never used
 	count sim.Counter // DW: arrival flags deposited
-	vc    []uint64    // DW: element-wise max vc of arrivals (nil under Base)
+	vc    []uint64    // DW: element-wise max vc of arrivals while the epoch is live (nil otherwise)
 	flag  sim.Flag    // Base: release arrived
 	rel   *barReleaseMsg
 
@@ -94,12 +94,11 @@ type barEpoch struct {
 	mIvs     []*interval
 }
 
-// reset recycles the slot for epoch seq. Only the vectors this node's
-// barrier path allocated exist, so at most one is cleared.
+// reset recycles the slot for epoch seq. The previous epoch returned
+// its arrival vector when it retired; only the Base master's mVC stays.
 func (e *barEpoch) reset(seq int) {
 	e.seq = seq
 	e.count.Reset()
-	clear(e.vc)
 	e.flag.Reset()
 	e.rel = nil
 	e.localArrived = 0
@@ -136,10 +135,12 @@ func (n *Node) barRelAt(seq int) *barReleaseMsg {
 }
 
 // barEpochAt returns the epoch record for barrier seq, claiming (and
-// recycling) its ring slot on first use. At most two epochs are live at
-// once — a slow node still inside epoch k while fast peers deposit k+1
-// flags — so by the time epoch k+4 claims k's slot, k has fully
-// drained (every local waiter of k resumed before arriving at k+1).
+// recycling) its ring slot on first use; under DW the claim takes an
+// arrival vector from the LP's record pool. At most two epochs are
+// live at once — a slow node still inside epoch k while fast peers
+// deposit k+1 flags — so by the time epoch k+4 claims k's slot, k has
+// fully drained (every local waiter of k resumed before arriving at
+// k+1).
 func (n *Node) barEpochAt(seq int) *barEpoch {
 	e := &n.barEpochs[seq&3]
 	if e.seq != seq {
@@ -147,6 +148,9 @@ func (n *Node) barEpochAt(seq int) *barEpoch {
 			panic(fmt.Sprintf("core: barrier epoch %d claims slot still held by %d at node %d", seq, e.seq, n.ID))
 		}
 		e.reset(seq)
+		if n.sys.Feat.DW {
+			e.vc = n.pool.getVec()
+		}
 	}
 	return e
 }
@@ -177,6 +181,12 @@ func (n *Node) Barrier(p *sim.Proc) sim.Time {
 	}
 	n.Acct.BarrierProto += proto
 	e.localDone.Set()
+	if e.vc != nil {
+		// Every arrival was merged and read: the epoch retires and its
+		// vector returns to the pool.
+		n.pool.putVec(e.vc)
+		e.vc = nil
+	}
 	return proto
 }
 

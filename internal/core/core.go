@@ -102,6 +102,10 @@ type System struct {
 
 	// colSink receives completed NI-tree barrier epochs (collectives).
 	colSink colBarSink
+
+	// zeroVec is the all-zero per-node vector that every absent
+	// version-vector row reads as (see vecTable). Nothing writes it.
+	zeroVec []uint64
 }
 
 // New creates a protocol system over a fresh communication layer. The
@@ -118,6 +122,7 @@ func New(eng *sim.Engine, cfg *topo.Config, kind Kind, space *memory.Space) *Sys
 	s.noticeDel.s = s
 	s.grantDel.s = s
 	s.barFlagDel.s = s
+	s.zeroVec = make([]uint64, cfg.Nodes)
 	s.Nodes = make([]*Node, cfg.Nodes)
 	pools := map[*sim.Engine]*recordPool{}
 	for i := range s.Nodes {
@@ -205,16 +210,27 @@ type srcLog struct {
 	arrived *sim.Counter
 }
 
+// srcLog returns what this node holds about src, creating it on first
+// contact: a node hears from the sources that write pages, not from
+// every node in the cluster.
+func (n *Node) srcLog(src int) *srcLog {
+	l := n.log[src]
+	if l == nil {
+		l = &srcLog{}
+		n.log[src] = l
+	}
+	return l
+}
+
 // arrivedFrom returns the notice-arrival counter for src, creating it
 // on first use. Deposits and waits both run on this node's logical
 // process.
 func (n *Node) arrivedFrom(src int) *sim.Counter {
-	c := n.log[src].arrived
-	if c == nil {
-		c = &sim.Counter{}
-		n.log[src].arrived = c
+	l := n.srcLog(src)
+	if l.arrived == nil {
+		l.arrived = &sim.Counter{}
 	}
-	return c
+	return l.arrived
 }
 
 // pageState is a node's view of one page.
@@ -247,8 +263,8 @@ type Node struct {
 	fetchQ    []sim.WaitQ // per page: waiters on the in-flight fetch
 	homeWaitQ []sim.WaitQ // per page homed here: accessors waiting on version
 
-	vc  []uint64 // applied interval seq per source node
-	log []srcLog // per source node: received intervals, notice arrivals
+	vc  []uint64  // applied interval seq per source node
+	log []*srcLog // per source node, nil until first contact: received intervals, notice arrivals
 
 	need       vecTable // per page: required home version per writer node
 	copyVer    vecTable // per page: home version row at fetch time
@@ -313,34 +329,27 @@ func newNode(s *System, id int) *Node {
 		eng:         s.Eng.LPNode(id),
 		ep:          s.Layer.Endpoint(id),
 		vc:          make([]uint64, s.Cfg.Nodes),
-		log:         make([]srcLog, s.Cfg.Nodes),
+		log:         make([]*srcLog, s.Cfg.Nodes),
 		ivGate:      sim.NewGate(1),
 		pendingReqs: map[int][]pendingPage{},
 		locks:       map[int]*nodeLock{},
 		lockDir:     map[int]*lockMeta{},
 		steal:       make([]sim.Time, s.Cfg.ProcsPerNode),
 	}
-	// Barrier epoch vectors exist only where a barrier path reads them:
-	// the DW flag and tree barriers merge arrivals into vc at every
-	// node, the Base barrier aggregates into mVC at the master only.
-	// One backing array serves the ring (full slice caps keep the
-	// vectors from spilling into each other).
+	// The Base barrier aggregates arrivals into mVC at the master only;
+	// one backing array serves its ring (full slice caps keep the
+	// vectors from spilling into each other). DW epochs take their
+	// vectors from the record pool while live (see barEpochAt).
 	nn := s.Cfg.Nodes
-	var vecs []uint64
-	if s.Feat.DW || id == 0 {
-		vecs = make([]uint64, len(n.barEpochs)*nn)
+	var mvecs []uint64
+	if !s.Feat.DW && id == 0 {
+		mvecs = make([]uint64, len(n.barEpochs)*nn)
 	}
 	for i := range n.barEpochs {
 		e := &n.barEpochs[i]
 		e.seq = -1
-		if vecs == nil {
-			continue
-		}
-		v := vecs[i*nn : (i+1)*nn : (i+1)*nn]
-		if s.Feat.DW {
-			e.vc = v
-		} else {
-			e.mVC = v
+		if mvecs != nil {
+			e.mVC = mvecs[i*nn : (i+1)*nn : (i+1)*nn]
 		}
 	}
 	n.proto.n = n
@@ -351,12 +360,11 @@ func newNode(s *System, id int) *Node {
 
 func (n *Node) start() {
 	np := n.sys.Space.NPages()
-	nodes := n.sys.Cfg.Nodes
 	n.Mem = memory.NewNodeMem(n.sys.Space)
 	n.state = make([]pageState, np)
 	// Per-page slices share backing arrays by element type (full slice
-	// caps prevent cross-spill): three bool tables, two WaitQ tables,
-	// and the three per-page version tables.
+	// caps prevent cross-spill): three bool tables and two WaitQ
+	// tables. The three version tables allocate rows on first write.
 	bools := make([]bool, 3*np)
 	n.fetching = bools[0:np:np]
 	n.copyVerSet = bools[np : 2*np : 2*np]
@@ -364,10 +372,9 @@ func (n *Node) start() {
 	qs := make([]sim.WaitQ, 2*np)
 	n.fetchQ = qs[0:np:np]
 	n.homeWaitQ = qs[np : 2*np : 2*np]
-	rows := make([]uint64, 3*np*nodes)
-	n.need = vecTable{nodes: nodes, a: rows[0 : np*nodes : np*nodes]}
-	n.copyVer = vecTable{nodes: nodes, a: rows[np*nodes : 2*np*nodes : 2*np*nodes]}
-	n.homeVer = vecTable{nodes: nodes, a: rows[2*np*nodes : 3*np*nodes : 3*np*nodes]}
+	n.need = newVecTable(np, n.sys.zeroVec)
+	n.copyVer = newVecTable(np, n.sys.zeroVec)
+	n.homeVer = newVecTable(np, n.sys.zeroVec)
 	for p := 0; p < np; p++ {
 		if n.sys.Space.Home(p) == n.ID {
 			n.state[p] = pageValid // the home copy is always materialized
@@ -421,8 +428,8 @@ func (n *Node) needSatisfied(p int, verRow []uint64) bool {
 func (n *Node) applyIntervalMeta(iv *interval, invalidate *[]int) {
 	for _, p32 := range iv.Pages {
 		p := int(p32)
-		if row := n.need.row(p); row[iv.Src] < iv.Seq {
-			row[iv.Src] = iv.Seq
+		if n.need.row(p)[iv.Src] < iv.Seq {
+			n.need.writeRow(p)[iv.Src] = iv.Seq
 		}
 		if n.sys.Space.Home(p) == n.ID {
 			continue
@@ -442,7 +449,8 @@ func (n *Node) applyIntervalMeta(iv *interval, invalidate *[]int) {
 // still zero from the backing array's make); growth jumps geometrically
 // rather than entry by entry.
 func (n *Node) recordInterval(iv *interval) {
-	lg := n.log[iv.Src].ivs
+	l := n.srcLog(iv.Src)
+	lg := l.ivs
 	if uint64(len(lg)) < iv.Seq {
 		if uint64(cap(lg)) < iv.Seq {
 			newCap := uint64(cap(lg)) * 4
@@ -460,20 +468,28 @@ func (n *Node) recordInterval(iv *interval) {
 		}
 	}
 	lg[iv.Seq-1] = iv
-	n.log[iv.Src].ivs = lg
+	l.ivs = lg
 }
 
 // appendIntervalsAfter appends this node's known intervals from src in
 // (from, to] onto out (piggybacked on Base lock grants and barrier
 // arrivals), reusing out's backing array.
 func (n *Node) appendIntervalsAfter(out []*interval, src int, from, to uint64) []*interval {
-	lg := n.log[src].ivs
 	for s := from + 1; s <= to; s++ {
-		if s-1 < uint64(len(lg)) && lg[s-1] != nil {
-			out = append(out, lg[s-1])
+		if iv := n.loggedInterval(src, s); iv != nil {
+			out = append(out, iv)
 		}
 	}
 	return out
+}
+
+// loggedInterval returns src's interval seq from the log, or nil when
+// this node has not received it (or never heard from src).
+func (n *Node) loggedInterval(src int, seq uint64) *interval {
+	if l := n.log[src]; l != nil && seq-1 < uint64(len(l.ivs)) {
+		return l.ivs[seq-1]
+	}
+	return nil
 }
 
 // markDirty registers a page in the node's open write interval.

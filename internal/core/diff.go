@@ -128,8 +128,8 @@ func (n *Node) flushPage(p *sim.Proc, pg int, seq uint64) {
 	// other writer's notice) must not return a home version predating
 	// this flush, or we would lose our own writes: record the
 	// requirement against ourselves too.
-	if row := n.need.row(pg); row[n.ID] < seq {
-		row[n.ID] = seq
+	if n.need.row(pg)[n.ID] < seq {
+		n.need.writeRow(pg)[n.ID] = seq
 	}
 
 	if home == n.ID {
@@ -247,8 +247,8 @@ func (n *Node) applyPackedDiff(p *sim.Proc, d *diffMsg) {
 // requests are retried only after a packed diff (applyPackedDiff) —
 // the sole context where they can become answerable.
 func (n *Node) bumpVersion(pg, src int, seq uint64) {
-	if row := n.homeVer.row(pg); row[src] < seq {
-		row[src] = seq
+	if n.homeVer.row(pg)[src] < seq {
+		n.homeVer.writeRow(pg)[src] = seq
 	}
 	n.homeWaitQ[pg].WakeAll()
 }
@@ -312,7 +312,7 @@ func (n *Node) applyUpTo(p *sim.Proc, target []uint64) sim.Time {
 			continue
 		}
 		for seq := n.vc[src] + 1; seq <= target[src]; seq++ {
-			iv := n.log[src].ivs[seq-1]
+			iv := n.loggedInterval(src, seq)
 			if iv == nil {
 				panic("core: applying unknown interval")
 			}

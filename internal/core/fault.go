@@ -187,7 +187,7 @@ func (n *Node) fetchBase(p *sim.Proc, page int) *pageReqMsg {
 		n.Acct.FetchRetries++
 		req.done.Reset() // stale snapshot: the retry's reply overwrites it
 	}
-	copy(n.copyVer.row(page), req.ver)
+	copy(n.copyVer.writeRow(page), req.ver)
 	n.copyVerSet[page] = true
 	return req
 }
@@ -202,7 +202,7 @@ func (n *Node) fetchRF(p *sim.Proc, page int) *fetchPayload {
 		rep := n.ep.RemoteFetch(p, home, size, "page-req", "page-reply", page)
 		pl := rep.Payload.(*fetchPayload)
 		if n.needSatisfied(page, pl.ver) {
-			copy(n.copyVer.row(page), pl.ver)
+			copy(n.copyVer.writeRow(page), pl.ver)
 			n.copyVerSet[page] = true
 			return pl
 		}

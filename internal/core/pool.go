@@ -38,6 +38,7 @@ type recordPool struct {
 	verMark freeList[*verMark]
 	sgDep   freeList[*sgDep]
 	inv     freeList[[]int]
+	vec     freeList[[]uint64] // DW barrier epoch arrival vectors
 }
 
 // freeList is a LIFO stack of pooled records.
@@ -242,6 +243,17 @@ func (rp *recordPool) getInv() []int {
 }
 
 func (rp *recordPool) putInv(s []int) { rp.inv.push(s) }
+
+// getVec returns a zeroed per-node vector for a live barrier epoch.
+func (rp *recordPool) getVec() []uint64 {
+	if v, ok := rp.vec.pop(); ok {
+		clear(v)
+		return v
+	}
+	return make([]uint64, rp.nodes)
+}
+
+func (rp *recordPool) putVec(v []uint64) { rp.vec.push(v) }
 
 // Shared packet deliverers: singletons invoked by the NI when the final
 // packet of a protocol message lands, replacing per-send OnDeliver

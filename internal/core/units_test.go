@@ -95,7 +95,7 @@ func TestVecHelpers(t *testing.T) {
 func TestNeedSatisfiedUsesEveryWriter(t *testing.T) {
 	tc := newCluster(t, Base, 4, 1, 4)
 	n := tc.sys.Node(0)
-	copy(n.need.row(1), []uint64{0, 2, 0, 1})
+	copy(n.need.writeRow(1), []uint64{0, 2, 0, 1})
 	if n.needSatisfied(1, []uint64{0, 1, 0, 1}) {
 		t.Error("satisfied despite writer 1 behind")
 	}

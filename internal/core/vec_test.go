@@ -4,11 +4,14 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"genima/internal/sim"
 )
 
-// Property tests for the flat version-vector storage against naive
-// [][]uint64 / []uint64 oracles: the flattening is a pure layout change
-// and must be observationally identical to per-page slices.
+// Property tests for the version-vector storage against naive
+// [][]uint64 / []uint64 oracles: allocating rows on first write is a
+// pure layout change and must be observationally identical to dense
+// per-page slices.
 
 // oracleMergeMax is the obvious element-wise max over fresh slices.
 func oracleMergeMax(dst, src []uint64) []uint64 {
@@ -113,7 +116,7 @@ func TestVecTableMatchesSliceOracle(t *testing.T) {
 	const pages, nodes = 17, 5
 	rng := rand.New(rand.NewSource(42))
 
-	tab := newVecTable(pages, nodes)
+	tab := newVecTable(pages, make([]uint64, nodes))
 	oracle := make([][]uint64, pages)
 	for p := range oracle {
 		oracle[p] = make([]uint64, nodes)
@@ -125,8 +128,8 @@ func TestVecTableMatchesSliceOracle(t *testing.T) {
 		case 0: // bump one entry
 			i := rng.Intn(nodes)
 			v := uint64(rng.Intn(100))
-			if row := tab.row(pg); row[i] < v {
-				row[i] = v
+			if tab.row(pg)[i] < v {
+				tab.writeRow(pg)[i] = v
 			}
 			if oracle[pg][i] < v {
 				oracle[pg][i] = v
@@ -136,7 +139,7 @@ func TestVecTableMatchesSliceOracle(t *testing.T) {
 			for i := range src {
 				src[i] = uint64(rng.Intn(100))
 			}
-			vecMergeMax(tab.row(pg), src)
+			vecMergeMax(tab.writeRow(pg), src)
 			oracle[pg] = oracleMergeMax(oracle[pg], src)
 		case 2: // compare coverage between two rows
 			other := rng.Intn(pages)
@@ -160,13 +163,15 @@ func TestVecTableMatchesSliceOracle(t *testing.T) {
 
 // TestVecTableRowIsolation: writing (even appending to) one row must
 // never disturb a neighbouring page's row — the full slice expression
-// in row() caps each row at its own boundary.
+// in writeRow() caps each row at its own boundary within the block the
+// rows are carved from.
 func TestVecTableRowIsolation(t *testing.T) {
-	tab := newVecTable(3, 2)
-	r1 := tab.row(1)
+	tab := newVecTable(3, make([]uint64, 2))
+	r1 := tab.writeRow(1)
 	r1[0], r1[1] = 7, 8
+	tab.writeRow(2) // carved right after row 1 from the same block
 	// An append past the row must reallocate, not spill into row 2.
-	_ = append(tab.row(1), 99)
+	_ = append(tab.writeRow(1), 99)
 	for _, i := range []int{0, 1} {
 		if got := tab.row(2)[i]; got != 0 {
 			t.Fatalf("row 2 entry %d = %d after append to row 1, want 0", i, got)
@@ -177,5 +182,71 @@ func TestVecTableRowIsolation(t *testing.T) {
 	}
 	if r := tab.row(1); r[0] != 7 || r[1] != 8 {
 		t.Fatalf("row 1 = %v, want [7 8]", r)
+	}
+}
+
+// TestVecTableLazyRows: an absent row reads as the shared zero row, a
+// write allocates that row only, and rows are never carved beyond the
+// table's page count.
+func TestVecTableLazyRows(t *testing.T) {
+	const pages, nodes = 6, 4
+	zero := make([]uint64, nodes)
+	tab := newVecTable(pages, zero)
+	for pg := 0; pg < pages; pg++ {
+		if r := tab.row(pg); &r[0] != &zero[0] || len(r) != nodes {
+			t.Fatalf("absent row %d is not the shared zero row", pg)
+		}
+	}
+	tab.writeRow(3)[1] = 9
+	for pg := 0; pg < pages; pg++ {
+		allocated := tab.rows[pg] != nil
+		if allocated != (pg == 3) {
+			t.Fatalf("row %d allocated = %v after writing row 3 only", pg, allocated)
+		}
+	}
+	if got := tab.row(3); got[1] != 9 || &got[0] == &zero[0] {
+		t.Fatalf("row 3 = %v, want its own row holding the write", got)
+	}
+	for i, v := range zero {
+		if v != 0 {
+			t.Fatalf("shared zero row entry %d = %d after a write", i, v)
+		}
+	}
+	// The first write carved a block for every absent row (the table is
+	// narrow); the block must not outgrow them.
+	if got := len(tab.arena) / nodes; got != pages-1 {
+		t.Fatalf("block holds %d spare rows, want %d", got, pages-1)
+	}
+	wide := newVecTable(pages, make([]uint64, 2*vecArenaWords))
+	wide.writeRow(0)
+	if len(wide.arena) != 0 {
+		t.Fatalf("a row wider than a block carved %d spare words", len(wide.arena))
+	}
+}
+
+// TestVecTableDigestsLikeDense: a lazy table folds into the state
+// digest exactly as the dense pages x nodes table holding the same
+// values, absent rows as zeros.
+func TestVecTableDigestsLikeDense(t *testing.T) {
+	f := func(seed int64) bool {
+		const pages, nodes = 9, 5
+		rng := rand.New(rand.NewSource(seed))
+		tab := newVecTable(pages, make([]uint64, nodes))
+		dense := make([]uint64, pages*nodes)
+		for step := rng.Intn(12); step > 0; step-- {
+			pg, i := rng.Intn(pages), rng.Intn(nodes)
+			v := uint64(rng.Intn(50) + 1)
+			tab.writeRow(pg)[i] = v
+			dense[pg*nodes+i] = v
+		}
+		got, want := sim.NewDigest(), sim.NewDigest()
+		tab.digestInto(got)
+		for _, v := range dense {
+			want.U64(v)
+		}
+		return got.Sum() == want.Sum()
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -60,7 +60,7 @@ type colOp struct {
 	seq    int
 	got    int
 	active bool
-	vec    []uint64
+	vec    []uint64 // the combined vector while active, nil otherwise
 }
 
 // colState is one NI's collective engine, nil unless
@@ -76,6 +76,7 @@ type colState struct {
 
 	ops [4]colOp
 
+	vecFree  [][]uint64 // combine vectors of retired epochs
 	msgFree  []*colMsg
 	delFree  []*colDeliver
 	hostFree []*colHostOp
@@ -136,15 +137,20 @@ func (c *colState) getMsg(n int) *colMsg {
 
 func (c *colState) putMsg(m *colMsg) { c.msgFree = append(c.msgFree, m) }
 
-// opAt claims (or finds) the epoch ring slot for seq. A slot's combine
-// vector is allocated the first time the slot is claimed.
+// opAt claims (or finds) the epoch ring slot for seq. Claiming takes a
+// combine vector from the free list and colContribute returns it when
+// the epoch retires, so the ring holds vectors only for active epochs.
 func (c *colState) opAt(seq int) *colOp {
 	op := &c.ops[seq&3]
 	if !op.active {
 		op.active = true
 		op.seq = seq
 		op.got = 0
-		if op.vec == nil {
+		if l := len(c.vecFree); l > 0 {
+			op.vec = c.vecFree[l-1] // the first contribution overwrites it
+			c.vecFree[l-1] = nil
+			c.vecFree = c.vecFree[:l-1]
+		} else {
 			op.vec = make([]uint64, c.nodes)
 		}
 		return op
@@ -195,10 +201,14 @@ func (ni *NI) colContribute(seq int, vec []uint64) {
 		m := c.getMsg(c.nodes)
 		copy(m.vec, op.vec)
 		ni.colSendVec(c.parent, seq, "col-up", colUpFw, m)
-		return
+	} else {
+		// Root: the reduction is complete; fan the combined vector out.
+		ni.colRelease(seq, op.vec)
 	}
-	// Root: the reduction is complete; fan the combined vector out.
-	ni.colRelease(seq, op.vec)
+	// The combined vector has been copied on (up the tree, or out to
+	// the children and the host): the retired epoch gives it back.
+	c.vecFree = append(c.vecFree, op.vec)
+	op.vec = nil
 }
 
 // colRelease forwards the combined vector of epoch seq to this node's

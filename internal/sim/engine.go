@@ -131,8 +131,9 @@ type Engine struct {
 	seq    uint64
 	events eventQueue
 
-	procs   []*Proc // every process spawned by Go, for Release
-	stopped bool
+	procs    []*Proc // every process spawned by Go, for Release
+	stopped  bool
+	deadline Time // the running Run's deadline (0: none), for Proc.Sleep
 
 	nEvents uint64
 
@@ -224,6 +225,7 @@ func (e *Engine) Stop() { e.stopped = true }
 // Run executes events until the event queue is empty, Stop is called, or
 // the optional deadline (>0) is reached. It returns the final virtual time.
 func (e *Engine) Run(deadline Time) Time {
+	e.deadline = deadline
 	for !e.stopped && e.events.len() > 0 {
 		if deadline > 0 && e.events.peek().at > deadline {
 			e.now = deadline

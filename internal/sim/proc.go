@@ -97,6 +97,15 @@ func (p *Proc) yield() {
 }
 
 // Sleep suspends the process for d nanoseconds of virtual time.
+//
+// On a standalone engine, when the wake would be the very next event
+// Run executes — Run is not stopping, the wake is within its deadline,
+// and every queued event is strictly later — the process keeps
+// running: Sleep takes the wake's sequence number, advances the clock
+// and counts the event in place, with no heap push and no coroutine
+// round trip. Pushing a new strict minimum and popping it at once
+// leaves a 4-ary heap's array exactly as it was (keys are unique), so
+// the engine ends in the state the scheduled wake would have left.
 func (p *Proc) Sleep(d Time) {
 	if d < 0 {
 		panic("sim: negative sleep")
@@ -104,8 +113,16 @@ func (p *Proc) Sleep(d Time) {
 	if d == 0 {
 		return
 	}
-	t := p.eng.now + d
-	p.eng.AtHandler(t, t, p)
+	e := p.eng
+	t := e.now + d
+	if e.cl == nil && !e.stopped && (e.deadline <= 0 || t <= e.deadline) &&
+		(e.events.len() == 0 || e.events.peek().at > t) {
+		e.seq++
+		e.now = t
+		e.nEvents++
+		return
+	}
+	e.AtHandler(t, t, p)
 	p.yield()
 }
 

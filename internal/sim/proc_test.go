@@ -3,8 +3,10 @@ package sim
 // Tests for the process lifecycle on the coroutine hand-off: spawning
 // from process and event context, dispatch of a finished process, a
 // zero-allocation Sleep round trip, Release unwinding unfinished
-// processes, and a body's panic reaching the caller of Run (serial) or
-// Cluster.Run (parallel, with the LP named).
+// processes, a body's panic reaching the caller of Run (serial) or
+// Cluster.Run (parallel, with the LP named), and the in-place Sleep
+// fast path (exact against scheduled wakes; ties, Stop and Run's
+// deadline fall back to the heap).
 
 import (
 	"fmt"
@@ -133,4 +135,133 @@ func TestProcPanicInRoundNamesLP(t *testing.T) {
 		}
 	}()
 	cl.Run()
+}
+
+// countDispatches wraps p's resume so the test can tell a Sleep that
+// stayed in place (no dispatch) from one that took a scheduled wake.
+func countDispatches(p *Proc) *int {
+	n := new(int)
+	resume := p.resume
+	p.resume = func() (struct{}, bool) {
+		*n++
+		return resume()
+	}
+	return n
+}
+
+// stepper is the heap-path reference for a sleeping process: a handler
+// that reschedules itself after each delay.
+type stepper struct {
+	e      *Engine
+	delays []Time
+	log    *[]string
+}
+
+func (s *stepper) Run(_, _ Time) {
+	*s.log = append(*s.log, fmt.Sprintf("@%d events=%d", s.e.Now(), s.e.Events()))
+	if len(s.delays) > 0 {
+		d := s.delays[0]
+		s.delays = s.delays[1:]
+		s.e.AtHandler(s.e.Now()+d, s.e.Now()+d, s)
+	}
+}
+
+// TestSleepFastPathMatchesScheduledWake: a process whose wakes are
+// always the next event runs its sleeps in place — one dispatch in all —
+// and the engine's clock, event count and digest match a handler that
+// schedules the same wakes through the heap, with a later event queued
+// throughout.
+func TestSleepFastPathMatchesScheduledWake(t *testing.T) {
+	delays := []Time{10, 20, 5}
+	var fast, ref []string
+
+	e := NewEngine()
+	schedule(e, 100, func() {})
+	p := e.Go("sleeper", func(p *Proc) {
+		fast = append(fast, fmt.Sprintf("@%d events=%d", e.Now(), e.Events()))
+		for _, d := range delays {
+			p.Sleep(d)
+			fast = append(fast, fmt.Sprintf("@%d events=%d", e.Now(), e.Events()))
+		}
+	})
+	dispatches := countDispatches(p)
+	e.RunUntilQuiet()
+
+	r := NewEngine()
+	schedule(r, 100, func() {})
+	r.AtHandler(0, 0, &stepper{e: r, delays: delays, log: &ref})
+	r.RunUntilQuiet()
+
+	if fmt.Sprint(fast) != fmt.Sprint(ref) {
+		t.Fatalf("process saw %v, scheduled wakes saw %v", fast, ref)
+	}
+	if *dispatches != 1 {
+		t.Fatalf("process dispatched %d times, want 1 (every sleep in place)", *dispatches)
+	}
+	de, dr := NewDigest(), NewDigest()
+	e.DigestInto(de)
+	r.DigestInto(dr)
+	if e.Now() != r.Now() || e.Events() != r.Events() || de.Sum() != dr.Sum() {
+		t.Fatalf("engine now=%d events=%d digest %x, reference now=%d events=%d digest %x",
+			e.Now(), e.Events(), de.Sum(), r.Now(), r.Events(), dr.Sum())
+	}
+}
+
+// TestSleepTieTakesSlowPath: an event already queued at the wake time
+// was scheduled first, so it must run before the process resumes.
+func TestSleepTieTakesSlowPath(t *testing.T) {
+	e := NewEngine()
+	var order []string
+	p := e.Go("sleeper", func(p *Proc) {
+		p.Sleep(10)
+		order = append(order, fmt.Sprintf("proc@%d", p.Now()))
+	})
+	schedule(e, 10, func() { order = append(order, fmt.Sprintf("event@%d", e.Now())) })
+	dispatches := countDispatches(p)
+	e.RunUntilQuiet()
+	if got, want := fmt.Sprint(order), "[event@10 proc@10]"; got != want {
+		t.Fatalf("order %s, want %s", got, want)
+	}
+	if *dispatches != 2 {
+		t.Fatalf("process dispatched %d times, want 2 (the tied wake goes through the heap)", *dispatches)
+	}
+}
+
+// TestSleepFastPathHonoursStop: after Stop, a sleep must not advance
+// the clock in place; Run returns with the wake still queued.
+func TestSleepFastPathHonoursStop(t *testing.T) {
+	e := NewEngine()
+	defer e.Release()
+	resumed := false
+	e.Go("stopper", func(p *Proc) {
+		p.Sleep(5)
+		e.Stop()
+		p.Sleep(5)
+		resumed = true
+	})
+	e.RunUntilQuiet()
+	if resumed || e.Now() != 5 || e.Events() != 2 || e.events.len() != 1 {
+		t.Fatalf("after Stop: resumed=%v now=%d events=%d queued=%d, want false 5 2 1",
+			resumed, e.Now(), e.Events(), e.events.len())
+	}
+}
+
+// TestSleepFastPathHonoursDeadline: a wake past Run's deadline is
+// queued for a later Run, not taken in place.
+func TestSleepFastPathHonoursDeadline(t *testing.T) {
+	e := NewEngine()
+	var woke []Time
+	e.Go("sleeper", func(p *Proc) {
+		p.Sleep(10) // within the deadline: in place
+		woke = append(woke, p.Now())
+		p.Sleep(10) // past it: queued
+		woke = append(woke, p.Now())
+	})
+	if now := e.Run(15); now != 15 || fmt.Sprint(woke) != "[10]" || e.events.len() != 1 {
+		t.Fatalf("Run(15) = %d with wakes %v and %d queued, want 15 [10] 1", now, woke, e.events.len())
+	}
+	e.RunUntilQuiet()
+	if fmt.Sprint(woke) != "[10 20]" || e.Events() != 3 {
+		t.Fatalf("wakes %v after %d events, want [10 20] after 3", woke, e.Events())
+	}
 }

@@ -13,14 +13,17 @@ import (
 // error of any reported quantile by 1/2^latSubBits (12.5%) while keeping
 // the table a small fixed array — no allocation per sample, mergeable
 // across nodes by element-wise addition, and deterministic: the recorded
-// distribution is a pure function of the sampled virtual times.
+// distribution is a pure function of the sampled virtual times. The
+// array is allocated by the first sample, so a recorder that never
+// records (every processor of a batch app) costs no bucket storage; an
+// absent array reads as all-zero buckets.
 //
 // Values are sim.Time nanoseconds. Samples below zero are clamped to
 // zero; samples at or above the last bucket's bound land in the final
 // catch-all bucket (its reported upper bound is the recorded Max, which
 // is tracked exactly).
 type LatencyRecorder struct {
-	buckets [latBuckets]uint64
+	buckets *[latBuckets]uint64 // nil until the first sample
 	count   uint64
 	sum     sim.Time
 	max     sim.Time
@@ -68,6 +71,9 @@ func (l *LatencyRecorder) Record(v sim.Time) {
 	if v < 0 {
 		v = 0
 	}
+	if l.buckets == nil {
+		l.buckets = new([latBuckets]uint64)
+	}
 	l.buckets[latBucketIdx(v)]++
 	l.count++
 	l.sum += v
@@ -80,8 +86,13 @@ func (l *LatencyRecorder) Record(v sim.Time) {
 // per-node recorders can be combined in any order with identical
 // results.
 func (l *LatencyRecorder) Merge(other *LatencyRecorder) {
-	for i := range l.buckets {
-		l.buckets[i] += other.buckets[i]
+	if other.buckets != nil {
+		if l.buckets == nil {
+			l.buckets = new([latBuckets]uint64)
+		}
+		for i, c := range other.buckets {
+			l.buckets[i] += c
+		}
 	}
 	l.count += other.count
 	l.sum += other.sum
@@ -119,7 +130,7 @@ func (l *LatencyRecorder) Quantile(q float64) sim.Time {
 		rank = l.count
 	}
 	var seen uint64
-	for i, c := range l.buckets {
+	for i, c := range l.buckets { // count > 0, so the buckets exist
 		seen += c
 		if seen >= rank {
 			u := latBucketUpper(i)
@@ -138,7 +149,11 @@ func (l *LatencyRecorder) DigestInto(d *sim.Digest) {
 	d.U64(l.count)
 	d.U64(uint64(l.sum))
 	d.U64(uint64(l.max))
-	for _, c := range l.buckets {
+	b := l.buckets
+	if b == nil {
+		b = new([latBuckets]uint64) // folds as the zero buckets it stands for
+	}
+	for _, c := range b {
 		d.U64(c)
 	}
 }

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -103,7 +104,7 @@ func TestMergeAssociativeCommutative(t *testing.T) {
 		l3.Merge(b())
 		l3.Merge(a())
 
-		return *l1 == *l2 && *l1 == *l3
+		return reflect.DeepEqual(l1, l2) && reflect.DeepEqual(l1, l3)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -166,6 +167,55 @@ func TestEmptyRecorder(t *testing.T) {
 	}
 	if l.Throughput(sim.Second) != 0 {
 		t.Fatal("empty throughput nonzero")
+	}
+}
+
+// TestNilBucketsActAsEmpty: a recorder that never recorded holds no
+// bucket array, and it must behave exactly like an empty one — as the
+// source or the target of a Merge, in Quantile/Count, and in the state
+// digest, which folds its buckets as zeros.
+func TestNilBucketsActAsEmpty(t *testing.T) {
+	var empty LatencyRecorder
+	if empty.buckets != nil {
+		t.Fatal("zero recorder allocated buckets")
+	}
+	full := recorderOf([]sim.Time{3, 40, 5000, 60000})
+	want := *full.buckets
+
+	// Merging an empty recorder in changes nothing and allocates nothing.
+	full.Merge(&empty)
+	if *full.buckets != want || full.Count() != 4 {
+		t.Fatalf("merging an empty recorder changed the target: %+v", full.Summary())
+	}
+	var sink LatencyRecorder
+	sink.Merge(&empty)
+	if sink.buckets != nil || sink.Count() != 0 || sink.Quantile(0.5) != 0 {
+		t.Fatalf("empty+empty = %+v, buckets allocated = %v", sink.Summary(), sink.buckets != nil)
+	}
+
+	// Merging into an empty recorder copies the distribution, not the
+	// array: later samples on either side stay separate.
+	sink.Merge(full)
+	if !reflect.DeepEqual(&sink, full) {
+		t.Fatalf("empty+full = %+v, want %+v", sink.Summary(), full.Summary())
+	}
+	for _, q := range []float64{0.25, 0.5, 0.99, 1} {
+		if sink.Quantile(q) != full.Quantile(q) {
+			t.Fatalf("Quantile(%v) = %d after merge, want %d", q, sink.Quantile(q), full.Quantile(q))
+		}
+	}
+	sink.Record(7)
+	if *full.buckets != want {
+		t.Fatal("a sample recorded after Merge reached the merged-from recorder")
+	}
+
+	// The digest of an absent array equals the digest of zero buckets.
+	withZeros := LatencyRecorder{buckets: new([latBuckets]uint64)}
+	d1, d2 := sim.NewDigest(), sim.NewDigest()
+	empty.DigestInto(d1)
+	withZeros.DigestInto(d2)
+	if d1.Sum() != d2.Sum() {
+		t.Fatal("empty recorder digests differently from zero buckets")
 	}
 }
 
