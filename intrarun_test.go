@@ -109,7 +109,7 @@ func scaleMatrixConfig(nodes int, tp genima.Topology, radix int, collectives boo
 // across -jrun 1/4 x -lpshards 1/8/auto, with and without 1% faults.
 // This is the configuration family the LP-sharding work targets — a
 // shard-count change must never change the simulation, only its
-// wall-clock. The 512-node leg is skipped under -short (it dominates
+// wall-clock. Each serial leg is also pinned to a recorded golden hash. The 512-node leg is skipped under -short (it dominates
 // the race-detector budget; the 128-node leg still covers sharded
 // clusters there).
 func TestIntraRunScaleTraceByteIdentical(t *testing.T) {
@@ -120,18 +120,27 @@ func TestIntraRunScaleTraceByteIdentical(t *testing.T) {
 		radix       int
 		proto       genima.Protocol
 		collectives bool
+		golden      [2]string // serial trace hash, faults off and on
 	}{
 		// NI-firmware collective tree on a 2-stage clos: fabric-heavy.
-		{"clos2-128", 128, genima.TopoClos2, 16, genima.GeNIMA, true},
+		{"clos2-128", 128, genima.TopoClos2, 16, genima.GeNIMA, true, [2]string{
+			"090088af80fed1029f06f7ab8cfeef34975af97ed9d1e4f440216f1d2c9e0417",
+			"20382efb1d78c0c5bf0716c724aa266b671ec6f24443681d9de4e5192aa28181"}},
 		// Flat interrupt barrier on a 3-stage fat tree: interrupt-heavy.
-		{"fattree-512", 512, genima.TopoFatTree, 16, genima.Base, false},
+		{"fattree-512", 512, genima.TopoFatTree, 16, genima.Base, false, [2]string{
+			"749e5282bc7207cc0e20f23a029d062a42e7de30c8140b64403a3cb8115526d1",
+			"100867ea9cbfae93dd4e7ed5448d79d42046ab82b09304a52a0b48d7c6e9a31d"}},
 	} {
 		if pt.nodes >= 512 && testing.Short() {
 			continue
 		}
-		for _, faults := range []bool{false, true} {
+		for fi, faults := range []bool{false, true} {
 			serial := traceHash(t, "barrierbench", pt.proto,
 				scaleMatrixConfig(pt.nodes, pt.topo, pt.radix, pt.collectives, 1, 0, faults))
+			if serial != pt.golden[fi] {
+				t.Errorf("%s faults=%v: serial trace drifted from golden:\n got %s\nwant %s",
+					pt.name, faults, serial, pt.golden[fi])
+			}
 			for _, shards := range []int{1, 8, 0} {
 				got := traceHash(t, "barrierbench", pt.proto,
 					scaleMatrixConfig(pt.nodes, pt.topo, pt.radix, pt.collectives, 4, shards, faults))

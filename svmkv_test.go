@@ -69,7 +69,8 @@ func TestSvmkvTraceByteIdentical(t *testing.T) {
 
 // TestSvmkvScaleTraceByteIdentical composes the serving workload with
 // the multi-stage fabrics at 64–512 nodes: byte-identical across
-// -jrun 1/4 x -lpshards 1/8/auto, with and without faults. The 512-node
+// -jrun 1/4 x -lpshards 1/8/auto, with and without faults, each serial
+// leg pinned to a recorded golden hash. The 512-node
 // fat-tree leg is skipped under -short (same budget rule as
 // TestIntraRunScaleTraceByteIdentical).
 func TestSvmkvScaleTraceByteIdentical(t *testing.T) {
@@ -80,16 +81,25 @@ func TestSvmkvScaleTraceByteIdentical(t *testing.T) {
 		radix       int
 		proto       genima.Protocol
 		collectives bool
+		golden      [2]string // serial trace hash, faults off and on
 	}{
-		{"clos2-64", 64, genima.TopoClos2, 16, genima.GeNIMA, true},
-		{"fattree-512", 512, genima.TopoFatTree, 16, genima.Base, false},
+		{"clos2-64", 64, genima.TopoClos2, 16, genima.GeNIMA, true, [2]string{
+			"bfe05d9866b244a9fa1460531a405d2162a31e3e4073a25c1fe982b3c1ad18a3",
+			"9a834c4b0d26cef3ddb107a1b812c9b0572089ae9a4aac52da231e4779d20695"}},
+		{"fattree-512", 512, genima.TopoFatTree, 16, genima.Base, false, [2]string{
+			"d125587f0fa1dd1b5e0093654c04fa6b467f2d61f81867a6cb0badd30a56100c",
+			"d23bcc1c0bd54f6f9a7d712d812d36dcc38c5f5053bb5919151401626e24becd"}},
 	} {
 		if pt.nodes >= 512 && testing.Short() {
 			continue
 		}
-		for _, faults := range []bool{false, true} {
+		for fi, faults := range []bool{false, true} {
 			serial := traceHash(t, "svmkv", pt.proto,
 				scaleMatrixConfig(pt.nodes, pt.topo, pt.radix, pt.collectives, 1, 0, faults))
+			if serial != pt.golden[fi] {
+				t.Errorf("svmkv %s faults=%v: serial trace drifted from golden:\n got %s\nwant %s",
+					pt.name, faults, serial, pt.golden[fi])
+			}
 			for _, shards := range []int{1, 8, 0} {
 				got := traceHash(t, "svmkv", pt.proto,
 					scaleMatrixConfig(pt.nodes, pt.topo, pt.radix, pt.collectives, 4, shards, faults))
