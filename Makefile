@@ -1,15 +1,19 @@
 # Tier-1 verification and perf targets. `make check` is the one-command
-# gate: build, vet, tests, and the race detector over the concurrent
-# suite runner.
+# gate: build, formatting, vet, tests, and the race detector over the
+# concurrent suite runner.
 
 GO ?= go
 
-.PHONY: check build vet test race race-intrarun smoke-faults smoke-scale smoke-soak smoke-serve bench-smoke bench-mem loc
+.PHONY: check build fmt vet test race smoke-faults smoke-scale smoke-soak smoke-serve bench-smoke bench-mem loc
 
-check: build vet test race race-intrarun smoke-faults smoke-scale smoke-soak smoke-serve
+check: build fmt vet test race smoke-faults smoke-scale smoke-soak smoke-serve
 
 build:
 	$(GO) build ./...
+
+# fmt fails if any Go file is not gofmt-clean.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...
@@ -17,23 +21,15 @@ vet:
 test:
 	$(GO) test ./...
 
-# race runs every test under the race detector with the -short budget
-# race-intrarun uses: the 512-node leg of the intra-run scale matrix
-# alone outlasts go test's 10-minute timeout under -race on a 2-CPU
-# box. `make test` still runs that leg without -race. The concurrent
-# suite runner's serial-vs-parallel check skips itself under -short,
-# so it is raced on its own.
+# race runs every test under the race detector, the intra-run parallel
+# determinism tests (TestIntraRun*) included, with -short: the 512-node
+# legs of the scale matrices alone outlast go test's 10-minute timeout
+# under -race on a 2-CPU box. `make test` still runs those legs without
+# -race. The concurrent suite runner's serial-vs-parallel check skips
+# itself under -short, so it is raced on its own.
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -run 'TestParallelSuiteMatchesSerial' -count=1 .
-
-# race-intrarun runs the intra-run parallel-simulation determinism
-# tests (byte-identical traces across -jrun and -lpshards combinations,
-# with and without faults) under the race detector, at test scale.
-# -short keeps the 512-node leg out of the race budget; the 128-node
-# sharded matrix still runs, so sharded clusters are race-checked.
-race-intrarun:
-	$(GO) test -race -short -run 'TestIntraRun' -count=1 .
 
 # smoke-faults exercises the fault-injection + NI reliable-delivery
 # recovery path end to end: one short app at a 1% drop rate (with dups,
@@ -46,9 +42,8 @@ smoke-faults:
 # smoke-scale exercises the multi-stage fabrics end to end: one short
 # app on a radix-32 clos2 under Base (interrupt barrier, flat) and
 # GeNIMA (NI collective tree) at 64 nodes, plus a 128-node radix-16
-# clos2 leg under explicit LP sharding (-jrun 4 -lpshards 4) — all
-# intra-run parallel, with 1% faults, validated against the sequential
-# reference.
+# clos2 leg — all intra-run parallel on four node shards (-jrun 4),
+# with 1% faults, validated against the sequential reference.
 smoke-scale:
 	$(GO) run ./cmd/genima-run -app barrierbench -scale test -proto Base \
 		-nodes 64 -procs 1 -topo clos2 -radix 32 -jrun 4 \
@@ -58,7 +53,7 @@ smoke-scale:
 		-faults 0.01 -fault-seed 42 > /dev/null
 	$(GO) run ./cmd/genima-run -app barrierbench -scale test -proto GeNIMA \
 		-nodes 128 -procs 1 -topo clos2 -radix 16 -collectives \
-		-jrun 4 -lpshards 4 -faults 0.01 -fault-seed 42 > /dev/null
+		-jrun 4 -faults 0.01 -fault-seed 42 > /dev/null
 
 # smoke-soak exercises soak-scale long-run ops end to end, asserting
 # checkpoint/restore determinism from the shell like an operator would:

@@ -72,12 +72,12 @@ func ckptCutAndResume(t *testing.T, cfg genima.Config, proto genima.Protocol, ap
 
 func TestCheckpointRestoreByteIdentical(t *testing.T) {
 	modes := []struct {
-		name            string
-		workers, shards int
+		name    string
+		workers int
 	}{
-		{"serial", 1, 0},
-		{"w2s1", 2, 1},
-		{"w4s2", 4, 2},
+		{"serial", 1},
+		{"w2", 2},
+		{"w4", 4},
 	}
 	for _, faulted := range []bool{false, true} {
 		for _, m := range modes {
@@ -88,7 +88,6 @@ func TestCheckpointRestoreByteIdentical(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				cfg := genima.DefaultConfig()
 				cfg.IntraRunWorkers = m.workers
-				cfg.LPShards = m.shards
 				if faulted {
 					cfg.Faults = genima.FaultMix(0.02, 7)
 				}
@@ -178,7 +177,6 @@ func TestCheckpointRestoreAcrossModes(t *testing.T) {
 	}
 	par := serial
 	par.IntraRunWorkers = 4
-	par.LPShards = 2
 	res, err := genima.RunCheckpointed(par, genima.GeNIMA, a, genima.CheckpointOptions{
 		App: "fft", Scale: "test", Every: 50, Restore: st,
 	})
@@ -186,7 +184,7 @@ func TestCheckpointRestoreAcrossModes(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.TraceHash != want {
-		t.Errorf("serial checkpoint restored under w4s2: hash %s != %s", res.TraceHash, want)
+		t.Errorf("serial checkpoint restored under w4: hash %s != %s", res.TraceHash, want)
 	}
 }
 

@@ -75,8 +75,8 @@ type CheckpointedResult struct {
 // RunCheckpointed executes a workload under an SVM protocol with
 // rolling checkpoints, restore, and graceful shutdown. A run restored
 // at cut k and carried to completion produces a TraceHash byte-
-// identical to an uninterrupted run — under any (IntraRunWorkers,
-// LPShards) combination, since the trace stream is mode-independent.
+// identical to an uninterrupted run — under any IntraRunWorkers, since
+// the trace stream is mode-independent.
 func RunCheckpointed(cfg Config, p Protocol, a App, opts CheckpointOptions) (*CheckpointedResult, error) {
 	every := opts.Every
 	if every == 0 {
@@ -173,12 +173,13 @@ func RunCheckpointed(cfg Config, p Protocol, a App, opts CheckpointOptions) (*Ch
 }
 
 // runMode resolves the execution mode a config selects: the worker
-// count and the effective shard count (0 shards on the serial path,
-// which builds no cluster at all). StateDigest values are only
-// comparable between identical modes.
+// count and the shard count, one per worker clamped to Nodes as
+// NewCluster does (0 shards on the serial path, which builds no
+// cluster at all). StateDigest values are only comparable between
+// identical modes.
 func runMode(cfg *Config) (workers, shards int) {
 	if cfg.IntraRunWorkers > 1 && cfg.Nodes > 1 {
-		return cfg.IntraRunWorkers, cfg.EffectiveLPShards()
+		return cfg.IntraRunWorkers, min(cfg.IntraRunWorkers, cfg.Nodes)
 	}
 	return 1, 0
 }

@@ -39,7 +39,6 @@ var (
 	memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	faultsFlag = flag.Float64("faults", 0, "link fault injection for the main suite: packet drop rate (0,1) per FaultMix; 0 disables")
 	seedFlag   = flag.Uint64("fault-seed", 1, "deterministic seed for -faults and the faultsweep experiment")
-	lpsFlag    = flag.Int("lpshards", 0, "soak: node shards (logical processes) per intra-run iteration; 0 = auto (min(-soak-jrun, nodes))")
 
 	soakEvents    = flag.Uint64("soak-events", 100_000_000, "soak: stop once cumulative simulated events reach this total (0 = bound by -soak-iters alone)")
 	soakIters     = flag.Uint64("soak-iters", 0, "soak: iteration cap (0 = bound by -soak-events alone)")
@@ -100,7 +99,6 @@ func runSoak(scaleName string) {
 	cfg.Nodes = *nodesFlag
 	cfg.ProcsPerNode = *procsFlag
 	cfg.IntraRunWorkers = *soakJrun
-	cfg.LPShards = *lpsFlag
 	opts := genima.SoakOptions{
 		Scale:          scaleName,
 		TargetEvents:   *soakEvents,

@@ -47,7 +47,6 @@ var (
 	faultsFlag = flag.Float64("faults", 0, "link fault injection: packet drop rate (0,1), with dups/delays/corruption mixed in per FaultMix; 0 disables")
 	seedFlag   = flag.Uint64("fault-seed", 1, "deterministic seed for the fault plan (used with -faults)")
 	jrunFlag   = flag.Int("jrun", 1, "intra-run simulation workers executing shard logical processes; any value yields a byte-identical result")
-	lpsFlag    = flag.Int("lpshards", 0, "node shards (logical processes) for intra-run parallelism; 0 = auto (min(jrun, nodes)); any value yields a byte-identical result")
 
 	ckptFlag      = flag.String("checkpoint", "", "write a rolling checkpoint to this file (SIGINT/SIGTERM also flush one and exit 128+sig)")
 	ckptEveryFlag = flag.Uint64("checkpoint-every", genima.DefaultCheckpointEvery, "trace events between checkpoint/stats boundaries")
@@ -75,7 +74,6 @@ func main() {
 	cfg.ScatterGather = *sgFlag
 	cfg.NIBroadcast = *bcastFlag
 	cfg.IntraRunWorkers = *jrunFlag
-	cfg.LPShards = *lpsFlag
 	topo, terr := genima.ParseTopo(*topoFlag)
 	if terr != nil {
 		fatal(terr)

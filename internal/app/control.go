@@ -80,18 +80,19 @@ func RunSVMControlled(cfg topo.Config, kind core.Kind, a App, ctl *RunControl) (
 	}
 	// Intra-run parallelism: with more than one worker and more than one
 	// node, the run is partitioned into shard-granular logical processes
-	// under a conservative PDES cluster (LPShards node shards plus the
-	// fabric LP; see Config.EffectiveLPShards). The serial path builds no
-	// cluster at all, so it is exactly the engine the goldens were
-	// recorded on. The wiring below is bipartite by construction — nodes
-	// talk to other nodes only through fabric links and switches
-	// (TransferCross/RouteCross in internal/network), and NI-local timers
-	// stay on their own LP — so the cluster may batch windows per class.
+	// under a conservative PDES cluster (one node shard per worker,
+	// clamped to Nodes by NewCluster, plus the fabric LP). The serial
+	// path builds no cluster at all, so it is exactly the engine the
+	// goldens were recorded on. The wiring below is bipartite by
+	// construction — nodes talk to other nodes only through fabric links
+	// and switches (TransferCross/RouteCross in internal/network), and
+	// NI-local timers stay on their own LP — so the cluster may batch
+	// windows per class.
 	var cl *sim.Cluster
 	var eng *sim.Engine
 	if cfg.IntraRunWorkers > 1 && cfg.Nodes > 1 {
 		nodeLA, fabLA := cfg.Lookaheads()
-		cl = sim.NewCluster(cfg.Nodes, cfg.EffectiveLPShards(), cfg.IntraRunWorkers, nodeLA, fabLA)
+		cl = sim.NewCluster(cfg.Nodes, cfg.IntraRunWorkers, cfg.IntraRunWorkers, nodeLA, fabLA)
 		cl.MarkBipartite()
 		eng = cl.Main()
 		defer cl.Release()

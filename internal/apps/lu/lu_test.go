@@ -31,7 +31,7 @@ func TestFactorizationReconstructs(t *testing.T) {
 	}
 	mat := ws.Region("mat")
 
-	get := func(w *app.Workspace, r interface{ End() int }, i, j int) float64 {
+	get := func(w *app.Workspace, i, j int) float64 {
 		bi, bj := i/a.b, j/a.b
 		x, y := i%a.b, j%a.b
 		off := a.blockOff(bi, bj) + x*a.b + y
@@ -50,14 +50,14 @@ func TestFactorizationReconstructs(t *testing.T) {
 				if k == i {
 					l = 1
 				} else if k < i {
-					l = get(ws, mat, i, k)
+					l = get(ws, i, k)
 				}
-				u := get(ws, mat, k, j)
+				u := get(ws, k, j)
 				if k <= j {
 					s += l * u
 				}
 			}
-			want := get(orig, matO, i, j)
+			want := get(orig, i, j)
 			if math.Abs(s-want) > 1e-6*(1+math.Abs(want)) {
 				t.Fatalf("LU reconstruction at (%d,%d): %g vs %g", i, j, s, want)
 			}

@@ -86,14 +86,13 @@ type State struct {
 }
 
 // ConfigSum fingerprints a cluster configuration for restore-time
-// compatibility checking. Execution-mode fields (IntraRunWorkers,
-// LPShards) are zeroed first: they change how the run is executed, not
-// what it computes, and a checkpoint taken under one mode may be
-// restored under another.
+// compatibility checking. The execution-mode field IntraRunWorkers is
+// zeroed first: it changes how the run is executed, not what it
+// computes, and a checkpoint taken under one mode may be restored under
+// another.
 func ConfigSum(cfg *topo.Config) [32]byte {
 	c := *cfg
 	c.IntraRunWorkers = 0
-	c.LPShards = 0
 	return sha256.Sum256([]byte(fmt.Sprintf("%#v", c)))
 }
 

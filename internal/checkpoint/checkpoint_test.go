@@ -130,11 +130,10 @@ func TestCompatibleWith(t *testing.T) {
 	if err := st.CompatibleWith(&other, "fft", "GeNIMA", "test"); err == nil {
 		t.Fatal("config mismatch accepted")
 	}
-	// Mode fields must NOT participate in ConfigSum: a checkpoint can be
-	// restored under a different (jrun, lpshards).
+	// The mode field must NOT participate in ConfigSum: a checkpoint can
+	// be restored under a different -jrun.
 	modal := topo.Default()
 	modal.IntraRunWorkers = 8
-	modal.LPShards = 4
 	if err := st.CompatibleWith(&modal, "fft", "GeNIMA", "test"); err != nil {
 		t.Fatalf("mode-only config change rejected: %v", err)
 	}

@@ -256,9 +256,9 @@ func (rp *recordPool) getVec() []uint64 {
 func (rp *recordPool) putVec(v []uint64) { rp.vec.push(v) }
 
 // Shared packet deliverers: singletons invoked by the NI when the final
-// packet of a protocol message lands, replacing per-send OnDeliver
-// closures. Stateless ones are package-level; the ones that must map
-// pkt.Dst to a *Node live on System.
+// packet of a protocol message lands, so no send builds a closure.
+// Stateless ones are package-level; the ones that must map pkt.Dst to a
+// *Node live on System.
 
 // pageReplyDeliver completes a Base page fetch: the reply data was
 // written into the pooled request record at reply time, so delivery

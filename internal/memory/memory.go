@@ -33,9 +33,6 @@ type Region struct {
 	Size int
 }
 
-// End returns the first byte offset past the region.
-func (r Region) End() int { return r.Base + r.Size }
-
 // Space is the shared virtual address space: the page/home map plus the
 // canonical home copy of every page. Node-local copies live in NodeMem.
 type Space struct {
@@ -98,9 +95,6 @@ func (s *Space) Home(page int) int { return s.homes[page] }
 // HomeCopy returns the authoritative home copy of a page. Only the home
 // node's protocol (or the hardware-DSM model) may mutate it.
 func (s *Space) HomeCopy(page int) []byte { return s.home[page] }
-
-// PageOf returns the page containing byte offset addr.
-func (s *Space) PageOf(addr int) int { return addr / s.PageSize }
 
 // PageRange returns the inclusive page span [first,last] covering
 // [addr, addr+size).
@@ -191,9 +185,6 @@ func (m *NodeMem) Page(page int) []byte {
 	}
 	return m.pages[page]
 }
-
-// HasCopy reports whether the node has materialized a copy of page.
-func (m *NodeMem) HasCopy(page int) bool { return m.pages[page] != nil }
 
 // InstallCopy replaces the node's copy of a page with data (a fetched
 // page); the slice is copied.
@@ -404,20 +395,6 @@ func RunsBytes(runs []Run) int {
 		n += len(r.Data)
 	}
 	return n
-}
-
-// CloneRuns deep-copies runs so they survive further page mutation. All
-// clones share one backing allocation (a diff is cloned and applied as a
-// unit), collapsing len(runs)+1 allocations into two.
-func CloneRuns(runs []Run) []Run {
-	out := make([]Run, len(runs))
-	buf := make([]byte, 0, RunsBytes(runs))
-	for i, r := range runs {
-		start := len(buf)
-		buf = append(buf, r.Data...)
-		out[i] = Run{Off: r.Off, Data: buf[start:len(buf):len(buf)]}
-	}
-	return out
 }
 
 // MprotectCost returns the virtual-time cost and the number of mprotect

@@ -98,21 +98,6 @@ func BenchmarkMakeTwin(b *testing.B) {
 	}
 }
 
-// BenchmarkCloneRuns measures diff snapshotting (one backing buffer).
-func BenchmarkCloneRuns(b *testing.B) {
-	cur, old := benchPages(func(cur []byte, r *rand.Rand) {
-		for i := 0; i < 32; i++ {
-			cur[(i*127+5)*4%benchPage] ^= 0x5a
-		}
-	})
-	runs := DiffWords(cur, old, 4)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		CloneRuns(runs)
-	}
-}
-
 // BenchmarkMprotectCost measures the call-coalescing cost model on a
 // mixed contiguous/scattered invalidation set.
 func BenchmarkMprotectCost(b *testing.B) {

@@ -50,10 +50,16 @@ func broadcast(eng *sim.Engine, sys *nic.System, src int, dsts []int, n int) map
 	eng.Go("bcast", func(p *sim.Proc) {
 		tmpl := ni.NewPacket()
 		tmpl.Src, tmpl.Dst, tmpl.Size = src, -1, n
-		ni.PostBroadcast(p, tmpl, dsts, func(dst int) { arrive[dst] = eng.Now() })
+		tmpl.DeliverTo = deliverFunc(func(pkt *nic.Packet) { arrive[pkt.Dst] = eng.Now() })
+		ni.PostBroadcast(p, tmpl, dsts)
 	})
 	return arrive
 }
+
+// deliverFunc adapts a test closure to nic.Deliverer.
+type deliverFunc func(pkt *nic.Packet)
+
+func (f deliverFunc) Deliver(pkt *nic.Packet) { f(pkt) }
 
 // wire is a delivered packet's time from network entry (out-link done)
 // to its last byte at the destination NI: switch hops plus in-link,
@@ -207,7 +213,7 @@ func TestBroadcastFanOutIndependentInLinks(t *testing.T) {
 	arrive := broadcast(eng, sys, 0, []int{1, 2, 3}, 64)
 	eng.RunUntilQuiet()
 	if len(arrive) != 3 {
-		t.Fatalf("%d arrivals, want 3", len(arrive))
+		t.Fatalf("%d deliverFunc, want 3", len(arrive))
 	}
 	if arrive[1] != arrive[3] {
 		t.Errorf("idle destinations arrived apart: %d vs %d", arrive[1], arrive[3])
@@ -283,7 +289,7 @@ func TestMultiStageBroadcastTraversesFirstSwitchOnce(t *testing.T) {
 	arrive := broadcast(eng, sys, 0, []int{1, 5}, 64)
 	eng.RunUntilQuiet()
 	if len(arrive) != 2 {
-		t.Fatalf("%d arrivals", len(arrive))
+		t.Fatalf("%d deliverFunc", len(arrive))
 	}
 	// The shared leaf hop is charged once: exactly 1 (shared leaf) +
 	// 2 (spine+leaf for dst 5) hops of busy time in total.

@@ -13,6 +13,11 @@ type thunk func()
 
 func (f thunk) Run(_, _ sim.Time) { f() }
 
+// deliverFunc adapts a test closure to Deliverer.
+type deliverFunc func(pkt *Packet)
+
+func (f deliverFunc) Deliver(pkt *Packet) { f(pkt) }
+
 func newTestSystem(t *testing.T) (*sim.Engine, *System, *topo.Config) {
 	t.Helper()
 	eng := sim.NewEngine()
@@ -45,12 +50,12 @@ func TestCalibrationPageTransfer(t *testing.T) {
 	}
 }
 
-func TestDeliveryRunsOnDeliver(t *testing.T) {
+func TestDeliveryRunsDeliverTo(t *testing.T) {
 	eng, sys, _ := newTestSystem(t)
 	var deliveredAt sim.Time
 	eng.Go("sender", func(p *sim.Proc) {
 		pkt := &Packet{Src: 0, Dst: 1, Size: 64, Kind: "test",
-			OnDeliver: func() { deliveredAt = eng.Now() }}
+			DeliverTo: deliverFunc(func(*Packet) { deliveredAt = eng.Now() })}
 		sys.NIs[0].Post(p, pkt)
 	})
 	eng.RunUntilQuiet()
@@ -74,7 +79,7 @@ func TestPerPairFIFOOrder(t *testing.T) {
 				size = 4096 // mix sizes; order must still hold per pair
 			}
 			sys.NIs[0].Post(p, &Packet{Src: 0, Dst: 1, Size: size,
-				OnDeliver: func() { order = append(order, i) }})
+				DeliverTo: deliverFunc(func(*Packet) { order = append(order, i) })})
 		}
 	})
 	eng.RunUntilQuiet()
@@ -104,7 +109,7 @@ func TestFIFOProperty(t *testing.T) {
 				i := i
 				sz := int(s)%4096 + 1
 				sys.NIs[0].Post(p, &Packet{Src: 0, Dst: 2, Size: sz,
-					OnDeliver: func() { order = append(order, i) }})
+					DeliverTo: deliverFunc(func(*Packet) { order = append(order, i) })})
 			}
 		})
 		eng.RunUntilQuiet()
@@ -136,7 +141,7 @@ func TestFirmwareHandledPacketSkipsHostDMA(t *testing.T) {
 				}
 			}})
 		sys.NIs[0].Post(p, &Packet{Src: 0, Dst: 1, Size: 32,
-			OnDeliver: func() { depositAt = eng.Now() }})
+			DeliverTo: deliverFunc(func(*Packet) { depositAt = eng.Now() })})
 	})
 	eng.RunUntilQuiet()
 	if fwAt == 0 || depositAt == 0 {
@@ -155,7 +160,7 @@ func TestFirmwareSendSkipsPostQueue(t *testing.T) {
 	delivered := false
 	eng.AtHandler(0, 0, thunk(func() {
 		sys.NIs[2].FirmwareSend(&Packet{Src: 2, Dst: 3, Size: 16, Kind: "grant",
-			OnDeliver: func() { delivered = true }}, false)
+			DeliverTo: deliverFunc(func(*Packet) { delivered = true })}, false)
 	}))
 	eng.RunUntilQuiet()
 	if !delivered {
@@ -266,7 +271,8 @@ func TestBroadcastCopiesComeFromPool(t *testing.T) {
 	eng.Go("s", func(p *sim.Proc) {
 		tmpl := ni.NewPacket()
 		tmpl.Src, tmpl.Dst, tmpl.Size, tmpl.Kind = 0, -1, 128, "bcast"
-		ni.PostBroadcast(p, tmpl, []int{1, 2, 3}, func(int) { delivered++ })
+		tmpl.DeliverTo = deliverFunc(func(*Packet) { delivered++ })
+		ni.PostBroadcast(p, tmpl, []int{1, 2, 3})
 	})
 	eng.RunUntilQuiet()
 	if delivered != 3 {
@@ -359,7 +365,7 @@ func TestSendPipeliningReducesLANaiOccupancy(t *testing.T) {
 		eng.Go("s", func(p *sim.Proc) {
 			for i := 0; i < 100; i++ {
 				sys.NIs[0].Post(p, &Packet{Src: 0, Dst: 1, Size: 32,
-					OnDeliver: func() { last = eng.Now() }})
+					DeliverTo: deliverFunc(func(*Packet) { last = eng.Now() })})
 			}
 		})
 		eng.RunUntilQuiet()

@@ -45,9 +45,9 @@ type transit struct {
 	eng  *sim.Engine
 	pool *pktPool
 
-	// Broadcast template state (nil/zero on unicast and per-dst copies).
-	dsts         []int
-	bcastDeliver func(dst int)
+	// Broadcast template's destination set (nil on unicast and
+	// per-destination copies).
+	dsts []int
 
 	// Broadcast retransmission entries, parallel to dsts, filled at
 	// sequence-stamp time when reliable delivery is on (reliable.go).
@@ -203,12 +203,8 @@ func (t *transit) Run(_, end sim.Time) {
 		dst := t.ni.peers[pkt.Dst]
 		pkt.tDone = end
 		dst.mon.record(dst, pkt)
-		if t.bcastDeliver != nil {
-			t.bcastDeliver(pkt.Dst)
-		} else if pkt.DeliverTo != nil {
+		if pkt.DeliverTo != nil {
 			pkt.DeliverTo.Deliver(pkt)
-		} else if pkt.OnDeliver != nil {
-			pkt.OnDeliver()
 		}
 		t.recycle()
 	}
@@ -250,14 +246,13 @@ func (t *transit) dupArrival() {
 	cp.Payload = pkt.Payload
 	cp.Meta, cp.Meta2 = pkt.Meta, pkt.Meta2
 	cp.FwHandler, cp.FwService = pkt.FwHandler, pkt.FwService
-	cp.DeliverTo, cp.OnDeliver = pkt.DeliverTo, pkt.OnDeliver
+	cp.DeliverTo = pkt.DeliverTo
 	cp.Seq, cp.Ack, cp.Csum, cp.RelFlags = pkt.Seq, pkt.Ack, pkt.Csum, pkt.RelFlags
 	cp.tPost, cp.tSrc, cp.tInject = pkt.tPost, pkt.tSrc, pkt.tInject
 	td := t.pool.getTransit()
 	td.ni = t.ni
 	td.pkt = cp
 	td.stage = stInLink
-	td.bcastDeliver = t.bcastDeliver
 	td.eng, td.pool = t.eng, t.pool
 	t.ni.fabric.In[pkt.Dst].TransferHandler(cp.Size, td)
 }
@@ -272,25 +267,7 @@ func (t *transit) dupArrival() {
 func (t *transit) fanOut() {
 	tmpl := t.pkt
 	for i, dst := range t.dsts {
-		cp := t.pool.getPacket()
-		cp.Src, cp.Dst, cp.Size, cp.Kind = tmpl.Src, dst, tmpl.Size, tmpl.Kind
-		cp.Payload = tmpl.Payload
-		cp.Meta, cp.Meta2 = tmpl.Meta, tmpl.Meta2
-		cp.DeliverTo = tmpl.DeliverTo
-		cp.FwService = tmpl.FwService
-		cp.tPost, cp.tSrc, cp.tInject = tmpl.tPost, tmpl.tSrc, tmpl.tInject
-		if len(t.entries) > 0 {
-			// Per-destination reliability header from the stamp-time
-			// entry; tmpl.Csum carries corruption accumulated on the
-			// shared prefix (zero otherwise).
-			e := t.entries[i]
-			cp.Seq, cp.Ack, cp.RelFlags = e.pkt.Seq, e.pkt.Ack, e.pkt.RelFlags
-			cp.Csum = e.pkt.Csum ^ tmpl.Csum
-		}
-		td := t.pool.getTransit()
-		td.ni = t.ni
-		td.pkt = cp
-		td.bcastDeliver = t.bcastDeliver
+		td := t.copyFor(i, t.pool)
 		td.eng, td.pool = t.eng, t.pool
 		if route := t.ni.fabric.Route(tmpl.Src, dst); len(route) > 1 {
 			td.stage = stSwitch
@@ -300,9 +277,35 @@ func (t *transit) fanOut() {
 			continue
 		}
 		td.stage = stInLink
-		t.ni.fabric.In[dst].TransferHandler(cp.Size, td)
+		t.ni.fabric.In[dst].TransferHandler(td.pkt.Size, td)
 	}
 	t.recycle()
+}
+
+// copyFor builds the transit of the broadcast template's i-th
+// per-destination copy, drawing the packet and transit from pool. The
+// caller sets the copy's stage, route and owning LP.
+func (t *transit) copyFor(i int, pool *pktPool) *transit {
+	tmpl := t.pkt
+	cp := pool.getPacket()
+	cp.Src, cp.Dst, cp.Size, cp.Kind = tmpl.Src, t.dsts[i], tmpl.Size, tmpl.Kind
+	cp.Payload = tmpl.Payload
+	cp.Meta, cp.Meta2 = tmpl.Meta, tmpl.Meta2
+	cp.DeliverTo = tmpl.DeliverTo
+	cp.FwService = tmpl.FwService
+	cp.tPost, cp.tSrc, cp.tInject = tmpl.tPost, tmpl.tSrc, tmpl.tInject
+	if len(t.entries) > 0 {
+		// Per-destination reliability header from the stamp-time
+		// entry; tmpl.Csum carries corruption accumulated on the
+		// shared prefix (zero otherwise).
+		e := t.entries[i]
+		cp.Seq, cp.Ack, cp.RelFlags = e.pkt.Seq, e.pkt.Ack, e.pkt.RelFlags
+		cp.Csum = e.pkt.Csum ^ tmpl.Csum
+	}
+	td := pool.getTransit()
+	td.ni = t.ni
+	td.pkt = cp
+	return td
 }
 
 // parFanOut is the parallel run's broadcast fan-out, executed on the
@@ -322,23 +325,8 @@ func (t *transit) parFanOut(fl *fabLP) {
 	tmpl := t.pkt
 	start, routeEnd := t.ni.fabric.Switches[t.ni.fabric.Desc.FirstSwitch(tmpl.Src)].Reserve()
 	for i, dst := range t.dsts {
-		cp := fl.pool.getPacket()
-		cp.Src, cp.Dst, cp.Size, cp.Kind = tmpl.Src, dst, tmpl.Size, tmpl.Kind
-		cp.Payload = tmpl.Payload
-		cp.Meta, cp.Meta2 = tmpl.Meta, tmpl.Meta2
-		cp.DeliverTo = tmpl.DeliverTo
-		cp.FwService = tmpl.FwService
-		cp.tPost, cp.tSrc, cp.tInject = tmpl.tPost, tmpl.tSrc, tmpl.tInject
-		if len(t.entries) > 0 {
-			e := t.entries[i]
-			cp.Seq, cp.Ack, cp.RelFlags = e.pkt.Seq, e.pkt.Ack, e.pkt.RelFlags
-			cp.Csum = e.pkt.Csum ^ tmpl.Csum
-		}
-		td := fl.pool.getTransit()
-		td.ni = t.ni
-		td.pkt = cp
+		td := t.copyFor(i, &fl.pool)
 		td.stage = stSwitch
-		td.bcastDeliver = t.bcastDeliver
 		td.route = t.ni.fabric.Route(tmpl.Src, dst)
 		td.hop = 0
 		if len(td.route) > 1 {

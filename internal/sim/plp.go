@@ -16,10 +16,11 @@ import (
 // typed 4-ary heap, clock, and Handler dispatch — and LPs exchange
 // timestamped events only through Engine.Send, never by scheduling
 // into each other's heaps directly. Sharding (NewCluster's shards
-// argument, CLI -lpshards) is what makes big runs cheap: traffic
-// between nodes of the same shard never crosses an LP boundary, and
-// every per-round cost (horizon computation, barrier merge, key
-// rewrite) scales with the number of shards, not the number of nodes.
+// argument; a run uses one shard per worker) is what makes big runs
+// cheap: traffic between nodes of the same shard never crosses an LP
+// boundary, and every per-round cost (horizon computation, barrier
+// merge, key rewrite) scales with the number of shards, not the number
+// of nodes.
 //
 // Synchronization is barrier-window conservative PDES. Every round
 // each LP executes its events below a horizon — a proven lower bound

@@ -37,23 +37,12 @@ type Config struct {
 	SendPipelining int
 
 	// IntraRunWorkers is the number of OS threads executing one
-	// simulation in parallel (conservative PDES with node-shard logical
-	// processes plus one for the fabric, lookahead derived from
-	// Costs.LinkFixed/SwitchFixed). 0 or 1 selects the serial engine;
-	// any value produces a byte-identical event trace. The cmd-line
-	// knob is -jrun.
+	// simulation in parallel (conservative PDES with one node-shard
+	// logical process per worker, at most Nodes of them, plus one for
+	// the fabric; lookahead derived from Costs.LinkFixed/SwitchFixed).
+	// 0 or 1 selects the serial engine; any value produces a
+	// byte-identical event trace. The cmd-line knob is -jrun.
 	IntraRunWorkers int
-
-	// LPShards is the number of node-shard logical processes a parallel
-	// run is partitioned into: nodes are block-partitioned onto LPShards
-	// shard LPs (plus one fabric LP), so barrier and merge cost scales
-	// with shards instead of nodes and intra-shard traffic never crosses
-	// an LP boundary. 0 selects the default, min(IntraRunWorkers,
-	// Nodes); values above Nodes are clamped to Nodes (one LP per node,
-	// the pre-sharding shape). Any value produces a byte-identical event
-	// trace. Ignored by the serial engine. The cmd-line knob is
-	// -lpshards.
-	LPShards int
 
 	// Faults configures deterministic network fault injection plus the
 	// NI-firmware reliable-delivery layer that masks it (sequence
@@ -398,8 +387,6 @@ func (c *Config) Validate() error {
 		// fixed link and switch latencies; zero lookahead cannot make
 		// progress.
 		return errf("IntraRunWorkers = %d needs Costs.LinkFixed > 0 and Costs.SwitchFixed > 0 (lookahead)", c.IntraRunWorkers)
-	case c.LPShards < 0:
-		return errf("LPShards = %d, need >= 0 (0 = auto)", c.LPShards)
 	}
 	if err := c.validateFabric(); err != nil {
 		return err
@@ -448,25 +435,6 @@ func (c *Config) validateFabric() error {
 // topology.
 func (c *Config) Lookaheads() (node, fabric sim.Time) {
 	return c.Costs.LinkFixed, c.Costs.SwitchFixed
-}
-
-// EffectiveLPShards resolves Config.LPShards: 0 defaults to the worker
-// count (one shard LP per executing thread amortizes scheduling
-// overhead per group, and more shards than workers only adds barrier
-// cost), and the result is clamped to [1, Nodes]. The trace is
-// byte-identical for every value; only performance differs.
-func (c *Config) EffectiveLPShards() int {
-	s := c.LPShards
-	if s == 0 {
-		s = c.IntraRunWorkers
-	}
-	if s > c.Nodes {
-		s = c.Nodes
-	}
-	if s < 1 {
-		s = 1
-	}
-	return s
 }
 
 func (fp *FaultPlan) validate(nodes int) error {

@@ -96,8 +96,7 @@ type Layer struct {
 	sys *nic.System
 	eps []*Endpoint
 
-	// intrDel is the shared deliverer for every interrupt-class packet
-	// (replaces a per-send OnDeliver closure).
+	// intrDel is the shared deliverer for every interrupt-class packet.
 	intrDel interruptDeliver
 
 	// NI-lock firmware handlers, bound once here so posting a lock
@@ -160,11 +159,8 @@ type Endpoint struct {
 	// Sink receives interrupt-class messages after the interrupt
 	// dispatch delay. Runs in engine context, so it must not block: the
 	// protocol core's sink queues the message for the node's protocol
-	// process. Takes precedence over InterruptSink when both are set.
+	// process.
 	Sink MsgSink
-	// InterruptSink is the closure form of Sink (tests, ad-hoc
-	// receivers).
-	InterruptSink func(Msg)
 	// Perturb, if set, is invoked once per interrupt so the caller can
 	// charge scheduling perturbation to a compute processor.
 	Perturb func()
@@ -204,65 +200,53 @@ func splitStep(rem, max int) (sz int, last bool) {
 	return max, false
 }
 
-// Deposit asynchronously sends size bytes to node dst, depositing them
-// directly into destination memory. onDeliver (optional) runs in engine
-// context when the last byte lands. The caller is charged only the post
-// overhead (plus any post-queue stall).
-func (ep *Endpoint) Deposit(p *sim.Proc, dst, size int, kind string, payload any, onDeliver func()) {
-	max := ep.layer.cfg.MaxPacket
-	for rem := size; ; {
-		sz, last := splitStep(rem, max)
-		pkt := ep.ni.NewPacket()
-		pkt.Src, pkt.Dst, pkt.Size, pkt.Kind = ep.Node, dst, sz, kind
-		if last {
-			pkt.Payload = payload
-			pkt.OnDeliver = onDeliver
-		}
-		ep.ni.Post(p, pkt)
-		if last {
-			break
-		}
-		rem -= sz
-	}
+// DepositTo asynchronously sends size bytes to node dst, depositing
+// them directly into destination memory. to (optional, a shared
+// dispatcher) is invoked in engine context with the final packet, whose
+// Payload carries the protocol record, when the last byte lands. The
+// caller is charged only the post overhead (plus any post-queue stall).
+func (ep *Endpoint) DepositTo(p *sim.Proc, dst, size int, label string, payload any, to nic.Deliverer) {
+	ep.post(p, dst, size, label, payload, 0, to)
 }
 
-// DepositTo is Deposit with a typed deliverer instead of a closure: to
-// (a shared dispatcher) is invoked with the final packet, whose Payload
-// carries the protocol record, when the last byte lands.
-func (ep *Endpoint) DepositTo(p *sim.Proc, dst, size int, label string, payload any, to nic.Deliverer) {
+// Deposit is DepositTo with a closure: onDeliver (optional) runs when
+// the last byte lands.
+func (ep *Endpoint) Deposit(p *sim.Proc, dst, size int, kind string, payload any, onDeliver func()) {
+	var to nic.Deliverer
+	if onDeliver != nil {
+		to = deliverFunc(onDeliver)
+	}
+	ep.DepositTo(p, dst, size, kind, payload, to)
+}
+
+// deliverFunc adapts Deposit's closure to nic.Deliverer. A func value
+// is pointer-shaped, so the conversion allocates nothing.
+type deliverFunc func()
+
+func (f deliverFunc) Deliver(*nic.Packet) { f() }
+
+// post splits a size-byte message into wire packets and posts them in
+// order; the last packet carries payload, meta and the delivery hook.
+func (ep *Endpoint) post(p *sim.Proc, dst, size int, label string, payload any, meta int, to nic.Deliverer) {
 	max := ep.layer.cfg.MaxPacket
-	for rem := size; ; {
+	for rem := size; ; rem -= max {
 		sz, last := splitStep(rem, max)
 		pkt := ep.ni.NewPacket()
 		pkt.Src, pkt.Dst, pkt.Size, pkt.Kind = ep.Node, dst, sz, label
 		if last {
-			pkt.Payload = payload
-			pkt.DeliverTo = to
+			pkt.Payload, pkt.Meta, pkt.DeliverTo = payload, meta, to
+			ep.ni.Post(p, pkt)
+			return
 		}
 		ep.ni.Post(p, pkt)
-		if last {
-			break
-		}
-		rem -= sz
 	}
 }
 
-// DepositBroadcast sends one message that the fabric replicates to all
-// other nodes (requires cfg.NIBroadcast hardware): one host post, one
-// source DMA, N deliveries. onDeliver runs once per destination.
-func (ep *Endpoint) DepositBroadcast(p *sim.Proc, size int, kind string, onDeliver func(dst int)) {
-	if size > ep.layer.cfg.MaxPacket {
-		panic("vmmc: broadcast larger than one packet")
-	}
-	ep.buildBcastDsts()
-	tmpl := ep.ni.NewPacket()
-	tmpl.Src, tmpl.Dst, tmpl.Size, tmpl.Kind = ep.Node, -1, size, kind
-	ep.ni.PostBroadcast(p, tmpl, ep.bcastDsts, onDeliver)
-}
-
-// DepositBroadcastTo is DepositBroadcast with a typed deliverer: every
-// per-destination copy carries payload and invokes to at its delivery
-// (the deliverer reads the copy's Dst to identify the destination).
+// DepositBroadcastTo sends one message that the fabric replicates to
+// all other nodes (requires cfg.NIBroadcast hardware): one host post,
+// one source DMA, N deliveries. Every per-destination copy carries
+// payload and invokes to at its delivery (the deliverer reads the
+// copy's Dst to identify the destination).
 func (ep *Endpoint) DepositBroadcastTo(p *sim.Proc, size int, label string, payload any, to nic.Deliverer) {
 	if size > ep.layer.cfg.MaxPacket {
 		panic("vmmc: broadcast larger than one packet")
@@ -272,8 +256,23 @@ func (ep *Endpoint) DepositBroadcastTo(p *sim.Proc, size int, label string, payl
 	tmpl.Src, tmpl.Dst, tmpl.Size, tmpl.Kind = ep.Node, -1, size, label
 	tmpl.Payload = payload
 	tmpl.DeliverTo = to
-	ep.ni.PostBroadcast(p, tmpl, ep.bcastDsts, nil)
+	ep.ni.PostBroadcast(p, tmpl, ep.bcastDsts)
 }
+
+// DepositBroadcast is DepositBroadcastTo with a closure and no payload:
+// onDeliver runs once per destination.
+func (ep *Endpoint) DepositBroadcast(p *sim.Proc, size int, kind string, onDeliver func(dst int)) {
+	var to nic.Deliverer
+	if onDeliver != nil {
+		to = dstDeliverFunc(onDeliver)
+	}
+	ep.DepositBroadcastTo(p, size, kind, nil, to)
+}
+
+// dstDeliverFunc adapts DepositBroadcast's closure to nic.Deliverer.
+type dstDeliverFunc func(dst int)
+
+func (f dstDeliverFunc) Deliver(pkt *nic.Packet) { f(pkt.Dst) }
 
 // buildBcastDsts lazily builds the everyone-but-self destination set
 // once, so repeated broadcasts allocate nothing.
@@ -334,47 +333,27 @@ func sgApplyHandler(_ *nic.NI, pkt *nic.Packet) {
 }
 
 // SendInterrupt sends a message that interrupts a destination host
-// processor and is handed to the destination's InterruptSink after the
-// interrupt dispatch cost (the Base protocol's delivery mode).
+// processor and is handed to the destination's Sink after the interrupt
+// dispatch cost (the Base protocol's delivery mode).
 func (ep *Endpoint) SendInterrupt(p *sim.Proc, dst, size int, kind MsgKind, payload any) {
-	max := ep.layer.cfg.MaxPacket
-	for rem := size; ; {
-		sz, last := splitStep(rem, max)
-		pkt := ep.ni.NewPacket()
-		pkt.Src, pkt.Dst, pkt.Size, pkt.Kind = ep.Node, dst, sz, kind.String()
-		if last {
-			pkt.Payload = payload
-			pkt.Meta = int(kind)
-			pkt.DeliverTo = &ep.layer.intrDel
-		}
-		ep.ni.Post(p, pkt)
-		if last {
-			break
-		}
-		rem -= sz
-	}
+	ep.post(p, dst, size, kind.String(), payload, int(kind), &ep.layer.intrDel)
 }
 
 // intrEvent is a pooled scheduled interrupt dispatch: the Msg rides in
 // the event queue slot itself (via Handler) instead of a closure.
 type intrEvent struct {
-	ep     *Endpoint
-	sink   MsgSink
-	sinkFn func(Msg)
-	m      Msg
+	ep   *Endpoint
+	sink MsgSink
+	m    Msg
 }
 
 // Run implements sim.Handler: hand the message to the sink recorded at
 // interrupt time and recycle the event record.
 func (ev *intrEvent) Run(_, _ sim.Time) {
-	ep, sink, sinkFn, m := ev.ep, ev.sink, ev.sinkFn, ev.m
+	ep, sink, m := ev.ep, ev.sink, ev.m
 	*ev = intrEvent{}
 	ep.intrFree = append(ep.intrFree, ev)
-	if sink != nil {
-		sink.HandleMsg(m)
-		return
-	}
-	sinkFn(m)
+	sink.HandleMsg(m)
 }
 
 func (ep *Endpoint) interrupt(m Msg) {
@@ -382,8 +361,8 @@ func (ep *Endpoint) interrupt(m Msg) {
 	if ep.Perturb != nil {
 		ep.Perturb()
 	}
-	sink, sinkFn := ep.Sink, ep.InterruptSink
-	if sink == nil && sinkFn == nil {
+	sink := ep.Sink
+	if sink == nil {
 		panic(fmt.Sprintf("vmmc: interrupt-class message %q at node %d with no sink", m.Kind, ep.Node))
 	}
 	var ev *intrEvent
@@ -394,7 +373,7 @@ func (ep *Endpoint) interrupt(m Msg) {
 	} else {
 		ev = &intrEvent{}
 	}
-	ev.ep, ev.sink, ev.sinkFn, ev.m = ep, sink, sinkFn, m
+	ev.ep, ev.sink, ev.m = ep, sink, m
 	eng := ep.eng
 	now := eng.Now()
 	eng.AtHandler(now+ep.layer.cfg.Costs.Interrupt, now, ev)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"genima/internal/nic"
 	"genima/internal/sim"
 	"genima/internal/topo"
 )
@@ -44,12 +45,17 @@ func TestDepositSplitsLargeMessages(t *testing.T) {
 	}
 }
 
+// sinkFunc adapts a test closure to MsgSink.
+type sinkFunc func(Msg)
+
+func (f sinkFunc) HandleMsg(m Msg) { f(m) }
+
 func TestInterruptDelivery(t *testing.T) {
 	eng, l, cfg := newLayer(2)
 	var sunk Msg
 	var sunkAt, deliveredAt sim.Time
 	perturbs := 0
-	l.Endpoint(1).InterruptSink = func(m Msg) { sunk = m; sunkAt = eng.Now() }
+	l.Endpoint(1).Sink = sinkFunc(func(m Msg) { sunk = m; sunkAt = eng.Now() })
 	l.Endpoint(1).Perturb = func() { perturbs++; deliveredAt = eng.Now() }
 	eng.Go("s", func(p *sim.Proc) {
 		l.Endpoint(0).SendInterrupt(p, 1, 32, MsgPageReq, 42)
@@ -241,5 +247,58 @@ func TestNILockCheaperThanInterruptPath(t *testing.T) {
 	if took > 2*cfg.Costs.Interrupt {
 		t.Errorf("NI lock acquire took %.1f µs, slower than 2 interrupts (%.1f µs)",
 			float64(took)/1000, float64(2*cfg.Costs.Interrupt)/1000)
+	}
+}
+
+// countDeliver is a typed deliverer that counts deliveries.
+type countDeliver struct{ n *int }
+
+func (d countDeliver) Deliver(*nic.Packet) { *d.n++ }
+
+// TestDepositPathsAllocateNothing: once the packet, transit and
+// interrupt pools are warm, every send path allocates nothing per
+// message from post to delivery, the closure adapters included.
+func TestDepositPathsAllocateNothing(t *testing.T) {
+	eng, l, _ := newLayer(4)
+	defer eng.Release()
+	delivered := 0
+	count := func() { delivered++ }
+	countDst := func(int) { delivered++ }
+	typed := countDeliver{&delivered}
+	l.Endpoint(1).Sink = sinkFunc(func(Msg) { delivered++ })
+	ep := l.Endpoint(0)
+
+	var op func(p *sim.Proc)
+	sender := eng.Go("sender", func(p *sim.Proc) {
+		for {
+			p.Park()
+			op(p)
+		}
+	})
+	eng.RunUntilQuiet()
+	for _, c := range []struct {
+		name   string
+		op     func(p *sim.Proc)
+		copies int
+	}{
+		{"Deposit", func(p *sim.Proc) { ep.Deposit(p, 1, 64, "d", nil, count) }, 1},
+		{"DepositTo", func(p *sim.Proc) { ep.DepositTo(p, 1, 64, "d", nil, typed) }, 1},
+		{"DepositBroadcast", func(p *sim.Proc) { ep.DepositBroadcast(p, 64, "b", countDst) }, 3},
+		{"SendInterrupt", func(p *sim.Proc) { ep.SendInterrupt(p, 1, 64, MsgDiff, nil) }, 1},
+	} {
+		op = c.op
+		before := delivered
+		const runs = 50
+		allocs := testing.AllocsPerRun(runs, func() {
+			sender.Unpark()
+			eng.RunUntilQuiet()
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %v allocs per message, want 0", c.name, allocs)
+		}
+		// AllocsPerRun makes one warm-up call before the measured runs.
+		if got, want := delivered-before, (runs+1)*c.copies; got != want {
+			t.Errorf("%s: %d deliveries, want %d", c.name, got, want)
+		}
 	}
 }

@@ -1,10 +1,10 @@
 package genima_test
 
 // Intra-run parallel simulation regression: a run partitioned into
-// shard-granular logical processes (Config.IntraRunWorkers > 1, shard
-// count per Config.LPShards) must produce a packet-level event trace
-// byte-identical to the serial engine — for every (worker, shard)
-// combination, with and without fault injection. The serial
+// shard-granular logical processes (Config.IntraRunWorkers > 1, one
+// shard per worker) must produce a packet-level event trace
+// byte-identical to the serial engine — for every worker count, with
+// and without fault injection. The serial
 // goldens in trace_golden_test.go therefore pin the parallel engine
 // too: -jrun 1 must still match them, and -jrun N must match -jrun 1.
 
@@ -91,27 +91,23 @@ func TestIntraRunMultiStageTraceByteIdentical(t *testing.T) {
 }
 
 // scaleMatrixConfig is one point of the at-scale determinism matrix:
-// barrierbench at ProcsPerNode=1 on a large multi-stage fabric, with an
-// explicit shard count (0 = auto).
-func scaleMatrixConfig(nodes int, tp genima.Topology, radix int, collectives bool, workers, shards int, faults bool) genima.Config {
+// barrierbench at ProcsPerNode=1 on a large multi-stage fabric.
+func scaleMatrixConfig(nodes int, tp genima.Topology, radix int, collectives bool, workers int, faults bool) genima.Config {
 	cfg := jrunConfig(workers, faults)
 	cfg.Nodes = nodes
 	cfg.ProcsPerNode = 1
 	cfg.Topo = tp
 	cfg.SwitchRadix = radix
 	cfg.Collectives = collectives
-	cfg.LPShards = shards
 	return cfg
 }
 
 // TestIntraRunScaleTraceByteIdentical is the at-scale determinism
-// matrix: a 128-node clos2 and a 512-node fat tree, byte-identical
-// across -jrun 1/4 x -lpshards 1/8/auto, with and without 1% faults.
-// This is the configuration family the LP-sharding work targets — a
-// shard-count change must never change the simulation, only its
-// wall-clock. Each serial leg is also pinned to a recorded golden hash. The 512-node leg is skipped under -short (it dominates
-// the race-detector budget; the 128-node leg still covers sharded
-// clusters there).
+// matrix: a 128-node clos2 and a 512-node fat tree, with and without 1%
+// faults. Each serial leg is pinned to a recorded golden hash, and
+// -jrun 4 (four node shards) must match it byte for byte. The 512-node
+// leg is skipped under -short (it dominates the race-detector budget;
+// the 128-node leg still covers sharded clusters there).
 func TestIntraRunScaleTraceByteIdentical(t *testing.T) {
 	for _, pt := range []struct {
 		name        string
@@ -136,18 +132,16 @@ func TestIntraRunScaleTraceByteIdentical(t *testing.T) {
 		}
 		for fi, faults := range []bool{false, true} {
 			serial := traceHash(t, "barrierbench", pt.proto,
-				scaleMatrixConfig(pt.nodes, pt.topo, pt.radix, pt.collectives, 1, 0, faults))
+				scaleMatrixConfig(pt.nodes, pt.topo, pt.radix, pt.collectives, 1, faults))
 			if serial != pt.golden[fi] {
 				t.Errorf("%s faults=%v: serial trace drifted from golden:\n got %s\nwant %s",
 					pt.name, faults, serial, pt.golden[fi])
 			}
-			for _, shards := range []int{1, 8, 0} {
-				got := traceHash(t, "barrierbench", pt.proto,
-					scaleMatrixConfig(pt.nodes, pt.topo, pt.radix, pt.collectives, 4, shards, faults))
-				if got != serial {
-					t.Errorf("%s faults=%v: -jrun 4 -lpshards %d trace differs from serial:\n got %s\nwant %s",
-						pt.name, faults, shards, got, serial)
-				}
+			got := traceHash(t, "barrierbench", pt.proto,
+				scaleMatrixConfig(pt.nodes, pt.topo, pt.radix, pt.collectives, 4, faults))
+			if got != serial {
+				t.Errorf("%s faults=%v: -jrun 4 trace differs from serial:\n got %s\nwant %s",
+					pt.name, faults, got, serial)
 			}
 		}
 	}

@@ -2,7 +2,7 @@ package genima_test
 
 // svmkv serving-workload regression: the open-loop KV server must obey
 // the repo's core invariant — packet traces byte-identical for any
-// (-jrun, -lpshards) combination, faults on and off — validate
+// -jrun, faults on and off — validate
 // byte-exact against the sequential reference on every protocol rung,
 // compose with the multi-stage fabrics at scale, and report a complete
 // latency distribution through app.Result.
@@ -68,11 +68,10 @@ func TestSvmkvTraceByteIdentical(t *testing.T) {
 }
 
 // TestSvmkvScaleTraceByteIdentical composes the serving workload with
-// the multi-stage fabrics at 64–512 nodes: byte-identical across
-// -jrun 1/4 x -lpshards 1/8/auto, with and without faults, each serial
-// leg pinned to a recorded golden hash. The 512-node
-// fat-tree leg is skipped under -short (same budget rule as
-// TestIntraRunScaleTraceByteIdentical).
+// the multi-stage fabrics at 64–512 nodes, with and without faults: each
+// serial leg is pinned to a recorded golden hash and -jrun 4 must match
+// it byte for byte. The 512-node fat-tree leg is skipped under -short
+// (same budget rule as TestIntraRunScaleTraceByteIdentical).
 func TestSvmkvScaleTraceByteIdentical(t *testing.T) {
 	for _, pt := range []struct {
 		name        string
@@ -95,18 +94,16 @@ func TestSvmkvScaleTraceByteIdentical(t *testing.T) {
 		}
 		for fi, faults := range []bool{false, true} {
 			serial := traceHash(t, "svmkv", pt.proto,
-				scaleMatrixConfig(pt.nodes, pt.topo, pt.radix, pt.collectives, 1, 0, faults))
+				scaleMatrixConfig(pt.nodes, pt.topo, pt.radix, pt.collectives, 1, faults))
 			if serial != pt.golden[fi] {
 				t.Errorf("svmkv %s faults=%v: serial trace drifted from golden:\n got %s\nwant %s",
 					pt.name, faults, serial, pt.golden[fi])
 			}
-			for _, shards := range []int{1, 8, 0} {
-				got := traceHash(t, "svmkv", pt.proto,
-					scaleMatrixConfig(pt.nodes, pt.topo, pt.radix, pt.collectives, 4, shards, faults))
-				if got != serial {
-					t.Errorf("svmkv %s faults=%v: -jrun 4 -lpshards %d trace differs from serial:\n got %s\nwant %s",
-						pt.name, faults, shards, got, serial)
-				}
+			got := traceHash(t, "svmkv", pt.proto,
+				scaleMatrixConfig(pt.nodes, pt.topo, pt.radix, pt.collectives, 4, faults))
+			if got != serial {
+				t.Errorf("svmkv %s faults=%v: -jrun 4 trace differs from serial:\n got %s\nwant %s",
+					pt.name, faults, got, serial)
 			}
 		}
 	}
