@@ -37,8 +37,9 @@ type Boundary struct {
 // the whole simulator state, so call it only when the digest is
 // actually wanted (checkpoint writes, verification cuts). The value is
 // comparable only between runs in the same execution mode — a parallel
-// run's deferred-commit backlog makes its live state at a given trace
-// ordinal legitimately differ from a serial run's.
+// run's boundary hooks run at a barrier, after its LPs have run ahead
+// to the round horizon, so its live state at a given trace ordinal
+// legitimately differs from a serial run's.
 func (b *Boundary) StateDigest() uint64 { return b.digest() }
 
 // RunControl hooks a run's trace stream for checkpointing, streaming
@@ -83,17 +84,15 @@ func RunSVMControlled(cfg topo.Config, kind core.Kind, a App, ctl *RunControl) (
 	// under a conservative PDES cluster (one node shard per worker,
 	// clamped to Nodes by NewCluster, plus the fabric LP). The serial
 	// path builds no cluster at all, so it is exactly the engine the
-	// goldens were recorded on. The wiring below is bipartite by
-	// construction — nodes talk to other nodes only through fabric links
-	// and switches (TransferCross/RouteCross in internal/network), and
-	// NI-local timers stay on their own LP — so the cluster may batch
-	// windows per class.
+	// goldens were recorded on. Nodes talk to other nodes only through
+	// fabric links and switches (TransferCross/RouteCross in
+	// internal/network), and NI-local timers stay on their own LP, so
+	// every cross-LP send honours the lookaheads below.
 	var cl *sim.Cluster
 	var eng *sim.Engine
 	if cfg.IntraRunWorkers > 1 && cfg.Nodes > 1 {
 		nodeLA, fabLA := cfg.Lookaheads()
 		cl = sim.NewCluster(cfg.Nodes, cfg.IntraRunWorkers, cfg.IntraRunWorkers, nodeLA, fabLA)
-		cl.MarkBipartite()
 		eng = cl.Main()
 		defer cl.Release()
 	} else {

@@ -56,8 +56,9 @@ var (
 // execution mode the checkpoint was taken under; the trace stream is
 // mode-independent, so a restore may run under a different mode, but
 // the live-state digest is only comparable when the mode matches (a
-// parallel run's deferred-commit backlog makes its live state at trace
-// event k legitimately differ from a serial run's).
+// parallel run's LPs run ahead to the round horizon before its boundary
+// hooks run, so its live state at trace event k legitimately differs
+// from a serial run's).
 type State struct {
 	// Run identity.
 	ConfigSum [32]byte // ConfigSum(cfg): the topology/cost/fault fingerprint

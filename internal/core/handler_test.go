@@ -98,17 +98,20 @@ func TestUnknownProtocolMessagePanics(t *testing.T) {
 // leaves every spawned process parked on its empty queue, holding one
 // goroutine each until Engine.Release unwinds it.
 func TestProtocolProcessLifetime(t *testing.T) {
-	// settle polls until the goroutine count drops to want (finished
-	// coroutines need not have exited the instant Run returns).
+	// settle polls until the count of protocol-process goroutines
+	// drops to want (finished coroutines need not have exited the
+	// instant Run returns).
 	settle := func(want int) int {
-		got := runtime.NumGoroutine()
-		for deadline := time.Now().Add(5 * time.Second); got > want && time.Now().Before(deadline); got = runtime.NumGoroutine() {
+		got := protoGoroutines()
+		for deadline := time.Now().Add(5 * time.Second); got > want && time.Now().Before(deadline); got = protoGoroutines() {
 			time.Sleep(time.Millisecond)
 		}
 		return got
 	}
 	for _, k := range []Kind{Base, GeNIMA} {
-		start := runtime.NumGoroutine()
+		// Earlier tests may leave parked protocol processes behind;
+		// those never exit, so they only offset the count.
+		start := protoGoroutines()
 		tc, _ := ladderWorkload(t, k)
 		spawned := 0
 		for _, n := range tc.sys.Nodes {
@@ -128,12 +131,34 @@ func TestProtocolProcessLifetime(t *testing.T) {
 			t.Errorf("Base spawned no protocol process; workload exercises nothing")
 		}
 		if got := settle(start + spawned); got != start+spawned {
-			t.Errorf("%v: %d goroutines live after the run, want %d (one per spawned protocol process, %d spawned)",
-				k, got-start, spawned, spawned)
+			t.Errorf("%v: %d protocol-process goroutines live after the run, want one per spawned process (%d)",
+				k, got-start, spawned)
 		}
 		tc.eng.Release()
 		if got := settle(start); got != start {
-			t.Errorf("%v: %d goroutines after Release, want %d", k, got, start)
+			t.Errorf("%v: %d protocol-process goroutines left after Release, want 0", k, got-start)
 		}
 	}
+}
+
+// protoGoroutines counts the goroutines whose stack holds a protocol
+// process body. Unlike runtime.NumGoroutine it cannot be moved by an
+// unrelated goroutine starting or exiting.
+func protoGoroutines() int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	count := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "core.(*protoProc).run(") {
+			count++
+		}
+	}
+	return count
 }

@@ -77,7 +77,7 @@ func (e *Engine) DigestInto(d *Digest) {
 	d.U64(e.seq)
 	d.U64(e.nEvents)
 	d.I64(e.countAdj)
-	d.U64(e.logStart)
+	d.U64(0) // a retired round-log offset's slot: kept so pinned digests stay stable
 	d.U64(uint64(e.events.len()))
 	for i := range e.events.a {
 		ev := &e.events.a[i]
@@ -107,16 +107,13 @@ func (g *Gate) DigestInto(d *Digest) {
 }
 
 // DigestInto folds the cluster's cross-LP synchronization state on top
-// of every member engine's digest: global ordinal counter, commit
-// backlog, held-message floor, and each LP's uncommitted round log and
-// outbox. Deferred handlers contribute their count and positions only
-// (their identities are not portable), which still pins the backlog
-// shape.
+// of every member engine's digest: global ordinal counter and each LP's
+// round log and outbox (non-empty only while a barrier is replaying
+// them). Deferred handlers contribute their count and positions only
+// (their identities are not portable).
 func (cl *Cluster) DigestInto(d *Digest) {
 	d.U64(cl.setupSeq)
 	d.U64(cl.nextOrd)
-	d.U64(uint64(cl.pending))
-	d.I64(cl.heldMin)
 	d.U64(uint64(len(cl.all)))
 	for _, e := range cl.all {
 		e.DigestInto(d)

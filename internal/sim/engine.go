@@ -144,22 +144,14 @@ type Engine struct {
 	lp       int    // this LP's index in cl.all
 	la       Time   // lookahead: min cross-LP scheduling delta
 	inRound  bool   // runWindow is executing this LP
-	curPos   uint64 // absolute log position of the executing event
+	curPos   uint64 // round-log position of the executing event
 	curOrd   uint64 // lone mode: resolved ordinal of the executing event
 	actIdx   uint64 // scheduling actions taken by the executing event
-	winH     Time   // this round's execution horizon (set by Run loop)
-	logStart uint64 // absolute position of roundLog[0] (commit floor)
 	roundLog []logRec
-	ord      []uint64 // barrier-assigned ordinal per committed log index
+	ord      []uint64 // barrier-assigned ordinal per round-log index
 	outbox   []crossMsg
 	defers   []deferRec
 	countAdj int64 // correction added to nEvents by Cluster.Events
-
-	// Membership bookkeeping for the cluster's incremental structures.
-	heapIdx  int32 // index in the cluster's peek heap, -1 when absent
-	peekKey  Time  // cached peek timestamp while in the peek heap
-	touched  bool  // queued in cl.touched for a post-barrier peek sync
-	inLogged bool  // has uncommitted round-log entries (in cl.logged)
 }
 
 // NewEngine returns an empty engine at virtual time zero.
@@ -283,14 +275,10 @@ func (e *Engine) Send(to *Engine, at, start Time, h Handler) {
 	if at < e.now+e.la {
 		panic(fmt.Sprintf("sim: cross-LP send at %d violates lookahead (now %d + la %d)", at, e.now, e.la))
 	}
-	if cl.bipartite && e != cl.fabric && to != cl.fabric {
-		panic("sim: shard-to-shard send in a bipartite cluster (cross-LP traffic must pass the fabric LP)")
-	}
 	key := e.nextKey()
 	if cl.lone == e {
 		cl.loneCrossed = true
 		to.events.push(event{at: at, seq: key, start: start, h: h})
-		cl.markTouched(to)
 		return
 	}
 	e.outbox = append(e.outbox, crossMsg{to: to, at: at, start: start, key: key, h: h})
@@ -324,16 +312,14 @@ func (e *Engine) DeferFlush(h Handler) {
 // difference here so serial and parallel runs report identical totals.
 func (e *Engine) AdjustEventCount(d int64) { e.countAdj += d }
 
-// effKey resolves a provisional key against the ordinals assigned to
-// this LP's committed log prefix at the barrier (positions are
-// absolute; ord is indexed relative to logStart); setup and resolved
-// keys pass through unchanged. Callers guarantee the referenced
-// position has been committed this barrier.
+// effKey resolves a provisional key against the ordinals the barrier
+// assigned to this LP's round log; setup and resolved keys pass through
+// unchanged. Callers guarantee the referenced position has an ordinal.
 func (e *Engine) effKey(k uint64) uint64 {
 	if k&provBit == 0 {
 		return k
 	}
-	return e.ord[(k>>actBits&posMask)-e.logStart]<<actBits | k&actMask
+	return e.ord[k>>actBits&posMask]<<actBits | k&actMask
 }
 
 // runWindow executes this LP's events with timestamp below the round
@@ -344,7 +330,7 @@ func (e *Engine) runWindow(h Time) {
 		ev := e.events.pop()
 		e.now = ev.at
 		e.nEvents++
-		e.curPos = e.logStart + uint64(len(e.roundLog))
+		e.curPos = uint64(len(e.roundLog))
 		e.actIdx = 0
 		e.roundLog = append(e.roundLog, logRec{at: ev.at, key: ev.seq})
 		ev.h.Run(ev.start, ev.at)

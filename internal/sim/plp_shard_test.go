@@ -2,10 +2,10 @@ package sim
 
 // Tests for the shard-granular cluster: node-to-shard mapping, the
 // lone-shard fast path (no worker wakeups in quiescent phases), panic
-// propagation out of a parallel round, and — through a miniature
-// bipartite node/fabric network recorded via DeferFlush — byte-equal
-// global event ordering for every (shards, workers) combination,
-// including rounds that leave a deferred-commit backlog.
+// propagation out of a parallel round, progress under shard-to-shard
+// traffic, and — through a miniature node/fabric network recorded via
+// DeferFlush — byte-equal global event ordering for every (shards,
+// workers) combination.
 
 import (
 	"fmt"
@@ -131,7 +131,35 @@ func TestRoundPanicPropagates(t *testing.T) {
 	cl.Run()
 }
 
-// --- miniature bipartite network for order-equivalence tests ---------
+// TestShardPingPongCompletes: a handler bounced between two shard LPs
+// through Send must run to completion. Every hop is a cross-LP send at
+// exactly the lookahead, so each round runs one event and the run
+// depends on every barrier delivering its round's sends.
+func TestShardPingPongCompletes(t *testing.T) {
+	cl := NewCluster(2, 2, 2, 10, 10)
+	eng := cl.Main()
+	other := eng.LPNode(1)
+	var got int
+	var ping func(e *Engine, depth int)
+	ping = func(e *Engine, depth int) {
+		got++
+		if depth == 0 {
+			return
+		}
+		to := other
+		if e == other {
+			to = eng
+		}
+		e.Send(to, e.Now()+10, e.Now(), handlerFunc(func(_, _ Time) { ping(to, depth-1) }))
+	}
+	schedule(eng, 0, func() { ping(eng, 100) })
+	cl.Run()
+	if got != 101 {
+		t.Fatalf("executed %d pings, want 101", got)
+	}
+}
+
+// --- miniature node/fabric network for order-equivalence tests -------
 
 // rec appends one formatted record when flushed; scheduled through
 // DeferFlush it replays in global ordinal order at the barrier, so the
@@ -143,13 +171,13 @@ type rec struct {
 
 func (r rec) Run(_, _ Time) { *r.log = append(*r.log, r.s) }
 
-// bipNet wires n logical "nodes" to a relay "fabric": every node tick
-// records itself and launches a packet to the fabric (lookahead
-// nodeLA), the fabric forwards it to the next node (lookahead fabLA),
-// and the arrival records itself. With a cluster the node engines are
-// shard LPs and the relay runs on the fabric LP, so the traffic is
-// exactly the bipartite shape the runner guarantees.
-type bipNet struct {
+// relayNet wires n logical "nodes" to a relay "fabric": every node tick
+// records itself, launches a packet to the fabric (lookahead nodeLA)
+// that the fabric forwards to the next node (lookahead fabLA), and
+// sends a hopping message straight to another node, the shape of the
+// benchmark's shard-to-shard handoff. With a cluster the node engines
+// are shard LPs and the relay runs on the fabric LP.
+type relayNet struct {
 	nodes  []*Engine
 	fab    *Engine
 	nodeLA Time
@@ -157,100 +185,117 @@ type bipNet struct {
 	log    []string
 }
 
-type bipTick struct {
-	net  *bipNet
+type netTick struct {
+	net  *relayNet
 	id   int
 	step Time
 	left int
 }
 
-func (h *bipTick) Run(_, now Time) {
-	e := h.net.nodes[h.id]
-	e.DeferFlush(rec{&h.net.log, fmt.Sprintf("tick %d @%d", h.id, now)})
-	e.Send(h.net.fab, now+h.net.nodeLA, now, &bipRelay{net: h.net, from: h.id})
+func (h *netTick) Run(_, now Time) {
+	n := h.net
+	e := n.nodes[h.id]
+	e.DeferFlush(rec{&n.log, fmt.Sprintf("tick %d @%d", h.id, now)})
+	e.Send(n.fab, now+n.nodeLA, now, &netRelay{net: n, from: h.id})
+	to := (h.id + 3) % len(n.nodes)
+	e.Send(n.nodes[to], now+n.nodeLA+Time(h.id%3), now, &netHop{net: n, from: h.id, at: to, left: 2})
 	if h.left > 0 {
 		h.left--
 		e.AtHandler(now+h.step, now, h)
 	}
 }
 
-type bipRelay struct {
-	net  *bipNet
+type netRelay struct {
+	net  *relayNet
 	from int
 }
 
-func (h *bipRelay) Run(_, now Time) {
+func (h *netRelay) Run(_, now Time) {
 	n := h.net
 	n.fab.DeferFlush(rec{&n.log, fmt.Sprintf("relay %d @%d", h.from, now)})
 	to := (h.from + 1) % len(n.nodes)
-	n.fab.Send(n.nodes[to], now+n.fabLA, now, &bipArr{net: n, at: to})
+	n.fab.Send(n.nodes[to], now+n.fabLA, now, &netArr{net: n, at: to})
 }
 
-type bipArr struct {
-	net *bipNet
+type netArr struct {
+	net *relayNet
 	at  int
 }
 
-func (h *bipArr) Run(_, now Time) {
+func (h *netArr) Run(_, now Time) {
 	n := h.net
 	n.nodes[h.at].DeferFlush(rec{&n.log, fmt.Sprintf("arr %d @%d", h.at, now)})
 }
 
-// runBipNet executes the workload on a standalone engine (shards == 0)
+// netHop is a node-to-node message that hops on to the next node until
+// left runs out.
+type netHop struct {
+	net      *relayNet
+	from, at int
+	left     int
+}
+
+func (h *netHop) Run(_, now Time) {
+	n := h.net
+	e := n.nodes[h.at]
+	e.DeferFlush(rec{&n.log, fmt.Sprintf("hop %d->%d @%d", h.from, h.at, now)})
+	if h.left > 0 {
+		to := (h.at + 1) % len(n.nodes)
+		e.Send(n.nodes[to], now+n.nodeLA, now, &netHop{net: n, from: h.at, at: to, left: h.left - 1})
+	}
+}
+
+// runNet executes the workload on a standalone engine (shards == 0)
 // or on a cluster with the given shape, and returns the global-order
-// log. Node i ticks with a distinct period so shards fall out of step
-// and partial commits occur.
-func runBipNet(n, shards, workers int) (string, ClusterStats) {
+// log. Node i ticks with a distinct period so shards fall out of step.
+func runNet(n, shards, workers int) (string, ClusterStats) {
 	const nodeLA, fabLA = 5, 3
-	net := &bipNet{nodeLA: nodeLA, fabLA: fabLA}
+	nw := &relayNet{nodeLA: nodeLA, fabLA: fabLA}
 	var cl *Cluster
 	if shards == 0 {
 		e := NewEngine()
-		net.fab = e.LPFabric()
+		nw.fab = e.LPFabric()
 		for i := 0; i < n; i++ {
-			net.nodes = append(net.nodes, e.LPNode(i))
+			nw.nodes = append(nw.nodes, e.LPNode(i))
 		}
 	} else {
 		cl = NewCluster(n, shards, workers, nodeLA, fabLA)
-		cl.MarkBipartite()
-		net.fab = cl.Main().LPFabric()
+		nw.fab = cl.Main().LPFabric()
 		for i := 0; i < n; i++ {
-			net.nodes = append(net.nodes, cl.Main().LPNode(i))
+			nw.nodes = append(nw.nodes, cl.Main().LPNode(i))
 		}
 	}
 	for i := 0; i < n; i++ {
-		net.nodes[i].AtHandler(Time(i), 0, &bipTick{net: net, id: i, step: Time(7 + 2*i), left: 40})
+		nw.nodes[i].AtHandler(Time(i), 0, &netTick{net: nw, id: i, step: Time(7 + 2*i), left: 40})
 	}
 	if cl != nil {
 		cl.Run()
-		return strings.Join(net.log, "\n"), cl.Stats()
+		return strings.Join(nw.log, "\n"), cl.Stats()
 	}
-	net.nodes[0].RunUntilQuiet()
-	return strings.Join(net.log, "\n"), ClusterStats{}
+	nw.nodes[0].RunUntilQuiet()
+	return strings.Join(nw.log, "\n"), ClusterStats{}
 }
 
-// TestBipartiteOrderEquivalence: the globally ordered event log must
-// be identical to the standalone engine's for every (shards, workers)
-// shape, and at least one shape must actually exercise the
-// deferred-commit backlog (otherwise the batched horizons proved
-// nothing).
-func TestBipartiteOrderEquivalence(t *testing.T) {
+// TestClusterOrderEquivalence: the globally ordered event log — fabric
+// relays and direct node-to-node hops alike — must be identical to the
+// standalone engine's for every (shards, workers) shape, and every
+// multi-shard shape must actually run parallel rounds.
+func TestClusterOrderEquivalence(t *testing.T) {
 	const n = 8
-	want, _ := runBipNet(n, 0, 0)
-	sawBacklog := false
+	want, _ := runNet(n, 0, 0)
+	if !strings.Contains(want, "hop ") || !strings.Contains(want, "relay ") {
+		t.Fatal("workload logged no hops or no relays")
+	}
 	for _, shards := range []int{1, 2, 3, 8} {
 		for _, workers := range []int{1, 2, 4} {
-			got, st := runBipNet(n, shards, workers)
+			got, st := runNet(n, shards, workers)
 			if got != want {
 				t.Fatalf("shards=%d workers=%d: global order diverges from serial\nserial head: %.120s\ncluster head: %.120s",
 					shards, workers, want, got)
 			}
-			if st.MaxBacklog > 0 {
-				sawBacklog = true
+			if st.ParRounds == 0 {
+				t.Errorf("shards=%d workers=%d: no parallel round ran", shards, workers)
 			}
 		}
-	}
-	if !sawBacklog {
-		t.Error("no shape produced a deferred-commit backlog; batched windows untested")
 	}
 }
