@@ -25,11 +25,12 @@ test:
 # determinism tests (TestIntraRun*) included, with -short: the 512-node
 # legs of the scale matrices alone outlast go test's 10-minute timeout
 # under -race on a 2-CPU box. `make test` still runs those legs without
-# -race. The concurrent suite runner's serial-vs-parallel check skips
-# itself under -short, so it is raced on its own.
+# -race. The experiment runner's cross-worker check (every experiment
+# at Workers 1 and 4) skips itself under -short, so it is raced on its
+# own.
 race:
 	$(GO) test -race -short ./...
-	$(GO) test -race -run 'TestParallelSuiteMatchesSerial' -count=1 .
+	$(GO) test -race -run 'TestExperimentsMatchAcrossWorkers' -count=1 .
 
 # smoke-faults exercises the fault-injection + NI reliable-delivery
 # recovery path end to end: one short app at a 1% drop rate (with dups,

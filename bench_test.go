@@ -179,7 +179,7 @@ func BenchmarkTable4(b *testing.B) {
 // BenchmarkTable5 regenerates Table 5: 32-processor speedups.
 func BenchmarkTable5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		d, err := genima.Table5(genima.TestScale, false, nil)
+		d, err := genima.Table5(genima.SuiteOptions{Scale: genima.TestScale})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -6,10 +6,12 @@
 //	genima-bench                  # everything, bench-scale problems
 //	genima-bench -exp fig2,table3 # a subset
 //	genima-bench -scale test      # tiny problems (seconds)
-//	genima-bench -verify          # validate every run against sequential
 //	genima-bench -nodes 8         # cluster size for the 16-proc suite
 //	genima-bench -j 1             # serial runs (default: GOMAXPROCS)
 //	genima-bench -cpuprofile cpu.pprof -memprofile mem.pprof
+//
+// Every run of every experiment is validated against its sequential
+// reference.
 package main
 
 import (
@@ -30,7 +32,6 @@ import (
 var (
 	expFlag    = flag.String("exp", "all", "comma-separated experiments: fig1,fig2,fig3,fig4,table1,table2,table3,table4,table5 or all; plus scaling, faultsweep, scalesweep, serve and soak (not in all)")
 	scaleFlag  = flag.String("scale", "bench", "problem scale: test or bench")
-	verifyFlag = flag.Bool("verify", false, "validate every run against the sequential reference")
 	nodesFlag  = flag.Int("nodes", 4, "SMP nodes for the main suite (the paper uses 4)")
 	procsFlag  = flag.Int("procs", 4, "processors per node (the paper uses 4)")
 	quietFlag  = flag.Bool("q", false, "suppress progress output")
@@ -205,10 +206,15 @@ func main() {
 	all := want["all"]
 	sel := func(name string) bool { return all || want[name] }
 
-	progress := func(msg string) {
-		if !*quietFlag {
-			fmt.Fprintf(os.Stderr, "run: %s\n", msg)
-		}
+	opt := genima.SuiteOptions{
+		Scale:    scale,
+		Hardware: true,
+		Workers:  *jFlag,
+		Progress: func(msg string) {
+			if !*quietFlag {
+				fmt.Fprintf(os.Stderr, "run: %s\n", msg)
+			}
+		},
 	}
 
 	needSuite := sel("fig1") || sel("fig2") || sel("fig3") || sel("fig4") ||
@@ -222,71 +228,37 @@ func main() {
 		if *faultsFlag > 0 {
 			cfg.Faults = genima.FaultMix(*faultsFlag, *seedFlag)
 		}
-		s, err := genima.RunSuite(cfg, genima.SuiteOptions{
-			Scale:    scale,
-			Hardware: true,
-			Verify:   *verifyFlag,
-			Progress: progress,
-			Workers:  *jFlag,
-		})
+		s, err := genima.RunSuite(cfg, opt)
 		if err != nil {
 			fatal(err)
 		}
-		if sel("fig1") {
-			fmt.Println(s.Figure1())
-		}
-		if sel("table1") {
-			fmt.Println(s.Table1())
-		}
-		if sel("fig2") {
-			fmt.Println(s.Figure2())
-		}
-		if sel("fig3") {
-			fmt.Println(s.Figure3())
-		}
-		if sel("fig4") {
-			fmt.Println(s.Figure4())
-		}
-		if sel("table2") {
-			fmt.Println(s.Table2())
-		}
-		if sel("table3") {
-			fmt.Println(s.Table3())
-		}
-		if sel("table4") {
-			fmt.Println(s.Table4())
+		for _, x := range []struct {
+			name string
+			out  fmt.Stringer
+		}{
+			{"fig1", s.Figure1()}, {"table1", s.Table1()}, {"fig2", s.Figure2()}, {"fig3", s.Figure3()},
+			{"fig4", s.Figure4()}, {"table2", s.Table2()}, {"table3", s.Table3()}, {"table4", s.Table4()},
+		} {
+			if sel(x.name) {
+				fmt.Println(x.out)
+			}
 		}
 	}
-	if sel("table5") {
-		d, err := genima.Table5(scale, *verifyFlag, progress)
-		if err != nil {
-			fatal(err)
+	// Table 5 is part of "all"; the post-paper experiments run by name.
+	for _, x := range []struct {
+		name string
+		run  func() (fmt.Stringer, error)
+	}{
+		{"table5", func() (fmt.Stringer, error) { return genima.Table5(opt) }},
+		{"scaling", func() (fmt.Stringer, error) { return genima.Scaling(opt) }},
+		{"faultsweep", func() (fmt.Stringer, error) { return genima.FaultSweep(opt, *seedFlag) }},
+		{"scalesweep", func() (fmt.Stringer, error) { return genima.ScaleSweep(opt, *seedFlag) }},
+		{"serve", func() (fmt.Stringer, error) { return genima.Serve(opt, *seedFlag) }},
+	} {
+		if !want[x.name] && !(all && x.name == "table5") {
+			continue
 		}
-		fmt.Println(d)
-	}
-	if want["scaling"] {
-		d, err := genima.Scaling(scale, progress)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(d)
-	}
-	if want["faultsweep"] {
-		d, err := genima.FaultSweep(scale, *seedFlag, progress)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(d)
-	}
-	if want["scalesweep"] {
-		d, err := genima.ScaleSweep(scale, *seedFlag, progress)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(d)
-	}
-	if want["serve"] {
-		d, err := genima.Serve(scale, *seedFlag, progress)
+		d, err := x.run()
 		if err != nil {
 			fatal(err)
 		}

@@ -23,18 +23,21 @@ const (
 	BenchScale = apps.Bench
 )
 
-// SuiteOptions configures RunSuite.
+// SuiteOptions configures RunSuite and every experiment built on the
+// experiment runner. Table5, Scaling, FaultSweep, ScaleSweep and Serve
+// take Scale, Workers and Progress from it and choose their own
+// Protocols and Hardware. Every run is validated against its
+// sequential reference.
 type SuiteOptions struct {
 	Scale     Scale
 	Protocols []Protocol // default: all five rungs
 	Hardware  bool       // also run the Origin-2000-like model
-	Verify    bool       // validate every run against the sequential reference
 	Progress  func(string)
 
 	// Workers bounds how many simulations run concurrently. Every run
 	// owns a private engine and address space, so results are identical
 	// for any value; only wall-clock time and Progress ordering change.
-	// 0 (the default) uses GOMAXPROCS; 1 forces the legacy serial order.
+	// 0 (the default) uses GOMAXPROCS; 1 runs serially.
 	Workers int
 }
 
@@ -48,62 +51,65 @@ type SuiteResults struct {
 	SVM     map[Protocol][]*Result
 }
 
-func (o *SuiteOptions) progress(format string, args ...any) {
-	if o.Progress != nil {
-		o.Progress(fmt.Sprintf(format, args...))
-	}
-}
-
 // RunSuite executes the application suite under every requested
 // protocol (plus the sequential reference and, optionally, hardware).
 // Independent runs are fanned across OS threads per opt.Workers; see
 // SuiteOptions. Results do not depend on the worker count.
 func RunSuite(cfg Config, opt SuiteOptions) (*SuiteResults, error) {
+	ss, err := runSuites(opt, []string{""}, []Config{cfg})
+	if err != nil {
+		return nil, err
+	}
+	return ss[0], nil
+}
+
+// runSuites runs the suite once per config in one runAll call, so a
+// multi-config experiment keeps the pool busy across configs. tags[c]
+// prefixes config c's job labels.
+func runSuites(opt SuiteOptions, tags []string, cfgs []Config) ([]*SuiteResults, error) {
 	kinds := opt.Protocols
 	if kinds == nil {
 		kinds = Protocols()
 	}
-	if workers := suiteWorkers(opt.Workers); workers > 1 {
-		return runSuiteParallel(cfg, opt, kinds, workers)
-	}
-	s := &SuiteResults{Cfg: cfg, Entries: apps.Suite(opt.Scale), SVM: map[Protocol][]*Result{}}
-	for _, e := range s.Entries {
-		opt.progress("seq  %-12s", e.App.Name())
-		seqRes, seqWS, err := app.RunSeq(cfg, e.App)
-		if err != nil {
-			return nil, err
+	entries := apps.Suite(opt.Scale)
+	n := len(entries)
+	var refs, runs []job
+	for c, cfg := range cfgs {
+		for i, e := range entries {
+			refs = append(refs, job{label: tags[c] + "seq/" + e.App.Name(), cfg: cfg,
+				app: func() App { return apps.Suite(opt.Scale)[i].App }})
 		}
-		s.Seq = append(s.Seq, seqRes)
-
+		// Runs are protocol-major: each protocol's results are one block.
+		add := func(name string, k Protocol, hw bool) {
+			for i, e := range entries {
+				runs = append(runs, job{label: tags[c] + name + "/" + e.App.Name(), cfg: cfg,
+					app: refs[c*n+i].app, kind: k, hw: hw, ref: c*n + i})
+			}
+		}
 		if opt.Hardware {
-			opt.progress("hw   %-12s", e.App.Name())
-			hwRes, hwWS, err := app.RunHW(cfg, e.App)
-			if err != nil {
-				return nil, err
-			}
-			if opt.Verify {
-				if err := app.Validate(e.App, hwWS, seqWS); err != nil {
-					return nil, fmt.Errorf("%s on hwdsm: %w", e.App.Name(), err)
-				}
-			}
-			s.HW = append(s.HW, hwRes)
+			add("hw", 0, true)
 		}
-
 		for _, k := range kinds {
-			opt.progress("%-4s %-12s", k, e.App.Name())
-			res, ws, err := app.RunSVM(cfg, k, e.App)
-			if err != nil {
-				return nil, err
-			}
-			if opt.Verify {
-				if err := app.Validate(e.App, ws, seqWS); err != nil {
-					return nil, fmt.Errorf("%s on %v: %w", e.App.Name(), k, err)
-				}
-			}
-			s.SVM[k] = append(s.SVM[k], res)
+			add(k.String(), k, false)
 		}
 	}
-	return s, nil
+	seq, res, err := runAll(opt, refs, runs)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*SuiteResults, len(cfgs))
+	for c, cfg := range cfgs {
+		s := &SuiteResults{Cfg: cfg, Entries: entries, SVM: map[Protocol][]*Result{}}
+		s.Seq, seq = seq[:n:n], seq[n:]
+		if opt.Hardware {
+			s.HW, res = res[:n:n], res[n:]
+		}
+		for _, k := range kinds {
+			s.SVM[k], res = res[:n:n], res[n:]
+		}
+		out[c] = s
+	}
+	return out, nil
 }
 
 func (s *SuiteResults) appNames() []string {
@@ -445,21 +451,17 @@ type Table5Data struct {
 }
 
 // Table5 runs the suite on an 8-node (32-processor) cluster under
-// GeNIMA and the hardware model. It is independent of RunSuite.
-func Table5(scale Scale, verify bool, progress func(string)) (*Table5Data, error) {
+// GeNIMA and the hardware model. It is independent of RunSuite's
+// main-suite callers.
+func Table5(opt SuiteOptions) (*Table5Data, error) {
 	cfg := DefaultConfig()
 	cfg.Nodes = 8
-	opt := SuiteOptions{
-		Scale:     scale,
-		Protocols: []Protocol{GeNIMA},
-		Hardware:  true,
-		Verify:    verify,
-		Progress:  progress,
-	}
-	s, err := RunSuite(cfg, opt)
+	opt.Protocols, opt.Hardware = []Protocol{GeNIMA}, true
+	ss, err := runSuites(opt, []string{"table5 "}, []Config{cfg})
 	if err != nil {
 		return nil, err
 	}
+	s := ss[0]
 	return &Table5Data{
 		Apps:   s.appNames(),
 		SVM:    s.speedups(s.SVM[GeNIMA]),
@@ -491,30 +493,27 @@ type ScalingData struct {
 
 // Scaling runs the suite at 1, 2, 4 and 8 nodes (4-way SMPs) under
 // Base and GeNIMA.
-func Scaling(scale Scale, progress func(string)) (*ScalingData, error) {
+func Scaling(opt SuiteOptions) (*ScalingData, error) {
 	d := &ScalingData{Nodes: []int{1, 2, 4, 8}}
+	var tags []string
+	var cfgs []Config
 	for _, nodes := range d.Nodes {
 		d.Procs = append(d.Procs, nodes*4)
-	}
-	entries := apps.Suite(scale)
-	for _, e := range entries {
-		d.Apps = append(d.Apps, e.PaperName)
-	}
-	d.Base = make([][]float64, len(entries))
-	d.GeNIMA = make([][]float64, len(entries))
-	for i := range entries {
-		d.Base[i] = make([]float64, len(d.Nodes))
-		d.GeNIMA[i] = make([]float64, len(d.Nodes))
-	}
-	for si, nodes := range d.Nodes {
 		cfg := DefaultConfig()
 		cfg.Nodes = nodes
-		opt := SuiteOptions{Scale: scale, Protocols: []Protocol{Base, GeNIMA}, Progress: progress}
-		s, err := RunSuite(cfg, opt)
-		if err != nil {
-			return nil, err
-		}
-		for i := range entries {
+		tags = append(tags, fmt.Sprintf("scaling %dn ", nodes))
+		cfgs = append(cfgs, cfg)
+	}
+	opt.Protocols, opt.Hardware = []Protocol{Base, GeNIMA}, false
+	ss, err := runSuites(opt, tags, cfgs)
+	if err != nil {
+		return nil, err
+	}
+	d.Apps = ss[0].appNames()
+	for i := range d.Apps {
+		d.Base = append(d.Base, make([]float64, len(d.Nodes)))
+		d.GeNIMA = append(d.GeNIMA, make([]float64, len(d.Nodes)))
+		for si, s := range ss {
 			d.Base[i][si] = app.Speedup(s.Seq[i], s.SVM[Base][i])
 			d.GeNIMA[i][si] = app.Speedup(s.Seq[i], s.SVM[GeNIMA][i])
 		}
@@ -570,27 +569,29 @@ func FaultSweepRates() []float64 { return []float64{0, 0.001, 0.005, 0.01} }
 // FaultSweep runs the full app x protocol suite at each drop rate in
 // FaultSweepRates with a FaultMix plan seeded by seed, validating
 // every run. It is independent of RunSuite's main-suite callers.
-func FaultSweep(scale Scale, seed uint64, progress func(string)) (*FaultSweepData, error) {
+func FaultSweep(opt SuiteOptions, seed uint64) (*FaultSweepData, error) {
 	d := &FaultSweepData{
 		Seed:     seed,
 		Rates:    FaultSweepRates(),
 		Speedups: map[Protocol][]float64{},
 	}
-	for _, e := range apps.Suite(scale) {
-		d.Apps = append(d.Apps, e.PaperName)
-	}
+	var tags []string
+	var cfgs []Config
 	for _, rate := range d.Rates {
 		cfg := DefaultConfig()
 		if rate > 0 {
 			cfg.Faults = FaultMix(rate, seed)
 		}
-		if progress != nil {
-			progress(fmt.Sprintf("fault sweep: drop rate %.2f%%", 100*rate))
-		}
-		s, err := RunSuite(cfg, SuiteOptions{Scale: scale, Verify: true, Progress: progress})
-		if err != nil {
-			return nil, fmt.Errorf("fault sweep at %.2f%% drop: %w", 100*rate, err)
-		}
+		tags = append(tags, fmt.Sprintf("faultsweep %.2f%% ", 100*rate))
+		cfgs = append(cfgs, cfg)
+	}
+	opt.Protocols, opt.Hardware = nil, false
+	ss, err := runSuites(opt, tags, cfgs)
+	if err != nil {
+		return nil, err
+	}
+	d.Apps = ss[0].appNames()
+	for _, s := range ss {
 		var rep stats.FaultReport
 		for _, k := range Protocols() {
 			sum := 0.0
@@ -629,8 +630,28 @@ type ScaleSweepData struct {
 	TreeNs    map[Protocol][]float64
 }
 
-// ScaleSweepNodes is the sweep's cluster-size ladder.
-func ScaleSweepNodes() []int { return []int{64, 128, 256, 512} }
+// ScaleSweepNodes is the sweep's cluster-size ladder. At TestScale both
+// points span two or more radix-32 leaves, so every run crosses the
+// spine.
+func ScaleSweepNodes(scale Scale) []int {
+	if scale == TestScale {
+		return []int{32, 64}
+	}
+	return []int{64, 128, 256, 512}
+}
+
+// scaleSweepConfig is one point of the scale sweep: one processor per
+// node on a clos2 fabric under the 1% mixed fault plan.
+func scaleSweepConfig(nodes, radix int, tree bool, seed uint64) Config {
+	cfg := DefaultConfig()
+	cfg.Nodes = nodes
+	cfg.ProcsPerNode = 1
+	cfg.Topo = TopoClos2
+	cfg.SwitchRadix = radix
+	cfg.Collectives = tree
+	cfg.Faults = FaultMix(0.01, seed)
+	return cfg
+}
 
 // TreeSpeedup returns flat/tree for one protocol across the ladder.
 func (d *ScaleSweepData) TreeSpeedup(k Protocol) []float64 {
@@ -645,51 +666,51 @@ func (d *ScaleSweepData) TreeSpeedup(k Protocol) []float64 {
 
 // ScaleSweep runs barrierbench at each node count in ScaleSweepNodes,
 // per protocol, with collectives off (flat fan-out) and on (NI tree).
-// DW+RF and DW+RF+DD share DW's barrier path exactly, so the sweep
-// covers Base (interrupt barrier), DW (flat deposit vs tree), and
-// GeNIMA (adds NI locks; barrier path as DW). Every run injects the
-// 1% mixed fault plan — completing the sweep certifies the collective
-// tree rides the go-back-N reliable edges.
-func ScaleSweep(scale Scale, seed uint64, progress func(string)) (*ScaleSweepData, error) {
-	e, ok := apps.ByName(scale, "barrierbench")
-	if !ok {
-		return nil, fmt.Errorf("scalesweep: barrierbench app missing")
+// It covers Base (interrupt barrier) and GeNIMA (flat deposit vs
+// tree). DW, DW+RF and DW+RF+DD send exactly GeNIMA's packet stream on
+// barrierbench, which takes no locks and fetches no pages
+// (TestScaleSweepDWMatchesGeNIMA pins the DW identity). Every run
+// injects the 1% mixed fault plan — completing the sweep certifies the
+// collective tree rides the go-back-N reliable edges.
+func ScaleSweep(opt SuiteOptions, seed uint64) (*ScaleSweepData, error) {
+	bench := func() App {
+		e, _ := apps.ByName(opt.Scale, "barrierbench")
+		return e.App
 	}
-	rounds := e.App.(interface{ Rounds() int }).Rounds()
 	d := &ScaleSweepData{
-		Nodes:     ScaleSweepNodes(),
-		Protocols: []Protocol{Base, DW, GeNIMA},
+		Nodes:     ScaleSweepNodes(opt.Scale),
+		Protocols: []Protocol{Base, GeNIMA},
 		Radix:     32,
-		Rounds:    rounds,
+		Rounds:    bench().(interface{ Rounds() int }).Rounds(),
 		FlatNs:    map[Protocol][]float64{},
 		TreeNs:    map[Protocol][]float64{},
 	}
-	// 2 barriers per round plus the harness's trailing flush barrier.
-	barriers := float64(2*rounds + 1)
+	refs := []job{{label: "scalesweep seq", cfg: DefaultConfig(), app: bench}}
+	var runs []job
 	for _, nodes := range d.Nodes {
 		for _, k := range d.Protocols {
 			for _, tree := range []bool{false, true} {
-				cfg := DefaultConfig()
-				cfg.Nodes = nodes
-				cfg.ProcsPerNode = 1
-				cfg.Topo = TopoClos2
-				cfg.SwitchRadix = d.Radix
-				cfg.Collectives = tree
-				cfg.Faults = FaultMix(0.01, seed)
-				if progress != nil {
-					progress(fmt.Sprintf("scalesweep: %d nodes, %v, collectives=%v", nodes, k, tree))
-				}
-				res, _, err := app.RunSVM(cfg, k, e.App)
-				if err != nil {
-					return nil, fmt.Errorf("scalesweep %d nodes %v tree=%v: %w", nodes, k, tree, err)
-				}
-				ns := float64(res.Elapsed) / barriers
-				if tree {
-					d.TreeNs[k] = append(d.TreeNs[k], ns)
-				} else {
-					d.FlatNs[k] = append(d.FlatNs[k], ns)
-				}
+				runs = append(runs, job{
+					label: fmt.Sprintf("scalesweep %v/%dn/tree=%v", k, nodes, tree),
+					cfg:   scaleSweepConfig(nodes, d.Radix, tree, seed),
+					app:   bench,
+					kind:  k,
+				})
 			}
+		}
+	}
+	_, res, err := runAll(opt, refs, runs)
+	if err != nil {
+		return nil, err
+	}
+	// 2 barriers per round plus the harness's trailing flush barrier.
+	barriers := float64(2*d.Rounds + 1)
+	for i, r := range runs {
+		ns := float64(res[i].Elapsed) / barriers
+		if r.cfg.Collectives {
+			d.TreeNs[r.kind] = append(d.TreeNs[r.kind], ns)
+		} else {
+			d.FlatNs[r.kind] = append(d.FlatNs[r.kind], ns)
 		}
 	}
 	return d, nil
@@ -774,51 +795,44 @@ type ServeData struct {
 // Serve runs the svmkv serving workload across the full protocol
 // ladder at each load level and fault rate, collecting throughput and
 // latency tails from the merged per-processor histograms.
-func Serve(scale Scale, seed uint64, progress func(string)) (*ServeData, error) {
-	base := svmkv.DefaultParams(scale == BenchScale)
+func Serve(opt SuiteOptions, seed uint64) (*ServeData, error) {
+	base := svmkv.DefaultParams(opt.Scale == BenchScale)
 	base.Seed = seed
 	d := &ServeData{
 		Seed:      seed,
-		Scale:     scale,
+		Scale:     opt.Scale,
 		Params:    base,
 		Protocols: Protocols(),
 		Loads:     ServeLoadLevels(),
 		Rates:     ServeFaultRates(),
 		Cells:     map[Protocol][][]ServeCell{},
 	}
+	var refs, runs []job
+	var cells []*ServeCell // aligned with runs
 	for li, load := range d.Loads {
 		p := base
 		p.MeanGapNs = base.MeanGapNs * load.GapScale
-		a := svmkv.New(p)
-		_, seqWS, err := app.RunSeq(DefaultConfig(), a)
-		if err != nil {
-			return nil, fmt.Errorf("serve %s: sequential reference: %w", load.Name, err)
-		}
+		kv := func() App { return svmkv.New(p) }
+		refs = append(refs, job{label: "serve seq/" + load.Name, cfg: DefaultConfig(), app: kv})
 		for _, k := range d.Protocols {
-			if len(d.Cells[k]) <= li {
-				d.Cells[k] = append(d.Cells[k], make([]ServeCell, len(d.Rates)))
-			}
+			d.Cells[k] = append(d.Cells[k], make([]ServeCell, len(d.Rates)))
 			for ri, rate := range d.Rates {
 				cfg := DefaultConfig()
 				if rate > 0 {
 					cfg.Faults = FaultMix(rate, seed)
 				}
-				if progress != nil {
-					progress(fmt.Sprintf("serve: %v, %s load, %.1f%% faults", k, load.Name, 100*rate))
-				}
-				res, ws, err := app.RunSVM(cfg, k, a)
-				if err != nil {
-					return nil, fmt.Errorf("serve %v/%s/%.1f%%: %w", k, load.Name, 100*rate, err)
-				}
-				if err := app.Validate(a, ws, seqWS); err != nil {
-					return nil, fmt.Errorf("serve %v/%s/%.1f%%: validation failed: %w", k, load.Name, 100*rate, err)
-				}
-				d.Cells[k][li][ri] = ServeCell{
-					ReqsPerSec: res.Latency.Throughput(res.Elapsed),
-					Lat:        res.Latency.Summary(),
-				}
+				runs = append(runs, job{label: fmt.Sprintf("serve %v/%s/%.0f%%", k, load.Name, 100*rate),
+					cfg: cfg, app: kv, kind: k, ref: li})
+				cells = append(cells, &d.Cells[k][li][ri])
 			}
 		}
+	}
+	_, res, err := runAll(opt, refs, runs)
+	if err != nil {
+		return nil, err
+	}
+	for i, r := range res {
+		*cells[i] = ServeCell{ReqsPerSec: r.Latency.Throughput(r.Elapsed), Lat: r.Latency.Summary()}
 	}
 	return d, nil
 }

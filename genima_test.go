@@ -38,7 +38,6 @@ func sharedSuite(t *testing.T) *genima.SuiteResults {
 		suite, suiteErr = genima.RunSuite(cfg, genima.SuiteOptions{
 			Scale:    genima.TestScale,
 			Hardware: true,
-			Verify:   true,
 		})
 	})
 	if suiteErr != nil {
@@ -186,7 +185,7 @@ func TestRenderings(t *testing.T) {
 }
 
 func TestTable5RunsAt32Procs(t *testing.T) {
-	d, err := genima.Table5(genima.TestScale, false, nil)
+	d, err := genima.Table5(genima.SuiteOptions{Scale: genima.TestScale})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +245,7 @@ func TestRunTracedStreamsPackets(t *testing.T) {
 }
 
 func TestScalingStudyShape(t *testing.T) {
-	d, err := genima.Scaling(genima.TestScale, nil)
+	d, err := genima.Scaling(genima.SuiteOptions{Scale: genima.TestScale})
 	if err != nil {
 		t.Fatal(err)
 	}

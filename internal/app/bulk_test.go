@@ -180,21 +180,52 @@ func TestInvalidConfigRejected(t *testing.T) {
 	}
 }
 
+// barrierApp only synchronizes: under a deposit protocol every
+// barrier is an all-to-all flag exchange, so the fabric is the busiest
+// part of the run.
+type barrierApp struct{ rounds int }
+
+func (a *barrierApp) Name() string        { return "barrier" }
+func (a *barrierApp) Ops() float64        { return 1 }
+func (a *barrierApp) Setup(ws *Workspace) { ws.Alloc("x", 8, memory.RoundRobin) }
+
+func (a *barrierApp) Run(ctx *Ctx) {
+	for r := 0; r < a.rounds; r++ {
+		ctx.Barrier()
+	}
+}
+
+// TestUtilizationBounded requires every busy fraction to lie in [0,1].
+// The clos2 leg covers multi-stage fabrics, where Switch must be the
+// busiest single switch: each of its leaf stages sums to more than the
+// run's length.
 func TestUtilizationBounded(t *testing.T) {
-	a := &sumApp{n: 16384}
-	res, _, err := RunSVM(testConfig(), core.Base, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u := res.Util
-	for name, v := range map[string]float64{
-		"firmware": u.Firmware, "pci": u.PCI, "link": u.Link, "switch": u.Switch,
+	clos := testConfig()
+	clos.Nodes, clos.ProcsPerNode = 16, 1
+	clos.Topo, clos.SwitchRadix = topo.TopoClos2, 8
+	for _, leg := range []struct {
+		name string
+		cfg  topo.Config
+		kind core.Kind
+		a    App
+	}{
+		{"xbar8", testConfig(), core.Base, &sumApp{n: 16384}},
+		{"clos2", clos, core.DW, &barrierApp{rounds: 4}},
 	} {
-		if v < 0 || v > 1 {
-			t.Errorf("%s utilization = %v, want [0,1]", name, v)
+		res, _, err := RunSVM(leg.cfg, leg.kind, leg.a)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if u.Firmware == 0 || u.PCI == 0 {
-		t.Error("no substrate activity recorded")
+		u := res.Util
+		for name, v := range map[string]float64{
+			"firmware": u.Firmware, "pci": u.PCI, "link": u.Link, "switch": u.Switch,
+		} {
+			if v < 0 || v > 1 {
+				t.Errorf("%s: %s utilization = %v, want [0,1]", leg.name, name, v)
+			}
+		}
+		if u.Firmware == 0 || u.PCI == 0 || u.Switch == 0 {
+			t.Errorf("%s: no substrate activity recorded", leg.name)
+		}
 	}
 }

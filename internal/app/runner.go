@@ -48,7 +48,7 @@ type Utilization struct {
 	Firmware    float64    // NI processor (the paper's 33 MHz LANai)
 	PCI         float64    // host I/O bus
 	Link        float64    // busiest link direction
-	Switch      float64    // busiest fabric stage (the crossbar on xbar8)
+	Switch      float64    // busiest single switch (the crossbar on xbar8)
 	SwitchStage []sim.Time // per-stage summed switch busy time (len = fabric stages)
 	MaxBacklog  sim.Time   // worst firmware-queue backlog observed
 }

@@ -53,7 +53,7 @@ type App struct {
 	// Per-processor scratch, indexed by ctx.ID(). Safe to keep on the
 	// receiver: within a run the engine interleaves processors without
 	// true concurrency, and concurrent runs never share an App instance
-	// (see runSuiteParallel).
+	// (see runAll).
 	sc []procScratch
 }
 

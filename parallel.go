@@ -1,12 +1,13 @@
 package genima
 
-// The parallel experiment runner: RunSuite fans its (app × protocol)
-// simulations across OS threads. Every run owns a private sim.Engine,
-// memory.Space, and app.App instance, so runs are share-nothing and each
-// one is exactly the simulation the serial runner would have executed —
-// virtual times, statistics, and rendered tables are byte-identical for
-// any Workers value. Only the wall-clock order of Progress callbacks
-// changes.
+// The experiment runner: every experiment (the paper suite, Table 5,
+// the scaling study, the fault, scale and serving sweeps) is a list of
+// sequential references plus a list of runs, handed to runAll. Every
+// run owns a private sim.Engine, memory.Space, and app.App instance, so
+// runs are share-nothing and each one is exactly the simulation a
+// serial loop would execute — virtual times, statistics, and rendered
+// tables are byte-identical for any Workers value. Only the wall-clock
+// order of Progress callbacks changes.
 
 import (
 	"fmt"
@@ -15,7 +16,6 @@ import (
 	"sync/atomic"
 
 	"genima/internal/app"
-	"genima/internal/apps"
 )
 
 // parallelFor runs task(0..n-1) on up to workers goroutines pulling from
@@ -68,98 +68,57 @@ func suiteWorkers(workers int) int {
 	return workers
 }
 
-// suiteJob is one simulation of the phase-2 fan-out: either the
-// hardware-DSM yardstick or one protocol rung for one application.
-type suiteJob struct {
-	entry int
-	hw    bool
+// job is one simulation. In runAll's refs it is a sequential
+// reference; in its runs it is a protocol run (a hardware-DSM run when
+// hw is set) validated against refs[ref]. app builds a fresh instance
+// per use, since applications cache derived state on the receiver
+// during Setup. label names the job in progress and error messages.
+type job struct {
+	label string
+	cfg   Config
+	app   func() App
 	kind  Protocol
+	hw    bool
+	ref   int
 }
 
-// runSuiteParallel executes the suite with the worker pool. Phase 1 runs
-// the sequential references (every verification and speedup needs them);
-// phase 2 fans out all (app × protocol) runs plus the hardware runs.
-// Each job rebuilds its own App instance via apps.Suite — applications
-// cache derived state on the receiver during Setup, so instances must
-// not be shared between concurrent runs.
-func runSuiteParallel(cfg Config, opt SuiteOptions, kinds []Protocol, workers int) (*SuiteResults, error) {
-	s := &SuiteResults{Cfg: cfg, Entries: apps.Suite(opt.Scale), SVM: map[Protocol][]*Result{}}
-	n := len(s.Entries)
-
+// runAll executes the references, then the runs, on opt.Workers
+// goroutines, validating every run against its reference. seq and res
+// are indexed like refs and runs.
+func runAll(opt SuiteOptions, refs, runs []job) (seq, res []*Result, err error) {
 	var mu sync.Mutex
-	progress := func(format string, args ...any) {
-		if opt.Progress == nil {
-			return
-		}
-		msg := fmt.Sprintf(format, args...)
-		mu.Lock()
-		defer mu.Unlock()
-		opt.Progress(msg)
-	}
-
-	s.Seq = make([]*Result, n)
-	seqWS := make([]*Workspace, n)
-	err := parallelFor(workers, n, func(i int) error {
-		a := apps.Suite(opt.Scale)[i].App
-		progress("seq  %-12s", a.Name())
-		res, ws, err := app.RunSeq(cfg, a)
-		if err != nil {
-			return err
-		}
-		s.Seq[i], seqWS[i] = res, ws
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	var jobs []suiteJob
-	for i := 0; i < n; i++ {
-		if opt.Hardware {
-			jobs = append(jobs, suiteJob{entry: i, hw: true})
-		}
-		for _, k := range kinds {
-			jobs = append(jobs, suiteJob{entry: i, kind: k})
-		}
-	}
-	if opt.Hardware {
-		s.HW = make([]*Result, n)
-	}
-	for _, k := range kinds {
-		s.SVM[k] = make([]*Result, n)
-	}
-	err = parallelFor(workers, len(jobs), func(j int) error {
-		jb := jobs[j]
-		a := apps.Suite(opt.Scale)[jb.entry].App
-		if jb.hw {
-			progress("hw   %-12s", a.Name())
-			res, ws, err := app.RunHW(cfg, a)
+	var out [2][]*Result
+	seqWS := make([]*Workspace, len(refs))
+	for phase, jobs := range [2][]job{refs, runs} {
+		out[phase] = make([]*Result, len(jobs))
+		err := parallelFor(suiteWorkers(opt.Workers), len(jobs), func(i int) (err error) {
+			j := jobs[i]
+			if opt.Progress != nil {
+				mu.Lock()
+				opt.Progress(j.label)
+				mu.Unlock()
+			}
+			a := j.app()
+			var ws *Workspace
+			switch {
+			case phase == 0:
+				out[0][i], seqWS[i], err = app.RunSeq(j.cfg, a)
+			case j.hw:
+				out[1][i], ws, err = app.RunHW(j.cfg, a)
+			default:
+				out[1][i], ws, err = app.RunSVM(j.cfg, j.kind, a)
+			}
+			if err == nil && phase == 1 {
+				err = app.Validate(a, ws, seqWS[j.ref])
+			}
 			if err != nil {
-				return err
+				return fmt.Errorf("%s: %w", j.label, err)
 			}
-			if opt.Verify {
-				if err := app.Validate(a, ws, seqWS[jb.entry]); err != nil {
-					return fmt.Errorf("%s on hwdsm: %w", a.Name(), err)
-				}
-			}
-			s.HW[jb.entry] = res
 			return nil
-		}
-		progress("%-4s %-12s", jb.kind, a.Name())
-		res, ws, err := app.RunSVM(cfg, jb.kind, a)
+		})
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
-		if opt.Verify {
-			if err := app.Validate(a, ws, seqWS[jb.entry]); err != nil {
-				return fmt.Errorf("%s on %v: %w", a.Name(), jb.kind, err)
-			}
-		}
-		s.SVM[jb.kind][jb.entry] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	return s, nil
+	return out[0], out[1], nil
 }

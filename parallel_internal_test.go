@@ -1,11 +1,14 @@
 package genima
 
-// White-box tests for the worker pool itself.
+// White-box tests for the worker pool and the experiment runner.
 
 import (
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
+
+	"genima/internal/apps/barrierbench"
 )
 
 func TestParallelForRunsEveryTask(t *testing.T) {
@@ -58,5 +61,23 @@ func TestSuiteWorkersDefaults(t *testing.T) {
 	}
 	if got := suiteWorkers(9); got != 9 {
 		t.Fatalf("suiteWorkers(9) = %d", got)
+	}
+}
+
+// TestRunAllValidatesEveryRun hands runAll a hardware run whose output
+// differs from its reference: the runner must fail and name that run,
+// whatever the worker count.
+func TestRunAllValidatesEveryRun(t *testing.T) {
+	bench := func(rounds int) func() App { return func() App { return barrierbench.New(rounds) } }
+	refs := []job{{label: "seq", cfg: DefaultConfig(), app: bench(2)}}
+	runs := []job{
+		{label: "good", cfg: DefaultConfig(), app: bench(2), kind: GeNIMA},
+		{label: "bad", cfg: DefaultConfig(), app: bench(3), hw: true},
+	}
+	for _, workers := range []int{1, 2} {
+		_, _, err := runAll(SuiteOptions{Workers: workers}, refs, runs)
+		if err == nil || !strings.HasPrefix(err.Error(), "bad: ") {
+			t.Errorf("workers=%d: err = %v, want a validation failure of run \"bad\"", workers, err)
+		}
 	}
 }

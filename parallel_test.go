@@ -1,89 +1,85 @@
 package genima_test
 
-// Determinism contract of the parallel suite runner: for the same
-// configuration, Workers=N must produce byte-identical results to the
-// legacy serial runner (Workers=1) — same virtual end times, same event
-// counts, same rendered tables. `go test -race` exercises the pool's
-// sharing discipline.
+// Determinism contract of the experiment runner: for the same inputs,
+// Workers=N must render every experiment byte-identically to a serial
+// run (Workers=1). `go test -race` exercises the pool's sharing
+// discipline.
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	genima "genima"
 )
 
-func suiteForWorkers(t *testing.T, workers int) *genima.SuiteResults {
+// renderExperiments renders every experiment at TestScale on the given
+// number of workers, keyed by experiment name. "raw" fingerprints every
+// suite run's virtual time, event count and accounting.
+func renderExperiments(t *testing.T, workers int) map[string]string {
 	t.Helper()
-	cfg := genima.DefaultConfig()
-	s, err := genima.RunSuite(cfg, genima.SuiteOptions{
-		Scale:    genima.TestScale,
-		Hardware: true,
-		Workers:  workers,
-	})
+	opt := genima.SuiteOptions{Scale: genima.TestScale, Hardware: true, Workers: workers}
+	s, err := genima.RunSuite(genima.DefaultConfig(), opt)
 	if err != nil {
 		t.Fatalf("RunSuite(Workers=%d): %v", workers, err)
 	}
-	return s
+	var raw strings.Builder
+	for _, rs := range append([][]*genima.Result{s.Seq, s.HW}, s.SVM[genima.Base], s.SVM[genima.DW],
+		s.SVM[genima.DWRF], s.SVM[genima.DWRFDD], s.SVM[genima.GeNIMA]) {
+		for _, r := range rs {
+			fmt.Fprintf(&raw, "%s %d %d %+v\n", r.Label, r.Elapsed, r.Events, r.Acct)
+		}
+	}
+	out := map[string]string{
+		"raw":     raw.String(),
+		"Figure1": s.Figure1().String(),
+		"Figure2": s.Figure2().String(),
+		"Figure3": s.Figure3().String(),
+		"Figure4": s.Figure4().String(),
+		"Table1":  s.Table1().String(),
+		"Table2":  s.Table2().String(),
+		"Table3":  s.Table3().String(),
+		"Table4":  s.Table4().String(),
+	}
+	for name, run := range map[string]func() (fmt.Stringer, error){
+		"Table5":     func() (fmt.Stringer, error) { return genima.Table5(opt) },
+		"Scaling":    func() (fmt.Stringer, error) { return genima.Scaling(opt) },
+		"FaultSweep": func() (fmt.Stringer, error) { return genima.FaultSweep(opt, 1) },
+		"ScaleSweep": func() (fmt.Stringer, error) { return genima.ScaleSweep(opt, 1) },
+		"Serve":      func() (fmt.Stringer, error) { return genima.Serve(opt, 1) },
+	} {
+		d, err := run()
+		if err != nil {
+			t.Fatalf("%s(Workers=%d): %v", name, workers, err)
+		}
+		out[name] = d.String()
+	}
+	return out
 }
 
-func TestParallelSuiteMatchesSerial(t *testing.T) {
+// TestExperimentsMatchAcrossWorkers renders every experiment — the
+// suite's figures and Tables 1–4, Table 5, Scaling, FaultSweep,
+// ScaleSweep and Serve — serially and on four workers, and requires
+// byte-identical output.
+func TestExperimentsMatchAcrossWorkers(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full suite ladder in -short mode")
+		t.Skip("every experiment twice in -short mode")
 	}
-	serial := suiteForWorkers(t, 1)
-	par := suiteForWorkers(t, 4)
-
-	for i, e := range serial.Entries {
-		if a, b := serial.Seq[i], par.Seq[i]; a.Elapsed != b.Elapsed || a.Events != b.Events {
-			t.Errorf("%s seq: serial (%d ns, %d ev) != parallel (%d ns, %d ev)",
-				e.PaperName, a.Elapsed, a.Events, b.Elapsed, b.Events)
-		}
-		if a, b := serial.HW[i], par.HW[i]; a.Elapsed != b.Elapsed || a.Events != b.Events {
-			t.Errorf("%s hw: serial (%d ns, %d ev) != parallel (%d ns, %d ev)",
-				e.PaperName, a.Elapsed, a.Events, b.Elapsed, b.Events)
-		}
-		for _, k := range genima.Protocols() {
-			a, b := serial.SVM[k][i], par.SVM[k][i]
-			if a.Elapsed != b.Elapsed || a.Events != b.Events {
-				t.Errorf("%s on %v: serial (%d ns, %d ev) != parallel (%d ns, %d ev)",
-					e.PaperName, k, a.Elapsed, a.Events, b.Elapsed, b.Events)
-			}
-			if a.Acct != b.Acct {
-				t.Errorf("%s on %v: accounting differs between serial and parallel", e.PaperName, k)
-			}
-		}
-	}
-
-	renders := []struct {
-		name        string
-		serial, par string
-	}{
-		{"Figure1", serial.Figure1().String(), par.Figure1().String()},
-		{"Figure2", serial.Figure2().String(), par.Figure2().String()},
-		{"Figure3", serial.Figure3().String(), par.Figure3().String()},
-		{"Figure4", serial.Figure4().String(), par.Figure4().String()},
-		{"Table1", serial.Table1().String(), par.Table1().String()},
-		{"Table2", serial.Table2().String(), par.Table2().String()},
-		{"Table3", serial.Table3().String(), par.Table3().String()},
-		{"Table4", serial.Table4().String(), par.Table4().String()},
-	}
-	for _, r := range renders {
-		if r.serial != r.par {
-			t.Errorf("%s renders differently under Workers=4:\nserial:\n%s\nparallel:\n%s",
-				r.name, r.serial, r.par)
+	serial, par := renderExperiments(t, 1), renderExperiments(t, 4)
+	for name, want := range serial {
+		if got := par[name]; got != want {
+			t.Errorf("%s renders differently under Workers=4:\nserial:\n%s\nparallel:\n%s", name, want, got)
 		}
 	}
 }
 
-// TestParallelSuiteVerifies runs the parallel runner with cross-run
-// validation on: every protocol run's shared memory must match the
-// sequential reference computed in phase 1.
+// TestParallelSuiteVerifies runs the suite on the worker pool: every
+// protocol run's shared memory must match its sequential reference.
 func TestParallelSuiteVerifies(t *testing.T) {
 	cfg := genima.DefaultConfig()
 	_, err := genima.RunSuite(cfg, genima.SuiteOptions{
 		Scale:     genima.TestScale,
 		Protocols: []genima.Protocol{genima.Base, genima.GeNIMA},
-		Verify:    true,
 		Workers:   4,
 	})
 	if err != nil {
