@@ -71,14 +71,14 @@ smoke-soak:
 	rm -rf $(SOAKTMP) && mkdir -p $(SOAKTMP)
 	$(GO) build -o $(SOAKTMP)/genima-run ./cmd/genima-run
 	$(GO) build -o $(SOAKTMP)/genima-bench ./cmd/genima-bench
-	$(SOAKTMP)/genima-run -app fft -scale bench -proto GeNIMA -verify=false \
+	$(SOAKTMP)/genima-run -app fft -scale bench -proto GeNIMA \
 		-faults 0.01 -fault-seed 42 -trace-hash \
 		| grep -o 'trace-hash=[0-9a-f]*' > $(SOAKTMP)/hash.full
-	sh -c '$(SOAKTMP)/genima-run -app fft -scale bench -proto GeNIMA -verify=false \
+	sh -c '$(SOAKTMP)/genima-run -app fft -scale bench -proto GeNIMA \
 		-faults 0.01 -fault-seed 42 -trace-hash \
 		-checkpoint $(SOAKTMP)/run.ckpt -checkpoint-every 1000 -stop-after 3 \
 		> /dev/null 2> $(SOAKTMP)/halt.err; test $$? -eq 130'
-	$(SOAKTMP)/genima-run -app fft -scale bench -proto GeNIMA -verify=false \
+	$(SOAKTMP)/genima-run -app fft -scale bench -proto GeNIMA \
 		-faults 0.01 -fault-seed 42 -trace-hash -restore $(SOAKTMP)/run.ckpt \
 		| grep -o 'trace-hash=[0-9a-f]*' > $(SOAKTMP)/hash.resumed
 	cmp $(SOAKTMP)/hash.full $(SOAKTMP)/hash.resumed

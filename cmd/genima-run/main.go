@@ -36,7 +36,6 @@ var (
 	scaleFlag  = flag.String("scale", "bench", "problem scale: test or bench")
 	nodesFlag  = flag.Int("nodes", 4, "SMP nodes")
 	procsFlag  = flag.Int("procs", 4, "processors per node")
-	verifyFlag = flag.Bool("verify", true, "validate against the sequential reference")
 	sgFlag     = flag.Bool("sg", false, "enable the NI scatter-gather extension for direct diffs")
 	bcastFlag  = flag.Bool("broadcast", false, "enable NI broadcast for write notices")
 	topoFlag   = flag.String("topo", "xbar8", "network fabric: xbar8, clos2, or fattree")
@@ -228,13 +227,11 @@ func main() {
 			traceHash, traceEvents, res.Events, wall.Round(time.Millisecond),
 			float64(res.Events)/wall.Seconds())
 	}
-	if *verifyFlag {
-		if err := genima.Validate(entry.App, ws, seqWS); err != nil {
-			fatal(fmt.Errorf("validation FAILED: %w", err))
-		}
-		if !*jsonFlag {
-			fmt.Println("validation: output matches the sequential reference")
-		}
+	if err := genima.Validate(entry.App, ws, seqWS); err != nil {
+		fatal(fmt.Errorf("validation FAILED: %w", err))
+	}
+	if !*jsonFlag {
+		fmt.Println("validation: output matches the sequential reference")
 	}
 
 	if *jsonFlag {
@@ -244,7 +241,7 @@ func main() {
 			Scale:        *scaleFlag,
 			Nodes:        cfg.Nodes,
 			ProcsPerNode: cfg.ProcsPerNode,
-			Validated:    *verifyFlag,
+			Validated:    true, // every run is validated; a failure exits above
 			SeqElapsedNs: int64(seq.Elapsed),
 			Speedup:      genima.Speedup(seq, res),
 			Result:       genima.NewResultJSON(res),

@@ -184,7 +184,7 @@ func (n *Node) Barrier(p *sim.Proc) sim.Time {
 	if e.vc != nil {
 		// Every arrival was merged and read: the epoch retires and its
 		// vector returns to the pool.
-		n.pool.putVec(e.vc)
+		n.pool.vec.Push(e.vc)
 		e.vc = nil
 	}
 	return proto

@@ -332,7 +332,7 @@ func (n *Node) applyUpTo(p *sim.Proc, target []uint64) sim.Time {
 		}
 	}
 	if len(invalidate) == 0 {
-		n.pool.putInv(invalidate)
+		n.pool.inv.Push(invalidate)
 		return 0
 	}
 	c := &n.sys.Cfg.Costs
@@ -340,6 +340,6 @@ func (n *Node) applyUpTo(p *sim.Proc, target []uint64) sim.Time {
 	p.Sleep(cost)
 	n.Acct.Mprotect += cost
 	n.Acct.MprotectOps += uint64(calls)
-	n.pool.putInv(invalidate)
+	n.pool.inv.Push(invalidate)
 	return cost
 }

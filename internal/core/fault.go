@@ -129,7 +129,7 @@ func (n *Node) faultIn(p *sim.Proc, page int) {
 		if n.sys.Feat.RF {
 			pl := n.fetchRF(p, page)
 			n.installFetched(page, pl.data)
-			n.pool.putFetchPayload(pl)
+			n.pool.fp.Push(pl)
 		} else {
 			req := n.fetchBase(p, page)
 			n.installFetched(page, req.data)
@@ -207,7 +207,7 @@ func (n *Node) fetchRF(p *sim.Proc, page int) *fetchPayload {
 			return pl
 		}
 		n.Acct.FetchRetries++
-		n.pool.putFetchPayload(pl) // stale snapshot: recycle
+		n.pool.fp.Push(pl) // stale snapshot: recycle
 		p.Sleep(n.sys.Cfg.Costs.FetchRetryBackoff)
 	}
 }

@@ -158,7 +158,7 @@ func (n *Node) acquireNIL(p *sim.Proc, lk *nodeLock) {
 	vm := payload.(*vcMsg)
 	n.waitNotices(p, vm.vc)
 	n.applyUpTo(p, vm.vc)
-	n.pool.putVCMsg(vm)
+	n.pool.vcMsg.Push(vm)
 }
 
 func (n *Node) acquireBase(p *sim.Proc, lk *nodeLock) {
@@ -292,7 +292,7 @@ func (n *Node) handleLockFwd(p *sim.Proc, req *lockReqMsg) {
 	lk := n.lock(req.id)
 	if lk.cached && !lk.held {
 		n.grantRemote(p, lk, req.requester, req.reqVC)
-		n.pool.putLockReq(req)
+		n.pool.lockReq.Push(req)
 		return
 	}
 	if lk.pendingReq {
@@ -304,5 +304,5 @@ func (n *Node) handleLockFwd(p *sim.Proc, req *lockReqMsg) {
 		lk.pendingVC = make([]uint64, n.sys.Cfg.Nodes)
 	}
 	copy(lk.pendingVC, req.reqVC)
-	n.pool.putLockReq(req)
+	n.pool.lockReq.Push(req)
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"genima/internal/memory"
 	"genima/internal/nic"
+	"genima/internal/sim"
 )
 
 // Deterministic free lists for protocol records, one set per logical
@@ -22,238 +23,157 @@ import (
 // Embedded sim.Flag values are Reset (not reallocated) when a record is
 // recycled, which is safe only after the flag's waiters have resumed —
 // the protocol guarantees a record's waiter has consumed the result
-// before the record is released.
+// before the record is released. Records that need no reset on release
+// are pushed straight onto their list.
 
 // recordPool is one LP's set of free lists.
 type recordPool struct {
 	nodes, pageSize int
 
-	pageReq freeList[*pageReqMsg]
-	fp      freeList[*fetchPayload]
-	diff    freeList[*diffMsg]
-	lockReq freeList[*lockReqMsg]
-	grant   freeList[*lockGrant]
-	vcMsg   freeList[*vcMsg]
-	runDep  freeList[*runDep]
-	verMark freeList[*verMark]
-	sgDep   freeList[*sgDep]
-	inv     freeList[[]int]
-	vec     freeList[[]uint64] // DW barrier epoch arrival vectors
+	pageReq sim.FreeList[*pageReqMsg]
+	fp      sim.FreeList[*fetchPayload]
+	diff    sim.FreeList[*diffMsg]
+	lockReq sim.FreeList[*lockReqMsg]
+	grant   sim.FreeList[*lockGrant]
+	vcMsg   sim.FreeList[*vcMsg]
+	runDep  sim.FreeList[*runDep]
+	verMark sim.FreeList[*verMark]
+	sgDep   sim.FreeList[*sgDep]
+	inv     sim.FreeList[[]int]
+	vec     sim.FreeList[[]uint64] // DW barrier epoch arrival vectors
 }
 
-// freeList is a LIFO stack of pooled records.
-type freeList[T any] []T
-
-func (f *freeList[T]) pop() (T, bool) {
-	var zero T
-	k := len(*f)
-	if k == 0 {
-		return zero, false
-	}
-	r := (*f)[k-1]
-	(*f)[k-1] = zero
-	*f = (*f)[:k-1]
-	return r, true
-}
-
-func (f *freeList[T]) push(r T) { *f = append(*f, r) }
+// row returns the i-th width-w row of a chunk's backing array. The full
+// slice cap keeps an append on one record's row from clobbering the
+// next record's.
+func row[E any](back []E, i, w int) []E { return back[i*w : (i+1)*w : (i+1)*w] }
 
 // getPageReq returns a Base page request record. It owns the page
 // buffer the home fills with its reply.
 func (rp *recordPool) getPageReq() *pageReqMsg {
-	if r, ok := rp.pageReq.pop(); ok {
-		return r
-	}
-	nn := rp.nodes
-	return &pageReqMsg{
-		need: make([]uint64, nn),
-		ver:  make([]uint64, nn),
-		data: make([]byte, rp.pageSize),
-	}
+	return sim.Take(&rp.pageReq, 1, func(c []pageReqMsg) {
+		c[0].need = make([]uint64, rp.nodes)
+		c[0].ver = make([]uint64, rp.nodes)
+		c[0].data = make([]byte, rp.pageSize)
+	})
 }
 
 func (rp *recordPool) putPageReq(r *pageReqMsg) {
 	r.done.Reset()
-	rp.pageReq.push(r)
+	rp.pageReq.Push(r)
 }
 
 // getFetchPayload returns a remote-fetch reply record with its own
-// page buffer and version row, for the home NI to fill.
+// page buffer and version row, for the home NI to fill. A miss builds
+// eight records over one backing array per field, so a growing
+// in-flight window costs three allocations per eight records.
 func (rp *recordPool) getFetchPayload() *fetchPayload {
-	if r, ok := rp.fp.pop(); ok {
-		return r
-	}
-	// Pool miss: build a chunk of records over one backing array per
-	// field, so a growing in-flight window costs three allocations per
-	// eight records.
-	nn, ps := rp.nodes, rp.pageSize
-	chunk := make([]fetchPayload, 8)
-	vers := make([]uint64, len(chunk)*nn)
-	pages := make([]byte, len(chunk)*ps)
-	for i := len(chunk) - 1; i >= 0; i-- {
-		chunk[i].ver = vers[i*nn : (i+1)*nn : (i+1)*nn]
-		chunk[i].data = pages[i*ps : (i+1)*ps : (i+1)*ps]
-		if i > 0 {
-			rp.fp.push(&chunk[i])
+	return sim.Take(&rp.fp, 8, func(c []fetchPayload) {
+		nn, ps := rp.nodes, rp.pageSize
+		vers := make([]uint64, len(c)*nn)
+		pages := make([]byte, len(c)*ps)
+		for i := range c {
+			c[i].ver = row(vers, i, nn)
+			c[i].data = row(pages, i, ps)
 		}
-	}
-	return &chunk[0]
+	})
 }
 
-func (rp *recordPool) putFetchPayload(r *fetchPayload) { rp.fp.push(r) }
-
+// getDiff returns a diff record. Fresh records are presized so DiffCopy
+// does not regrow runs/buf word by word on first use (buf holds at most
+// one page of changed bytes), and chunked: diff records go in flight in
+// bursts at interval close, so misses cluster.
 func (rp *recordPool) getDiff() *diffMsg {
-	if r, ok := rp.diff.pop(); ok {
-		return r
-	}
-	// Presize fresh records so DiffCopy does not regrow runs/buf word
-	// by word on first use (buf holds at most one page of changed
-	// bytes), and chunk them: diff records go in flight in bursts at
-	// interval close, so misses cluster.
-	ps := rp.pageSize
-	chunk := make([]diffMsg, 4)
-	runsBack := make([]memory.Run, len(chunk)*64)
-	bufBack := make([]byte, len(chunk)*ps)
-	for i := len(chunk) - 1; i >= 0; i-- {
-		chunk[i].runs = runsBack[i*64 : i*64 : (i+1)*64]
-		chunk[i].buf = bufBack[i*ps : i*ps : (i+1)*ps]
-		if i > 0 {
-			rp.diff.push(&chunk[i])
+	return sim.Take(&rp.diff, 4, func(c []diffMsg) {
+		ps := rp.pageSize
+		runsBack := make([]memory.Run, len(c)*64)
+		bufBack := make([]byte, len(c)*ps)
+		for i := range c {
+			c[i].runs = row(runsBack, i, 64)[:0]
+			c[i].buf = row(bufBack, i, ps)[:0]
 		}
-	}
-	return &chunk[0]
+	})
 }
 
 func (rp *recordPool) putDiff(d *diffMsg) {
 	d.runs = d.runs[:0]
-	rp.diff.push(d)
+	rp.diff.Push(d)
 }
 
 func (rp *recordPool) getLockReq() *lockReqMsg {
-	if r, ok := rp.lockReq.pop(); ok {
-		return r
-	}
-	nn := rp.nodes
-	chunk := make([]lockReqMsg, 8)
-	vcs := make([]uint64, len(chunk)*nn)
-	for i := len(chunk) - 1; i >= 0; i-- {
-		chunk[i].reqVC = vcs[i*nn : (i+1)*nn : (i+1)*nn]
-		if i > 0 {
-			rp.lockReq.push(&chunk[i])
+	return sim.Take(&rp.lockReq, 8, func(c []lockReqMsg) {
+		vcs := make([]uint64, len(c)*rp.nodes)
+		for i := range c {
+			c[i].reqVC = row(vcs, i, rp.nodes)
 		}
-	}
-	return &chunk[0]
+	})
 }
 
-func (rp *recordPool) putLockReq(r *lockReqMsg) { rp.lockReq.push(r) }
-
 func (rp *recordPool) getGrant() *lockGrant {
-	if r, ok := rp.grant.pop(); ok {
-		return r
-	}
-	nn := rp.nodes
-	chunk := make([]lockGrant, 8)
-	vcs := make([]uint64, len(chunk)*nn)
-	for i := len(chunk) - 1; i >= 0; i-- {
-		chunk[i].vc = vcs[i*nn : (i+1)*nn : (i+1)*nn]
-		if i > 0 {
-			rp.grant.push(&chunk[i])
+	return sim.Take(&rp.grant, 8, func(c []lockGrant) {
+		vcs := make([]uint64, len(c)*rp.nodes)
+		for i := range c {
+			c[i].vc = row(vcs, i, rp.nodes)
 		}
-	}
-	return &chunk[0]
+	})
 }
 
 func (rp *recordPool) putGrant(g *lockGrant) {
 	g.intervals = g.intervals[:0]
-	rp.grant.push(g)
+	rp.grant.Push(g)
 }
 
 func (rp *recordPool) getVCMsg() *vcMsg {
-	if r, ok := rp.vcMsg.pop(); ok {
-		return r
-	}
-	nn := rp.nodes
-	chunk := make([]vcMsg, 8)
-	vcs := make([]uint64, len(chunk)*nn)
-	for i := len(chunk) - 1; i >= 0; i-- {
-		chunk[i].vc = vcs[i*nn : (i+1)*nn : (i+1)*nn]
-		if i > 0 {
-			rp.vcMsg.push(&chunk[i])
+	return sim.Take(&rp.vcMsg, 8, func(c []vcMsg) {
+		vcs := make([]uint64, len(c)*rp.nodes)
+		for i := range c {
+			c[i].vc = row(vcs, i, rp.nodes)
 		}
-	}
-	return &chunk[0]
+	})
 }
 
-func (rp *recordPool) putVCMsg(m *vcMsg) { rp.vcMsg.push(m) }
-
-func (rp *recordPool) getRunDep() *runDep {
-	if r, ok := rp.runDep.pop(); ok {
-		return r
-	}
-	// Direct diffs put one runDep in flight per run of a page diff, so
-	// misses come in bursts; chunk them.
-	chunk := make([]runDep, 16)
-	for i := len(chunk) - 1; i > 0; i-- {
-		rp.runDep.push(&chunk[i])
-	}
-	return &chunk[0]
-}
+// getRunDep returns a direct-diff run record. Direct diffs put one
+// runDep in flight per run of a page diff, so misses come in bursts;
+// they are chunked.
+func (rp *recordPool) getRunDep() *runDep { return sim.Take(&rp.runDep, 16, nil) }
 
 func (rp *recordPool) putRunDep(r *runDep) {
 	r.run = memory.Run{}
-	rp.runDep.push(r)
+	rp.runDep.Push(r)
 }
 
-func (rp *recordPool) getVerMark() *verMark {
-	if r, ok := rp.verMark.pop(); ok {
-		return r
-	}
-	chunk := make([]verMark, 8)
-	for i := len(chunk) - 1; i > 0; i-- {
-		rp.verMark.push(&chunk[i])
-	}
-	return &chunk[0]
-}
+func (rp *recordPool) getVerMark() *verMark { return sim.Take(&rp.verMark, 8, nil) }
 
 func (rp *recordPool) putVerMark(v *verMark) {
 	v.d = nil
-	rp.verMark.push(v)
+	rp.verMark.Push(v)
 }
 
-func (rp *recordPool) getSGDep() *sgDep {
-	if r, ok := rp.sgDep.pop(); ok {
-		return r
-	}
-	return &sgDep{}
-}
+func (rp *recordPool) getSGDep() *sgDep { return sim.Take(&rp.sgDep, 1, nil) }
 
 func (rp *recordPool) putSGDep(m *sgDep) {
 	m.d = nil
-	rp.sgDep.push(m)
+	rp.sgDep.Push(m)
 }
 
 // getInv returns a zero-length invalidation scratch slice. applyUpTo can
 // nest (closePageEarly yields and another processor may enter applyUpTo),
 // so the scratch comes from a free list rather than a single field.
 func (rp *recordPool) getInv() []int {
-	if s, ok := rp.inv.pop(); ok {
+	if s, ok := rp.inv.Pop(); ok {
 		return s[:0]
 	}
 	return make([]int, 0, 16)
 }
 
-func (rp *recordPool) putInv(s []int) { rp.inv.push(s) }
-
 // getVec returns a zeroed per-node vector for a live barrier epoch.
 func (rp *recordPool) getVec() []uint64 {
-	if v, ok := rp.vec.pop(); ok {
+	if v, ok := rp.vec.Pop(); ok {
 		clear(v)
 		return v
 	}
 	return make([]uint64, rp.nodes)
 }
-
-func (rp *recordPool) putVec(v []uint64) { rp.vec.push(v) }
 
 // Shared packet deliverers: singletons invoked by the NI when the final
 // packet of a protocol message lands, so no send builds a closure.

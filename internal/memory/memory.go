@@ -106,14 +106,13 @@ func (s *Space) PageRange(addr, size int) (first, last int) {
 }
 
 // BufPool is a deterministic free list of fixed-size page buffers: the
-// node's twins. Engines are share-nothing and single-threaded, so a
-// plain LIFO slice (rather than sync.Pool) keeps buffer reuse
+// node's twins. It is a sim.FreeList, so buffer reuse is
 // bit-deterministic from run to run and race-free without atomics;
 // every NodeMem owns its own pool, a twin is taken and returned by the
 // same node, and no pool state crosses simulated runs.
 type BufPool struct {
 	size int
-	free [][]byte
+	free sim.FreeList[[]byte]
 
 	// Hits counts Gets served from the free list; Allocs counts Gets
 	// that missed and allocated fresh storage (one chunk of buffers per
@@ -127,10 +126,7 @@ func NewBufPool(size int) *BufPool { return &BufPool{size: size} }
 // Get returns a buffer of the pool's size. Contents are unspecified:
 // every caller overwrites the whole buffer (twin snapshot, page copy).
 func (p *BufPool) Get() []byte {
-	if n := len(p.free); n > 0 {
-		b := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
+	if b, ok := p.free.Pop(); ok {
 		p.Hits++
 		return b
 	}
@@ -140,7 +136,7 @@ func (p *BufPool) Get() []byte {
 	// slice caps keep an append on one buffer from clobbering the next.
 	back := make([]byte, 4*p.size)
 	for i := 3; i > 0; i-- {
-		p.free = append(p.free, back[i*p.size:(i+1)*p.size:(i+1)*p.size])
+		p.free.Push(back[i*p.size : (i+1)*p.size : (i+1)*p.size])
 	}
 	return back[0:p.size:p.size]
 }
@@ -151,7 +147,7 @@ func (p *BufPool) Put(b []byte) {
 	if len(b) != p.size {
 		return
 	}
-	p.free = append(p.free, b)
+	p.free.Push(b)
 }
 
 // Len returns the number of buffers currently on the free list.

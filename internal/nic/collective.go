@@ -76,10 +76,10 @@ type colState struct {
 
 	ops [4]colOp
 
-	vecFree  [][]uint64 // combine vectors of retired epochs
-	msgFree  []*colMsg
-	delFree  []*colDeliver
-	hostFree []*colHostOp
+	vecFree  sim.FreeList[[]uint64] // combine vectors of retired epochs
+	msgFree  sim.FreeList[*colMsg]
+	delFree  sim.FreeList[*colDeliver]
+	hostFree sim.FreeList[*colHostOp]
 }
 
 // EnableCollectives switches this NI's barrier/broadcast support onto
@@ -125,17 +125,10 @@ func (ni *NI) colCombineService(n int) sim.Time {
 	return ni.cfg.Costs.NIColCombine + sim.Time(float64(n)*ni.cfg.Costs.NIColPerByte)
 }
 
-func (c *colState) getMsg(n int) *colMsg {
-	if l := len(c.msgFree); l > 0 {
-		m := c.msgFree[l-1]
-		c.msgFree[l-1] = nil
-		c.msgFree = c.msgFree[:l-1]
-		return m
-	}
-	return &colMsg{vec: make([]uint64, n)}
+// getMsg returns a pooled combine message with a node-length vector.
+func (c *colState) getMsg() *colMsg {
+	return sim.Take(&c.msgFree, 1, func(m []colMsg) { m[0].vec = make([]uint64, c.nodes) })
 }
-
-func (c *colState) putMsg(m *colMsg) { c.msgFree = append(c.msgFree, m) }
 
 // opAt claims (or finds) the epoch ring slot for seq. Claiming takes a
 // combine vector from the free list and colContribute returns it when
@@ -146,10 +139,8 @@ func (c *colState) opAt(seq int) *colOp {
 		op.active = true
 		op.seq = seq
 		op.got = 0
-		if l := len(c.vecFree); l > 0 {
-			op.vec = c.vecFree[l-1] // the first contribution overwrites it
-			c.vecFree[l-1] = nil
-			c.vecFree = c.vecFree[:l-1]
+		if v, ok := c.vecFree.Pop(); ok {
+			op.vec = v // the first contribution overwrites it
 		} else {
 			op.vec = make([]uint64, c.nodes)
 		}
@@ -170,9 +161,9 @@ func (ni *NI) ColBarrierArrive(p *sim.Proc, seq int, vc []uint64) {
 	p.Sleep(ni.cfg.Costs.PostOverhead)
 	ni.PostQueue.Acquire(p)
 	c := ni.col
-	m := c.getMsg(c.nodes)
+	m := c.getMsg()
 	copy(m.vec, vc)
-	h := c.getHostOp()
+	h := sim.Take(&c.hostFree, 1, nil)
 	h.ni, h.barrier, h.release, h.seq, h.m = ni, true, true, seq, m
 	ni.PCI.EnqueueHandler(ni.pciService(8*c.nodes), h)
 }
@@ -198,7 +189,7 @@ func (ni *NI) colContribute(seq int, vec []uint64) {
 	}
 	op.active = false
 	if c.parent >= 0 {
-		m := c.getMsg(c.nodes)
+		m := c.getMsg()
 		copy(m.vec, op.vec)
 		ni.colSendVec(c.parent, seq, "col-up", colUpFw, m)
 	} else {
@@ -207,7 +198,7 @@ func (ni *NI) colContribute(seq int, vec []uint64) {
 	}
 	// The combined vector has been copied on (up the tree, or out to
 	// the children and the host): the retired epoch gives it back.
-	c.vecFree = append(c.vecFree, op.vec)
+	c.vecFree.Push(op.vec)
 	op.vec = nil
 }
 
@@ -220,13 +211,13 @@ func (ni *NI) colRelease(seq int, vec []uint64) {
 		if child < 0 {
 			break
 		}
-		m := c.getMsg(c.nodes)
+		m := c.getMsg()
 		copy(m.vec, vec)
 		ni.colSendVec(child, seq, "col-dn", colDnFw, m)
 	}
-	d := c.getDeliver()
+	d := sim.Take(&c.delFree, 1, nil)
 	d.ni, d.barrier, d.seq = ni, true, seq
-	d.m = c.getMsg(c.nodes)
+	d.m = c.getMsg()
 	copy(d.m.vec, vec)
 	ni.PCI.EnqueueHandler(ni.pciService(8*c.nodes), d)
 }
@@ -250,7 +241,7 @@ func (ni *NI) colSendVec(dst, seq int, kind string, fw func(*NI, *Packet), m *co
 func colUpFw(dst *NI, pkt *Packet) {
 	m := pkt.Payload.(*colMsg)
 	dst.colContribute(pkt.Meta, m.vec)
-	dst.col.putMsg(m)
+	dst.col.msgFree.Push(m)
 }
 
 // colDnFw receives the released vector on the way down: forward to
@@ -263,11 +254,11 @@ func colDnFw(dst *NI, pkt *Packet) {
 		if child < 0 {
 			break
 		}
-		cp := c.getMsg(c.nodes)
+		cp := c.getMsg()
 		copy(cp.vec, m.vec)
 		dst.colSendVec(child, pkt.Meta, "col-dn", colDnFw, cp)
 	}
-	d := c.getDeliver()
+	d := sim.Take(&c.delFree, 1, nil)
 	d.ni, d.barrier, d.seq, d.m = dst, true, pkt.Meta, m
 	dst.PCI.EnqueueHandler(dst.pciService(pkt.Size), d)
 }
@@ -280,7 +271,7 @@ func colDnFw(dst *NI, pkt *Packet) {
 func (ni *NI) ColBroadcast(p *sim.Proc, size int, kind string, payload any, to Deliverer) {
 	p.Sleep(ni.cfg.Costs.PostOverhead)
 	ni.PostQueue.Acquire(p)
-	h := ni.col.getHostOp()
+	h := sim.Take(&ni.col.hostFree, 1, nil)
 	h.ni, h.barrier, h.release = ni, false, true
 	h.size, h.kind, h.payload, h.to = size, kind, payload, to
 	ni.PCI.EnqueueHandler(ni.pciService(size), h)
@@ -347,7 +338,7 @@ func colBcastFw(dst *NI, pkt *Packet) {
 		cp.FwService = dst.colCombineService(pkt.Size)
 		dst.FirmwareSend(cp, false)
 	}
-	d := c.getDeliver()
+	d := sim.Take(&c.delFree, 1, nil)
 	d.ni, d.barrier = dst, false
 	if pkt.Meta2 > 0 {
 		d.root, d.total, d.kind = root, pkt.Meta2, pkt.Kind
@@ -371,22 +362,12 @@ type colDeliver struct {
 	to          Deliverer
 }
 
-func (c *colState) getDeliver() *colDeliver {
-	if l := len(c.delFree); l > 0 {
-		d := c.delFree[l-1]
-		c.delFree[l-1] = nil
-		c.delFree = c.delFree[:l-1]
-		return d
-	}
-	return &colDeliver{}
-}
-
 // Run implements sim.Handler (PCI completion at the owning NI's LP).
 func (d *colDeliver) Run(_, _ sim.Time) {
 	ni := d.ni
 	if d.barrier {
 		ni.col.sink.ColBarrierDone(ni.ID, d.seq, d.m.vec)
-		ni.col.putMsg(d.m)
+		ni.col.msgFree.Push(d.m)
 	} else if d.to != nil {
 		// Hand the payload to the protocol through a scratch packet so
 		// the Deliverer sees the same shape as a flat deposit.
@@ -397,7 +378,7 @@ func (d *colDeliver) Run(_, _ sim.Time) {
 		ni.putPacket(pkt)
 	}
 	*d = colDeliver{}
-	ni.col.delFree = append(ni.col.delFree, d)
+	ni.col.delFree.Push(d)
 }
 
 // colHostOp is the pooled host-side entry handler: the source DMA
@@ -417,16 +398,6 @@ type colHostOp struct {
 	to      Deliverer
 }
 
-func (c *colState) getHostOp() *colHostOp {
-	if l := len(c.hostFree); l > 0 {
-		h := c.hostFree[l-1]
-		c.hostFree[l-1] = nil
-		c.hostFree = c.hostFree[:l-1]
-		return h
-	}
-	return &colHostOp{}
-}
-
 // Run implements sim.Handler: stage 0 is the PCI DMA completion,
 // stage 1 the barrier's firmware combine completion.
 func (h *colHostOp) Run(_, _ sim.Time) {
@@ -444,8 +415,8 @@ func (h *colHostOp) Run(_, _ sim.Time) {
 		ni.colForward(ni.ID, h.size, h.kind, h.payload, h.to)
 	case 1:
 		ni.colContribute(h.seq, h.m.vec)
-		ni.col.putMsg(h.m)
+		ni.col.msgFree.Push(h.m)
 	}
 	*h = colHostOp{}
-	ni.col.hostFree = append(ni.col.hostFree, h)
+	ni.col.hostFree.Push(h)
 }

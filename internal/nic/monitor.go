@@ -89,17 +89,7 @@ func (r *monRec) Run(_, _ sim.Time) {
 	ni := r.ni
 	ni.mon.commit(ni, r)
 	*r = monRec{}
-	ni.monFree = append(ni.monFree, r)
-}
-
-func (ni *NI) getMonRec() *monRec {
-	if n := len(ni.monFree); n > 0 {
-		r := ni.monFree[n-1]
-		ni.monFree[n-1] = nil
-		ni.monFree = ni.monFree[:n-1]
-		return r
-	}
-	return &monRec{}
+	ni.monFree.Push(r)
 }
 
 // record is called by the pipeline on the delivering NI, in that NI's
@@ -107,7 +97,7 @@ func (ni *NI) getMonRec() *monRec {
 // inline; parallel rounds defer to the barrier.
 func (m *Monitor) record(ni *NI, pkt *Packet) {
 	if ni.eng.Deferring() {
-		r := ni.getMonRec()
+		r := sim.Take(&ni.monFree, 1, nil)
 		r.fill(ni, pkt)
 		ni.eng.DeferFlush(r)
 		return
@@ -215,18 +205,18 @@ func (m *Monitor) String() string {
 	return sb.String()
 }
 
-// TopKinds returns up to n message kinds by packet count, descending.
-func (m *Monitor) TopKinds(n int) []struct {
+// KindRow is one message kind's firmware statistics, as TopKinds
+// ranks them.
+type KindRow struct {
 	Kind string
 	KindStats
-} {
-	type row struct {
-		Kind string
-		KindStats
-	}
-	var rows []row
+}
+
+// TopKinds returns up to n message kinds by packet count, descending.
+func (m *Monitor) TopKinds(n int) []KindRow {
+	rows := make([]KindRow, 0, len(m.ByKind))
 	for k, v := range m.ByKind {
-		rows = append(rows, row{k, *v})
+		rows = append(rows, KindRow{k, *v})
 	}
 	sort.Slice(rows, func(i, j int) bool {
 		if rows[i].Packets != rows[j].Packets {
@@ -237,15 +227,5 @@ func (m *Monitor) TopKinds(n int) []struct {
 	if len(rows) > n {
 		rows = rows[:n]
 	}
-	out := make([]struct {
-		Kind string
-		KindStats
-	}, len(rows))
-	for i, r := range rows {
-		out[i] = struct {
-			Kind string
-			KindStats
-		}{r.Kind, r.KindStats}
-	}
-	return out
+	return rows
 }

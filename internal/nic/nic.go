@@ -145,7 +145,7 @@ type NI struct {
 
 	// monFree pools deferred monitor records (monitor.go); drawn on
 	// this NI's LP during a parallel round, returned at the barrier.
-	monFree []*monRec
+	monFree sim.FreeList[*monRec]
 
 	// fab is the fabric logical process (engine + packet pool), shared
 	// by all NIs of a parallel run; nil in a serial run, which the

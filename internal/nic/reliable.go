@@ -208,7 +208,7 @@ type relState struct {
 	// counted by the fault plan itself).
 	Report stats.FaultReport
 
-	entFree []*retxEntry
+	entFree sim.FreeList[*retxEntry]
 }
 
 func newRelState(ni *NI, ackEvery int) *relState {
@@ -240,25 +240,13 @@ func (ni *NI) relService(size int) sim.Time {
 	return ni.cfg.Costs.NIRelFixed + sim.Time(float64(size)*ni.cfg.Costs.NICsumPerByte)
 }
 
-// Entry pool: same deterministic LIFO + chunk discipline as the packet
-// pool (see transit.go getPacket).
-func (r *relState) getEntry() *retxEntry {
-	if n := len(r.entFree); n > 0 {
-		e := r.entFree[n-1]
-		r.entFree[n-1] = nil
-		r.entFree = r.entFree[:n-1]
-		return e
-	}
-	chunk := make([]retxEntry, 16)
-	for i := len(chunk) - 1; i > 0; i-- {
-		r.entFree = append(r.entFree, &chunk[i])
-	}
-	return &chunk[0]
-}
+// getEntry takes a retransmit entry from this NI's sim.FreeList,
+// carving 16 at a time on a miss like the packet pool.
+func (r *relState) getEntry() *retxEntry { return sim.Take(&r.entFree, 16, nil) }
 
 func (r *relState) putEntry(e *retxEntry) {
 	*e = retxEntry{}
-	r.entFree = append(r.entFree, e)
+	r.entFree.Push(e)
 }
 
 // notePiggyback records that an outgoing packet's cumulative ack also

@@ -346,49 +346,25 @@ func (t *transit) parFanOut(fl *fabLP) {
 }
 
 // pktPool holds one logical process's packet and transit free lists.
-// Like memory.BufPool, the lists are plain LIFO slices: each pool is
-// touched only by its owning LP (or by the single-threaded barrier), so
-// reuse order is deterministic run to run and needs no locks.
+// Each pool is touched only by its owning LP (or by the single-threaded
+// barrier), so sim.FreeList's plain LIFO keeps reuse order
+// deterministic run to run with no locks. A miss carves 16 records at
+// once, so a growing in-flight window costs one allocation per 16
+// packets, not one per packet.
 type pktPool struct {
-	pktFree []*Packet
-	trFree  []*transit
+	pktFree sim.FreeList[*Packet]
+	trFree  sim.FreeList[*transit]
 }
 
 // getPacket returns a zeroed Packet from the free list, or a fresh one.
-func (pl *pktPool) getPacket() *Packet {
-	if n := len(pl.pktFree); n > 0 {
-		p := pl.pktFree[n-1]
-		pl.pktFree[n-1] = nil
-		pl.pktFree = pl.pktFree[:n-1]
-		return p
-	}
-	// Pool miss: allocate a chunk at once so a growing in-flight window
-	// costs one allocation per 16 packets, not one per packet.
-	chunk := make([]Packet, 16)
-	for i := len(chunk) - 1; i > 0; i-- {
-		pl.pktFree = append(pl.pktFree, &chunk[i])
-	}
-	return &chunk[0]
-}
+func (pl *pktPool) getPacket() *Packet { return sim.Take(&pl.pktFree, 16, nil) }
 
 func (pl *pktPool) putPacket(p *Packet) {
 	*p = Packet{} // drop payload/handler references before pooling
-	pl.pktFree = append(pl.pktFree, p)
+	pl.pktFree.Push(p)
 }
 
-func (pl *pktPool) getTransit() *transit {
-	if n := len(pl.trFree); n > 0 {
-		t := pl.trFree[n-1]
-		pl.trFree[n-1] = nil
-		pl.trFree = pl.trFree[:n-1]
-		return t
-	}
-	chunk := make([]transit, 16)
-	for i := len(chunk) - 1; i > 0; i-- {
-		pl.trFree = append(pl.trFree, &chunk[i])
-	}
-	return &chunk[0]
-}
+func (pl *pktPool) getTransit() *transit { return sim.Take(&pl.trFree, 16, nil) }
 
 func (pl *pktPool) putTransit(t *transit) {
 	ents := t.entries
@@ -397,7 +373,7 @@ func (pl *pktPool) putTransit(t *transit) {
 	}
 	*t = transit{}
 	t.entries = ents[:0]
-	pl.trFree = append(pl.trFree, t)
+	pl.trFree.Push(t)
 }
 
 // getPacket draws from this NI's own pool (its LP's free lists).

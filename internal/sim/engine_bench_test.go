@@ -61,9 +61,11 @@ func BenchmarkEventCascade(b *testing.B) {
 	}
 }
 
-// BenchmarkProcSwitch measures a full process dispatch round trip
-// (engine -> coroutine -> engine) via 1-tick sleeps.
-func BenchmarkProcSwitch(b *testing.B) {
+// BenchmarkProcSleepInPlace measures a lone process's 1-tick Sleep.
+// Its wake is always the next event, so Sleep advances the clock in
+// place and never switches coroutines; BenchmarkProcPingPong measures
+// the switch.
+func BenchmarkProcSleepInPlace(b *testing.B) {
 	e := NewEngine()
 	e.Go("switcher", func(p *Proc) {
 		for i := 0; i < b.N; i++ {

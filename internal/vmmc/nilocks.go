@@ -79,7 +79,7 @@ func (o *lockOp) Run(_, _ sim.Time) {
 	ep, id, kind := o.ep, o.id, o.kind
 	payload, psize := o.payload, o.psize
 	o.payload = nil
-	ep.putLockOp(o)
+	ep.lockOpFree.Push(o)
 	switch kind {
 	case opAcqHome:
 		// Home-local acquire reached the firmware: chain and hand off.
@@ -110,17 +110,7 @@ func (o *lockOp) Run(_, _ sim.Time) {
 }
 
 func (ep *Endpoint) getLockOp() *lockOp {
-	if k := len(ep.lockOpFree); k > 0 {
-		o := ep.lockOpFree[k-1]
-		ep.lockOpFree[k-1] = nil
-		ep.lockOpFree = ep.lockOpFree[:k-1]
-		return o
-	}
-	return &lockOp{ep: ep}
-}
-
-func (ep *Endpoint) putLockOp(o *lockOp) {
-	ep.lockOpFree = append(ep.lockOpFree, o)
+	return sim.Take(&ep.lockOpFree, 1, func(o []lockOp) { o[0].ep = ep })
 }
 
 func (ep *Endpoint) homeLock(id int) *niLock {

@@ -180,11 +180,11 @@ type Endpoint struct {
 	// bcastDsts caches the broadcast destination set (built lazily).
 	bcastDsts []int
 
-	// Deterministic LIFO free lists (memory.BufPool rules: plain
-	// slices, single-threaded engines, reuse order reproducible).
-	intrFree   []*intrEvent
-	fetchFree  []*fetchOp
-	lockOpFree []*lockOp
+	// Pooled records, each a sim.FreeList: touched only by this
+	// endpoint's engine, so reuse order is reproducible.
+	intrFree   sim.FreeList[*intrEvent]
+	fetchFree  sim.FreeList[*fetchOp]
+	lockOpFree sim.FreeList[*lockOp]
 
 	Interrupts uint64 // interrupt-class deliveries at this node
 }
@@ -352,7 +352,7 @@ type intrEvent struct {
 func (ev *intrEvent) Run(_, _ sim.Time) {
 	ep, sink, m := ev.ep, ev.sink, ev.m
 	*ev = intrEvent{}
-	ep.intrFree = append(ep.intrFree, ev)
+	ep.intrFree.Push(ev)
 	sink.HandleMsg(m)
 }
 
@@ -365,14 +365,7 @@ func (ep *Endpoint) interrupt(m Msg) {
 	if sink == nil {
 		panic(fmt.Sprintf("vmmc: interrupt-class message %q at node %d with no sink", m.Kind, ep.Node))
 	}
-	var ev *intrEvent
-	if n := len(ep.intrFree); n > 0 {
-		ev = ep.intrFree[n-1]
-		ep.intrFree[n-1] = nil
-		ep.intrFree = ep.intrFree[:n-1]
-	} else {
-		ev = &intrEvent{}
-	}
+	ev := sim.Take(&ep.intrFree, 1, nil)
 	ev.ep, ev.sink, ev.m = ep, sink, m
 	eng := ep.eng
 	now := eng.Now()
@@ -436,14 +429,7 @@ func (ep *Endpoint) RemoteFetch(p *sim.Proc, home, size int, reqLabel, replyLabe
 	if home == ep.Node {
 		panic("vmmc: RemoteFetch from self")
 	}
-	var op *fetchOp
-	if n := len(ep.fetchFree); n > 0 {
-		op = ep.fetchFree[n-1]
-		ep.fetchFree[n-1] = nil
-		ep.fetchFree = ep.fetchFree[:n-1]
-	} else {
-		op = &fetchOp{}
-	}
+	op := sim.Take(&ep.fetchFree, 1, nil)
 	op.ep, op.home, op.size, op.tag, op.replyLabel = ep, home, size, tag, replyLabel
 	req := ep.ni.NewPacket()
 	req.Src, req.Dst, req.Size, req.Kind = ep.Node, home, 16, reqLabel
@@ -457,6 +443,6 @@ func (ep *Endpoint) RemoteFetch(p *sim.Proc, home, size int, reqLabel, replyLabe
 	// can be reset and recycled; Reset keeps the flag's queue storage.
 	op.ep, op.replyLabel, op.reply = nil, "", FetchReply{}
 	op.done.Reset()
-	ep.fetchFree = append(ep.fetchFree, op)
+	ep.fetchFree.Push(op)
 	return reply
 }

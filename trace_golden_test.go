@@ -8,31 +8,25 @@ package genima_test
 // into the fault-free path.
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"fmt"
 	"testing"
 
 	genima "genima"
+	"genima/internal/checkpoint"
 )
 
-// traceHash runs app under proto at test scale and returns a SHA-256
-// over the canonical rendering of every delivered packet, in delivery
-// order, plus the run's final elapsed time and event count.
+// traceHash runs app under proto at test scale and returns the
+// canonical trace hash (checkpoint.TraceHasher): a SHA-256 over every
+// delivered packet, in delivery order, plus the run's final elapsed
+// time and event count.
 func traceHash(t *testing.T, appName string, proto genima.Protocol, cfg genima.Config) string {
 	t.Helper()
 	a, _ := appByName(t, appName)
-	h := sha256.New()
-	res, _, err := genima.RunTraced(cfg, proto, a, func(ev genima.TraceEvent) {
-		fmt.Fprintf(h, "%d|%d|%d|%d|%s|%v|%d|%d|%d|%d\n",
-			ev.Time, ev.Src, ev.Dst, ev.Size, ev.Kind, ev.Firmware,
-			ev.StageTime[0], ev.StageTime[1], ev.StageTime[2], ev.StageTime[3])
-	})
+	h := checkpoint.NewTraceHasher()
+	res, _, err := genima.RunTraced(cfg, proto, a, h.Add)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fmt.Fprintf(h, "elapsed=%d events=%d\n", res.Elapsed, res.Events)
-	return hex.EncodeToString(h.Sum(nil))
+	return h.Final(res.Elapsed, res.Events)
 }
 
 // Golden hashes of the pre-faults baseline (fault injection disabled).
