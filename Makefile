@@ -130,13 +130,15 @@ smoke-serve:
 # bench-smoke runs every micro- and suite-benchmark once — a fast "do
 # the benchmarks still build and run" gate, not a measurement. The
 # ./internal/sim pass includes BenchmarkCrossLPHandoff, the cross-LP
-# handoff cost of the conservative-parallel engine.
+# handoff cost of the conservative-parallel engine; the ./internal/app
+# pass, the shared-memory accessor hit and miss paths.
 bench-smoke:
-	$(GO) test -run xxx -bench . -benchtime 1x ./internal/sim ./internal/memory ./internal/vmmc
+	$(GO) test -run xxx -bench . -benchtime 1x ./internal/sim ./internal/memory ./internal/vmmc ./internal/app
 	$(GO) test -run xxx -bench 'Suite|CollectiveBarrier|Build512|Run512|ServePoint' -benchtime 1x .
 
 # bench-mem measures allocation pressure on the messaging hot paths
-# (Deposit, remote fetch, broadcast, NI locks), the bytes it takes to
+# (Deposit, remote fetch, broadcast, NI locks) and on the shared-memory
+# accessors (a TLB hit or miss allocates nothing), the bytes it takes to
 # build a 512-node cluster and to run one 512-node Base flat barrier
 # benchmark, and the bytes one bench-scale serve point allocates. The
 # pooled pipeline keeps the closed-loop paths at 0 allocs/op; per-peer
@@ -145,7 +147,7 @@ bench-smoke:
 # record pools keep the serve point's diff and page-fetch records
 # recycling.
 bench-mem:
-	$(GO) test -run xxx -bench . -benchmem ./internal/vmmc ./internal/sim
+	$(GO) test -run xxx -bench . -benchmem ./internal/vmmc ./internal/sim ./internal/app
 	$(GO) test -run xxx -bench 'Build512|Run512|ServePoint' -benchmem .
 
 # loc prints the number of non-test Go source lines outside benchmark/

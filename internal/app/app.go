@@ -55,6 +55,12 @@ type Backend interface {
 	// Bytes returns the processor's working copy of the page holding
 	// addr (after an Ensure call).
 	Bytes(page int) []byte
+	// Granule is the coherence unit in bytes: a power of two, at least
+	// 8 and at most the page size. An Ensure call that returns without
+	// yielding leaves every granule it covered such that a repeat of
+	// the call costs nothing and changes nothing until the processor
+	// next yields or makes a sync call (Lock, Unlock, Barrier).
+	Granule() int
 	// Lock/Unlock provide system-wide mutual exclusion.
 	Lock(p *sim.Proc, id int)
 	Unlock(p *sim.Proc, id int)

@@ -30,6 +30,8 @@ func (b *svmBackend) EnsureWrite(p *sim.Proc, addr, size int) {
 
 func (b *svmBackend) Bytes(page int) []byte { return b.node.PageBytes(page) }
 
+func (b *svmBackend) Granule() int { return b.sys.Cfg.PageSize }
+
 func (b *svmBackend) Lock(p *sim.Proc, id int)   { b.node.LockAcquire(p, id) }
 func (b *svmBackend) Unlock(p *sim.Proc, id int) { b.node.LockRelease(p, id) }
 
@@ -53,6 +55,7 @@ func NewNullBackend(ws *Workspace) Backend { return &nullBackend{ws: ws} }
 func (b *nullBackend) EnsureRead(*sim.Proc, int, int)  {}
 func (b *nullBackend) EnsureWrite(*sim.Proc, int, int) {}
 func (b *nullBackend) Bytes(page int) []byte           { return b.ws.Space.HomeCopy(page) }
+func (b *nullBackend) Granule() int                    { return b.ws.Cfg.PageSize }
 func (b *nullBackend) Lock(*sim.Proc, int)             {}
 func (b *nullBackend) Unlock(*sim.Proc, int)           {}
 func (b *nullBackend) Barrier(*sim.Proc) sim.Time      { return 0 }
@@ -62,5 +65,9 @@ func (b *nullBackend) TakeSteal() sim.Time             { return 0 }
 // NewCtx wires a processor context; the harness uses this, and tests may
 // construct contexts directly.
 func NewCtx(id, n int, p *sim.Proc, be Backend, ws *Workspace, cfg *topo.Config, memIntensity float64) *Ctx {
-	return &Ctx{id: id, n: n, p: p, be: be, ws: ws, cfg: cfg, memIntensity: memIntensity}
+	return &Ctx{
+		id: id, n: n, p: p, be: be, ws: ws, cfg: cfg, memIntensity: memIntensity,
+		pageShift: shiftOf(cfg.PageSize), pageMask: cfg.PageSize - 1,
+		granShift: shiftOf(be.Granule()),
+	}
 }

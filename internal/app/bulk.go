@@ -24,8 +24,9 @@ func (c *Ctx) CopyOutF64(r memory.Region, elemOff int, dst []float64) {
 		c.Breakdown.Add(stats.Data, dt)
 	}
 	c.forEachSpan(addr, 8*len(dst), func(pg []byte, off, n, done int) {
-		for i := 0; i < n; i += 8 {
-			dst[(done+i)/8] = getF64(pg, off+i)
+		d, b := dst[done/8:(done+n)/8], pg[off:off+n]
+		for i := range d {
+			d[i] = getF64(b, 8*i)
 		}
 	})
 }
@@ -42,8 +43,9 @@ func (c *Ctx) CopyInF64(r memory.Region, elemOff int, src []float64) {
 		c.Breakdown.Add(stats.Data, dt)
 	}
 	c.forEachSpan(addr, 8*len(src), func(pg []byte, off, n, done int) {
-		for i := 0; i < n; i += 8 {
-			putF64(pg, off+i, src[(done+i)/8])
+		s, b := src[done/8:(done+n)/8], pg[off:off+n]
+		for i, v := range s {
+			putF64(b, 8*i, v)
 		}
 	})
 }
@@ -60,8 +62,9 @@ func (c *Ctx) CopyOutI32(r memory.Region, elemOff int, dst []int32) {
 		c.Breakdown.Add(stats.Data, dt)
 	}
 	c.forEachSpan(addr, 4*len(dst), func(pg []byte, off, n, done int) {
-		for i := 0; i < n; i += 4 {
-			dst[(done+i)/4] = getI32(pg, off+i)
+		d, b := dst[done/4:(done+n)/4], pg[off:off+n]
+		for i := range d {
+			d[i] = getI32(b, 4*i)
 		}
 	})
 }
@@ -78,8 +81,9 @@ func (c *Ctx) CopyInI32(r memory.Region, elemOff int, src []int32) {
 		c.Breakdown.Add(stats.Data, dt)
 	}
 	c.forEachSpan(addr, 4*len(src), func(pg []byte, off, n, done int) {
-		for i := 0; i < n; i += 4 {
-			putI32(pg, off+i, src[(done+i)/4])
+		s, b := src[done/4:(done+n)/4], pg[off:off+n]
+		for i, v := range s {
+			putI32(b, 4*i, v)
 		}
 	})
 }
@@ -88,17 +92,12 @@ func (c *Ctx) CopyInI32(r memory.Region, elemOff int, src []int32) {
 // bytes, the in-page offset, the span length, and how many bytes were
 // processed before this span.
 func (c *Ctx) forEachSpan(addr, size int, fn func(pg []byte, off, n, done int)) {
-	ps := c.cfg.PageSize
 	done := 0
 	for done < size {
 		a := addr + done
-		page := a / ps
-		off := a % ps
-		n := ps - off
-		if n > size-done {
-			n = size - done
-		}
-		fn(c.be.Bytes(page), off, n, done)
+		off := a & c.pageMask
+		n := min(c.pageMask+1-off, size-done)
+		fn(c.be.Bytes(a>>c.pageShift), off, n, done)
 		done += n
 	}
 }

@@ -3,6 +3,7 @@ package app
 import (
 	"encoding/binary"
 	"math"
+	"math/bits"
 
 	"genima/internal/memory"
 	"genima/internal/sim"
@@ -22,6 +23,23 @@ type Ctx struct {
 	cfg   *topo.Config
 
 	memIntensity float64
+
+	// Page and granule addressing: pages are PageSize bytes, granules
+	// (the backend's coherence unit) 1<<granShift bytes, both powers
+	// of two.
+	pageShift, granShift uint
+	pageMask             int
+
+	// tlb caches the page bytes of recently ensured granules; see
+	// tlbEntry. syncs counts this processor's sync calls; with its
+	// process's yields it forms the stamp that dates every entry. The
+	// table is allocated at the second miss within one stamp (coldStamp
+	// holds the stamp of the last miss before that): a processor that
+	// never touches shared memory, or touches one granule between sync
+	// calls (barrierbench), would never hit and carries none.
+	tlb       *[tlbSize]tlbEntry
+	syncs     uint64
+	coldStamp uint64
 
 	Breakdown stats.Breakdown
 	// BarrierProto accumulates the protocol-processing share of this
@@ -55,6 +73,7 @@ func (c *Ctx) Compute(ops float64) {
 
 // Lock acquires global lock id.
 func (c *Ctx) Lock(id int) {
+	c.syncs++
 	t0 := c.p.Now()
 	c.be.Lock(c.p, id)
 	c.Breakdown.Add(stats.Lock, c.p.Now()-t0)
@@ -62,6 +81,7 @@ func (c *Ctx) Lock(id int) {
 
 // Unlock releases global lock id.
 func (c *Ctx) Unlock(id int) {
+	c.syncs++
 	t0 := c.p.Now()
 	c.be.Unlock(c.p, id)
 	c.Breakdown.Add(stats.Lock, c.p.Now()-t0)
@@ -72,6 +92,7 @@ func (c *Ctx) Unlock(id int) {
 // set). Mechanically it is a lock acquire, but the time lands in the
 // paper's "Acq/Rel" breakdown category.
 func (c *Ctx) Acquire(id int) {
+	c.syncs++
 	t0 := c.p.Now()
 	c.be.Lock(c.p, id)
 	c.Breakdown.Add(stats.AcqRel, c.p.Now()-t0)
@@ -79,6 +100,7 @@ func (c *Ctx) Acquire(id int) {
 
 // Release is the matching release-consistency release.
 func (c *Ctx) Release(id int) {
+	c.syncs++
 	t0 := c.p.Now()
 	c.be.Unlock(c.p, id)
 	c.Breakdown.Add(stats.AcqRel, c.p.Now()-t0)
@@ -86,6 +108,7 @@ func (c *Ctx) Release(id int) {
 
 // Barrier waits for all processors.
 func (c *Ctx) Barrier() {
+	c.syncs++
 	t0 := c.p.Now()
 	proto := c.be.Barrier(c.p)
 	c.Breakdown.Add(stats.Barrier, c.p.Now()-t0)
@@ -107,24 +130,78 @@ func (c *Ctx) WriteRange(r memory.Region, off, size int) {
 	c.Breakdown.Add(stats.Data, c.p.Now()-t0)
 }
 
-// read resolves addr for an n-byte load, handling faults.
+// tlbSize is the number of direct-mapped TLB entries per processor.
+const tlbSize = 32
+
+// tlbEntry is one granule the backend has ensured. rd (wr) is the stamp
+// at which a load (store) ensure of the granule began; the entry grants
+// that access while the processor's stamp still equals it. A store
+// ensure also grants loads, so it sets both.
+type tlbEntry struct {
+	granule int
+	rd, wr  uint64
+	page    []byte
+}
+
+// stamp dates TLB entries. It rises whenever the process yields or
+// makes a sync call, the only points at which another processor, a
+// protocol handler or this processor's own sync actions can change what
+// an ensure would do. It starts at 1, so zeroed entries never match.
+func (c *Ctx) stamp() uint64 { return c.p.Yields() + c.syncs + 1 }
+
+// read resolves addr for an n-byte load, handling faults. Typed
+// accesses are naturally aligned and region bases page-aligned, so an
+// access never spans two granules and a hit needs to check one.
 func (c *Ctx) read(addr, n int) ([]byte, int) {
-	t0 := c.p.Now()
-	c.be.EnsureRead(c.p, addr, n)
-	if dt := c.p.Now() - t0; dt > 0 {
-		c.Breakdown.Add(stats.Data, dt)
+	if t := c.tlb; t != nil {
+		g := addr >> c.granShift
+		if e := &t[g&(tlbSize-1)]; e.granule == g && e.rd == c.stamp() {
+			return e.page, addr & c.pageMask
+		}
 	}
-	return c.be.Bytes(addr / c.cfg.PageSize), addr % c.cfg.PageSize
+	return c.miss(addr, n, false)
 }
 
 // write resolves addr for an n-byte store, handling faults.
 func (c *Ctx) write(addr, n int) ([]byte, int) {
+	if t := c.tlb; t != nil {
+		g := addr >> c.granShift
+		if e := &t[g&(tlbSize-1)]; e.granule == g && e.wr == c.stamp() {
+			return e.page, addr & c.pageMask
+		}
+	}
+	return c.miss(addr, n, true)
+}
+
+// miss ensures addr through the backend, as a store or a load, and
+// caches the granule: a store ensure grants loads too. The entry
+// carries the stamp from before the ensure, so an ensure that yielded
+// (a fetch, a wait) leaves it already stale: only an ensure that ran
+// without a break is known to be a no-op on repeat.
+func (c *Ctx) miss(addr, n int, store bool) ([]byte, int) {
+	s := c.stamp()
 	t0 := c.p.Now()
-	c.be.EnsureWrite(c.p, addr, n)
+	var wr uint64
+	if store {
+		c.be.EnsureWrite(c.p, addr, n)
+		wr = s
+	} else {
+		c.be.EnsureRead(c.p, addr, n)
+	}
 	if dt := c.p.Now() - t0; dt > 0 {
 		c.Breakdown.Add(stats.Data, dt)
 	}
-	return c.be.Bytes(addr / c.cfg.PageSize), addr % c.cfg.PageSize
+	pg := c.be.Bytes(addr >> c.pageShift)
+	if c.tlb == nil {
+		if c.coldStamp != s {
+			c.coldStamp = s
+			return pg, addr & c.pageMask
+		}
+		c.tlb = new([tlbSize]tlbEntry)
+	}
+	g := addr >> c.granShift
+	c.tlb[g&(tlbSize-1)] = tlbEntry{granule: g, rd: s, wr: wr, page: pg}
+	return pg, addr & c.pageMask
 }
 
 // F64 loads element i of a float64 region.
@@ -210,4 +287,12 @@ func putI64(b []byte, off int, v int64) {
 
 func getI64(b []byte, off int) int64 {
 	return int64(binary.LittleEndian.Uint64(b[off:]))
+}
+
+// shiftOf returns log2 of x, a power of two.
+func shiftOf(x int) uint {
+	if x <= 0 || x&(x-1) != 0 {
+		panic("app: page and granule sizes must be powers of two")
+	}
+	return uint(bits.TrailingZeros(uint(x)))
 }

@@ -167,17 +167,48 @@ func solveLeft(blk, diag []float64, b int) {
 	}
 }
 
-// multiplySub computes blk -= left * up.
+// multiplySub computes blk -= left * up. Each row takes its nonzero
+// left entries four at a time, so one pass over the row applies four
+// updates per load and store. Every element still subtracts its terms
+// one at a time in ascending k, so the result is bit-identical to one
+// pass per term.
 func multiplySub(blk, left, up []float64, b int) {
 	for i := 0; i < b; i++ {
-		for k := 0; k < b; k++ {
-			l := left[i*b+k]
+		row, lrow := blk[i*b:i*b+b], left[i*b:i*b+b]
+		var ks [4]int
+		nk := 0
+		for k, l := range lrow {
 			if l == 0 {
 				continue
 			}
-			for j := 0; j < b; j++ {
-				blk[i*b+j] -= l * up[k*b+j]
+			ks[nk] = k
+			if nk++; nk == 4 {
+				subRow4(row, lrow, up, ks, b)
+				nk = 0
 			}
 		}
+		for _, k := range ks[:nk] {
+			l, u := lrow[k], up[k*b:][:len(row)]
+			for j := range row {
+				row[j] -= l * u[j]
+			}
+		}
+	}
+}
+
+// subRow4 subtracts the four terms lrow[ks[t]] * up row ks[t] from row,
+// in order t = 0..3, for every element.
+func subRow4(row, lrow, up []float64, ks [4]int, b int) {
+	l0, l1, l2, l3 := lrow[ks[0]], lrow[ks[1]], lrow[ks[2]], lrow[ks[3]]
+	u0 := up[ks[0]*b:][:len(row)]
+	u1 := up[ks[1]*b:][:len(row)]
+	u2 := up[ks[2]*b:][:len(row)]
+	u3 := up[ks[3]*b:][:len(row)]
+	for j, r := range row {
+		r -= l0 * u0[j]
+		r -= l1 * u1[j]
+		r -= l2 * u2[j]
+		r -= l3 * u3[j]
+		row[j] = r
 	}
 }

@@ -2,6 +2,7 @@ package lu
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"genima/internal/app"
@@ -103,4 +104,60 @@ func TestBadBlockSizePanics(t *testing.T) {
 		}
 	}()
 	New(100, 16)
+}
+
+// multiplySubRef is the one-term-per-pass loop multiplySub must match
+// bit for bit.
+func multiplySubRef(blk, left, up []float64, b int) {
+	for i := 0; i < b; i++ {
+		for k := 0; k < b; k++ {
+			l := left[i*b+k]
+			if l == 0 {
+				continue
+			}
+			for j := 0; j < b; j++ {
+				blk[i*b+j] -= l * up[k*b+j]
+			}
+		}
+	}
+}
+
+// Random blocks with values over a wide exponent range (so that any
+// change in the order of an element's subtractions changes its
+// rounding), about a third of the left entries 0 or -0, and one row of
+// left all zeros over a row of -0 in blk (so that dropping the zero
+// skip turns -0 into +0).
+func TestMultiplySubMatchesReference(t *testing.T) {
+	rnd := rand.New(rand.NewSource(1))
+	val := func() float64 { return rnd.NormFloat64() * math.Ldexp(1, rnd.Intn(21)-10) }
+	for _, b := range []int{16, 32, 33} {
+		for trial := 0; trial < 20; trial++ {
+			blk, left, up := make([]float64, b*b), make([]float64, b*b), make([]float64, b*b)
+			for i := range blk {
+				blk[i], up[i] = val(), val()
+				switch rnd.Intn(6) {
+				case 0:
+					left[i] = 0
+				case 1:
+					left[i] = math.Copysign(0, -1)
+				default:
+					left[i] = val()
+				}
+			}
+			z := rnd.Intn(b)
+			for j := 0; j < b; j++ {
+				left[z*b+j] = math.Copysign(0, float64(j%2)-0.5)
+				blk[z*b+j] = math.Copysign(0, -1)
+			}
+			want := append([]float64(nil), blk...)
+			multiplySubRef(want, left, up, b)
+			multiplySub(blk, left, up, b)
+			for i := range blk {
+				if math.Float64bits(blk[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("b=%d trial %d: element (%d,%d) = %v (%#x), reference %v (%#x)",
+						b, trial, i/b, i%b, blk[i], math.Float64bits(blk[i]), want[i], math.Float64bits(want[i]))
+				}
+			}
+		}
+	}
 }

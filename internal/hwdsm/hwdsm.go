@@ -186,6 +186,9 @@ func popcount(x uint64) int {
 // Bytes returns the coherent memory for a page (the home copy).
 func (b *Proc) Bytes(page int) []byte { return b.sys.space.HomeCopy(page) }
 
+// Granule is the coherence unit: one cache line.
+func (b *Proc) Granule() int { return LineSize }
+
 // Lock acquires a hardware lock (queued, fair).
 func (b *Proc) Lock(p *sim.Proc, id int) {
 	s := b.sys

@@ -225,7 +225,7 @@ func (ni *NI) colRelease(seq int, vec []uint64) {
 // colSendVec emits one tree hop carrying a combine buffer, straight
 // from NI memory (no host DMA).
 func (ni *NI) colSendVec(dst, seq int, kind string, fw func(*NI, *Packet), m *colMsg) {
-	pkt := ni.getPacket()
+	pkt := ni.NewPacket()
 	pkt.Src, pkt.Dst = ni.ID, dst
 	pkt.Size = 8 * ni.col.nodes
 	pkt.Kind = kind
@@ -299,7 +299,7 @@ func (ni *NI) colForward(root, size int, kind string, payload any, to Deliverer)
 			}
 			off += frag
 			last := off >= size
-			pkt := ni.getPacket()
+			pkt := ni.NewPacket()
 			pkt.Src, pkt.Dst, pkt.Size, pkt.Kind = ni.ID, child, frag, kind
 			pkt.Meta = root
 			pkt.FwHandler = colBcastFw
@@ -329,7 +329,7 @@ func colBcastFw(dst *NI, pkt *Packet) {
 		if child < 0 {
 			break
 		}
-		cp := dst.getPacket()
+		cp := dst.NewPacket()
 		cp.Src, cp.Dst, cp.Size, cp.Kind = dst.ID, child, pkt.Size, pkt.Kind
 		cp.Meta, cp.Meta2 = pkt.Meta, pkt.Meta2
 		cp.Payload = pkt.Payload
@@ -371,11 +371,11 @@ func (d *colDeliver) Run(_, _ sim.Time) {
 	} else if d.to != nil {
 		// Hand the payload to the protocol through a scratch packet so
 		// the Deliverer sees the same shape as a flat deposit.
-		pkt := ni.getPacket()
+		pkt := ni.NewPacket()
 		pkt.Src, pkt.Dst, pkt.Size, pkt.Kind = d.root, ni.ID, d.total, d.kind
 		pkt.Payload = d.payload
 		d.to.Deliver(pkt)
-		ni.putPacket(pkt)
+		ni.pool.putPacket(pkt)
 	}
 	*d = colDeliver{}
 	ni.col.delFree.Push(d)

@@ -253,10 +253,10 @@ func TestBroadcastCopiesComeFromPool(t *testing.T) {
 	ni := sys.NIs[0]
 	var pkts []*Packet
 	for i := 0; i < 4; i++ {
-		pkts = append(pkts, ni.getPacket())
+		pkts = append(pkts, ni.NewPacket())
 	}
 	for _, p := range pkts {
-		ni.putPacket(p)
+		ni.pool.putPacket(p)
 	}
 	var trs []*transit
 	for i := 0; i < 4; i++ {

@@ -365,7 +365,7 @@ func (r *relState) retxFire(peer int, now sim.Time) {
 		e.lastSent = now
 		r.Report.RetxSent++
 
-		cp := ni.getPacket()
+		cp := ni.NewPacket()
 		*cp = e.pkt
 		cp.Ack = f.recvd // refresh the piggybacked ack
 		cp.Csum = relChecksum(cp)
@@ -480,7 +480,7 @@ func (r *relState) sendAck(peer int) {
 	f.ackT.disarm()
 	r.Report.AcksSent++
 	ni := r.ni
-	p := ni.getPacket()
+	p := ni.NewPacket()
 	p.Src, p.Dst, p.Size = ni.ID, peer, relAckBytes
 	p.Kind = "rel-ack"
 	p.RelFlags = relCtrl | relHasAck

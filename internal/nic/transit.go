@@ -376,16 +376,12 @@ func (pl *pktPool) putTransit(t *transit) {
 	pl.trFree.Push(t)
 }
 
-// getPacket draws from this NI's own pool (its LP's free lists).
-func (ni *NI) getPacket() *Packet { return ni.pool.getPacket() }
-
 // NewPacket hands callers a pooled Packet for a subsequent Post /
 // FirmwareSend / PostBroadcast. The pipeline owns the
 // packet once posted and recycles it after delivery, so callers must
-// not retain or reuse it; fields are zeroed.
-func (ni *NI) NewPacket() *Packet { return ni.getPacket() }
-
-func (ni *NI) putPacket(p *Packet) { ni.pool.putPacket(p) }
+// not retain or reuse it; fields are zeroed. It draws from this NI's
+// own pool (its LP's free lists).
+func (ni *NI) NewPacket() *Packet { return ni.pool.getPacket() }
 
 // recycle returns a finished transit and its packet to the pool of the
 // LP it finished on (in a serial run, always the origin NI's pool).

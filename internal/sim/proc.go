@@ -20,6 +20,7 @@ type Proc struct {
 	suspend func(struct{}) bool     // process -> engine; false once released
 	stop    func()
 	done    bool
+	yields  uint64 // suspensions so far (see Yields)
 }
 
 // released is the sentinel panic that unwinds the body of a process
@@ -74,6 +75,13 @@ func (p *Proc) Name() string { return p.name }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.eng.now }
 
+// Yields returns how many times the process has suspended. Between
+// two reads that return the same count the process ran without a
+// break: no event, handler or other process of its engine ran in
+// between, so no state it did not change itself has changed. An
+// in-place Sleep runs no other event and does not count.
+func (p *Proc) Yields() uint64 { return p.yields }
+
 // Run implements Handler: a scheduled wakeup dispatches the process.
 // It lets Sleep, Unpark, and Go schedule dispatches as ordinary events
 // with no allocation; it is not meant to be called directly.
@@ -91,6 +99,7 @@ func (p *Proc) dispatch() {
 // yield returns control to the dispatching engine and blocks until the
 // next dispatch. It must run in process context.
 func (p *Proc) yield() {
+	p.yields++
 	if !p.suspend(struct{}{}) {
 		panic(released{})
 	}

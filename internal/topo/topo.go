@@ -374,6 +374,9 @@ func (c *Config) Validate() error {
 		return errf("ProcsPerNode = %d, need >= 1", c.ProcsPerNode)
 	case c.PageSize < c.WordSize || c.PageSize%c.WordSize != 0:
 		return errf("PageSize %d not a multiple of WordSize %d", c.PageSize, c.WordSize)
+	case c.PageSize&(c.PageSize-1) != 0:
+		// Accessors address pages by shift and mask.
+		return errf("PageSize %d not a power of two", c.PageSize)
 	case c.MaxPacket < c.WordSize:
 		return errf("MaxPacket = %d too small", c.MaxPacket)
 	case c.PostQueueDepth < 1:

@@ -44,7 +44,8 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.Nodes = 0 },
 		func(c *Config) { c.ProcsPerNode = 0 },
-		func(c *Config) { c.PageSize = 1001 }, // not a word multiple
+		func(c *Config) { c.PageSize = 1001 },     // not a word multiple
+		func(c *Config) { c.PageSize = 3 * 1024 }, // a word multiple, not a power of two
 		func(c *Config) { c.MaxPacket = 1 },
 		func(c *Config) { c.PostQueueDepth = 0 },
 		func(c *Config) { c.SendPipelining = 0 },
