@@ -1,9 +1,7 @@
 package nic
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 
 	"genima/internal/sim"
 )
@@ -107,8 +105,13 @@ func (m *Monitor) record(ni *NI, pkt *Packet) {
 	m.commit(ni, &r)
 }
 
+// commit folds one delivered packet into the monitor. The uncontended
+// baseline of each stage is the sum of the service times the pipeline
+// charges (pciService, fwSendService, fwRecvService, the links and
+// switches) with no queueing; with faults on those include the
+// reliability surcharge, so contention ratios stay comparable.
 func (m *Monitor) commit(ni *NI, r *monRec) {
-	cfg, fab := ni.cfg, ni.fabric
+	fab := ni.fabric
 	st := &m.ByClass[ClassOf(r.size)]
 	st.Packets++
 	st.Bytes += uint64(r.size)
@@ -129,32 +132,17 @@ func (m *Monitor) commit(ni *NI, r *monRec) {
 	st.Actual[StageNet] += r.tArrive - r.tSrc
 	st.Actual[StageDest] += r.tDone - r.tArrive
 
-	c := &cfg.Costs
-	pci := c.PCIFixed + sim.Time(float64(r.size)*c.PCIPerByte)
-	fwSend := c.NIPerPacket/sim.Time(cfg.SendPipelining) + sim.Time(float64(r.size)*c.NIPerByte)
-	fwRecv := c.NIPerPacket + sim.Time(float64(r.size)*c.NIPerByte) + r.fwSvc
-	if cfg.Faults.Enabled {
-		// Reliable delivery charges checksum/seq bookkeeping on both
-		// firmware passes; fold it into the uncontended baseline so
-		// contention ratios stay comparable with faults on.
-		rel := c.NIRelFixed + sim.Time(float64(r.size)*c.NICsumPerByte)
-		fwSend += rel
-		fwRecv += rel
+	pci := ni.pciService(r.size)
+	fwSend := ni.fwSendService(r.size)
+	if !r.noSrcDMA {
+		st.Uncontended[StageSource] += pci
 	}
-	outLink := fab.Out[0].ServiceTime(r.size)
-
-	uSrc := pci
-	if r.noSrcDMA {
-		uSrc = 0
-	}
-	uDest := fwRecv
-	if !r.fw {
-		uDest += pci
-	}
-	st.Uncontended[StageSource] += uSrc
-	st.Uncontended[StageLANai] += fwSend + outLink
+	st.Uncontended[StageLANai] += fwSend + fab.Out[0].ServiceTime(r.size)
 	st.Uncontended[StageNet] += fwSend + fab.UncontendedNet(r.size)
-	st.Uncontended[StageDest] += uDest
+	st.Uncontended[StageDest] += ni.fwRecvService(r.size) + r.fwSvc
+	if !r.fw {
+		st.Uncontended[StageDest] += pci
+	}
 
 	if m.Tracer != nil {
 		m.Tracer(TraceEvent{
@@ -189,20 +177,6 @@ func (m *Monitor) TotalPackets() uint64 {
 // TotalBytes returns total bytes moved across classes.
 func (m *Monitor) TotalBytes() uint64 {
 	return m.ByClass[Small].Bytes + m.ByClass[Large].Bytes
-}
-
-// String renders the monitor in a compact diagnostic form.
-func (m *Monitor) String() string {
-	var sb strings.Builder
-	for c := Class(0); c < numClasses; c++ {
-		st := &m.ByClass[c]
-		fmt.Fprintf(&sb, "%s: %d pkts, %d bytes;", c, st.Packets, st.Bytes)
-		for s := Stage(0); s < NumStages; s++ {
-			fmt.Fprintf(&sb, " %s=%.1f", s, st.Ratio(s))
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
 }
 
 // KindRow is one message kind's firmware statistics, as TopKinds

@@ -2,10 +2,10 @@ package nic
 
 // NI-firmware reliable delivery: the half of VMMC's contract the fabric
 // stops providing once fault injection is on. The firmware keeps
-// per-destination sequence numbers, a checksum over the packet header
-// (standing in for a payload CRC), a pooled retransmission buffer with
-// virtual-time timeout + exponential backoff, duplicate suppression,
-// and cumulative acks piggybacked on reverse traffic — so everything
+// per-destination sequence numbers, a corruption check (standing in for
+// a payload CRC), a pooled retransmission buffer with virtual-time
+// timeout + exponential backoff, duplicate suppression, and cumulative
+// acks piggybacked on reverse traffic — so everything
 // above the firmware line (vmmc, the protocols) still sees reliable,
 // per-flow-FIFO delivery and the host never takes an interrupt for a
 // lost packet.
@@ -53,6 +53,16 @@ package nic
 // resend then heals a genuine hole in one round trip (the receiver
 // discarded everything behind it).
 //
+// Corruption is the packet's Csum: zero when the packet is built, it
+// accumulates the XOR of every nonzero mask a link injects (transit
+// stOutLink/stInLink; the fault plan ORs each mask with 1), and the
+// receive gate discards the packet iff it is nonzero. That is the
+// verdict a header checksum gave: nothing a checksum would cover
+// changes between the send-firmware stamp and the receive gate, so a
+// stamped checksum fails to verify exactly when the masks XOR to
+// nonzero. The firmware still pays for the check (NICsumPerByte in
+// relService).
+//
 // Pool ownership: a retransmission entry snapshots the Packet by VALUE,
 // so the in-flight packet recycles through the normal pipeline pools
 // while the entry lives until acked. The snapshot's Payload pointer is
@@ -93,32 +103,6 @@ const (
 	// since tripped relMaxAttempts.
 	relRTOCeil = sim.Time(1) << 45
 )
-
-// relChecksum is an FNV-1a hash over the packet header fields the
-// reliability layer must trust (the model's stand-in for a payload
-// CRC). Link corruption XORs a nonzero mask into pkt.Csum, so a
-// corrupted packet always fails this check at the receiver.
-func relChecksum(p *Packet) uint64 {
-	h := uint64(0xcbf29ce484222325)
-	h = fnvMix(h, uint64(int64(p.Src)))
-	h = fnvMix(h, uint64(int64(p.Dst)))
-	h = fnvMix(h, uint64(int64(p.Size)))
-	h = fnvMix(h, uint64(int64(p.Meta)))
-	h = fnvMix(h, uint64(int64(p.Meta2)))
-	h = fnvMix(h, p.Seq)
-	h = fnvMix(h, p.Ack)
-	h = fnvMix(h, uint64(p.RelFlags))
-	return h
-}
-
-func fnvMix(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= v & 0xff
-		h *= 0x100000001b3
-		v >>= 8
-	}
-	return h
-}
 
 // retxEntry is one unacked packet in the sender's retransmission
 // buffer (modeling the copy VMMC keeps in NI SRAM).
@@ -232,7 +216,7 @@ func (r *relState) flow(peer int) *relFlow {
 }
 
 // relService is the extra firmware occupancy reliable delivery charges
-// per packet on each side (checksum + seq/ack bookkeeping).
+// per packet on each side (corruption check + seq/ack bookkeeping).
 func (ni *NI) relService(size int) sim.Time {
 	if ni.rel == nil {
 		return 0
@@ -264,12 +248,11 @@ func (r *relState) notePiggyback(f *relFlow) {
 // get a fresh cumulative ack value; retransmissions (already carrying
 // a sequence number) pass through untouched — retxFire restamped them;
 // everything else gets the next per-destination sequence number, a
-// piggybacked ack, a checksum, and a retransmission entry.
+// piggybacked ack, and a retransmission entry.
 func (r *relState) stamp(t *transit, now sim.Time) {
 	pkt := t.pkt
 	if pkt.RelFlags&relCtrl != 0 {
 		pkt.Ack = r.flow(pkt.Dst).recvd
-		pkt.Csum = relChecksum(pkt)
 		return
 	}
 	if pkt.RelFlags&relHasSeq != 0 {
@@ -285,7 +268,6 @@ func (r *relState) stamp(t *transit, now sim.Time) {
 	pkt.RelFlags = relHasSeq | relHasAck
 	pkt.Ack = f.recvd
 	r.notePiggyback(f)
-	pkt.Csum = relChecksum(pkt)
 
 	e := r.getEntry()
 	e.pkt = *pkt
@@ -295,17 +277,15 @@ func (r *relState) stamp(t *transit, now sim.Time) {
 }
 
 // stampBroadcast creates one retransmission entry per destination for
-// a broadcast template. The template itself carries no single (Seq,
-// Csum): its Csum field is zeroed here and accumulates any corruption
-// injected on the shared out-link/switch prefix; fanOut XORs that into
-// each per-destination copy's entry checksum, so shared-prefix
-// corruption is detected at every destination. A template dropped
-// before the fan-out is recovered by per-destination unicast
+// a broadcast template. The template carries no single Seq; its Csum
+// accumulates any corruption injected on the shared out-link, and
+// copyFor copies it into every per-destination copy, so shared-prefix
+// corruption is detected at every destination. A template dropped or
+// corrupted before the fan-out is recovered by per-destination unicast
 // retransmissions from the entries created here.
 func (r *relState) stampBroadcast(t *transit, now sim.Time) {
 	tmpl := t.pkt
 	tmpl.RelFlags = relHasSeq | relHasAck
-	tmpl.Csum = 0
 	for _, dst := range t.dsts {
 		f := r.flow(dst)
 		f.nextSeq++
@@ -315,7 +295,6 @@ func (r *relState) stampBroadcast(t *transit, now sim.Time) {
 		e.pkt.Seq = f.nextSeq
 		e.pkt.Ack = f.recvd
 		r.notePiggyback(f)
-		e.pkt.Csum = relChecksum(&e.pkt)
 		e.firstSent, e.lastSent = now, now
 		e.attempts = 1
 		r.addPending(f, e, now)
@@ -367,13 +346,9 @@ func (r *relState) retxFire(peer int, now sim.Time) {
 
 		cp := ni.NewPacket()
 		*cp = e.pkt
-		cp.Ack = f.recvd // refresh the piggybacked ack
-		cp.Csum = relChecksum(cp)
+		cp.Ack = f.recvd   // refresh the piggybacked ack
 		cp.FwSendExtra = 0 // data is already packed in NI memory
-		cp.noSrcDMA = true
-		cp.tPost, cp.tSrc = now, now
-		cp.tInject, cp.tArrive, cp.tDone = 0, 0, 0
-		ni.newTransit(cp).startAtFirmware()
+		ni.FirmwareSend(cp, false)
 	}
 	f.rto *= 2
 	if f.rto > relRTOCeil {
@@ -438,7 +413,7 @@ func (r *relState) processAck(peer int, ack uint64, now sim.Time) {
 // delivered; false means the firmware consumed it (ack) or discarded
 // it (corrupt, duplicate, out of order).
 func (r *relState) receive(pkt *Packet, now sim.Time) bool {
-	if pkt.Csum != relChecksum(pkt) {
+	if pkt.Csum != 0 {
 		// Corrupted in flight: indistinguishable from loss. The
 		// header (including any ack) cannot be trusted, so nothing
 		// else is processed; the sender's timer recovers.
@@ -485,7 +460,6 @@ func (r *relState) sendAck(peer int) {
 	p.Kind = "rel-ack"
 	p.RelFlags = relCtrl | relHasAck
 	p.Ack = f.recvd
-	p.Csum = relChecksum(p)
 	ni.FirmwareSend(p, false)
 }
 

@@ -3,6 +3,7 @@ package vmmc
 import (
 	"testing"
 
+	"genima/internal/nic"
 	"genima/internal/sim"
 )
 
@@ -138,17 +139,16 @@ func TestInterruptWithoutSinkPanics(t *testing.T) {
 	eng.RunUntilQuiet()
 }
 
-// splitAll expands the arithmetic splitStep iteration into the full
-// packet-size list, the way every send loop walks it.
+// splitAll expands the arithmetic nic.SplitStep iteration into the
+// full packet-size list, the way every send loop walks it.
 func splitAll(size, max int) []int {
 	var out []int
-	for rem := size; ; {
-		sz, last := splitStep(rem, max)
+	for rem := size; ; rem -= max {
+		sz, last := nic.SplitStep(rem, max)
 		out = append(out, sz)
 		if last {
 			return out
 		}
-		rem -= sz
 	}
 }
 

@@ -189,17 +189,6 @@ type Endpoint struct {
 	Interrupts uint64 // interrupt-class deliveries at this node
 }
 
-// splitStep computes one step of the message-to-wire-packet split
-// arithmetically (no per-send []int): for rem remaining bytes it
-// returns the next packet's size and whether it is the last. A
-// zero-byte message still produces one zero-size packet.
-func splitStep(rem, max int) (sz int, last bool) {
-	if rem <= max {
-		return rem, true
-	}
-	return max, false
-}
-
 // DepositTo asynchronously sends size bytes to node dst, depositing
 // them directly into destination memory. to (optional, a shared
 // dispatcher) is invoked in engine context with the final packet, whose
@@ -230,7 +219,7 @@ func (f deliverFunc) Deliver(*nic.Packet) { f() }
 func (ep *Endpoint) post(p *sim.Proc, dst, size int, label string, payload any, meta int, to nic.Deliverer) {
 	max := ep.layer.cfg.MaxPacket
 	for rem := size; ; rem -= max {
-		sz, last := splitStep(rem, max)
+		sz, last := nic.SplitStep(rem, max)
 		pkt := ep.ni.NewPacket()
 		pkt.Src, pkt.Dst, pkt.Size, pkt.Kind = ep.Node, dst, sz, label
 		if last {
@@ -302,8 +291,8 @@ type SGApplier interface {
 func (ep *Endpoint) DepositGatheredTo(p *sim.Proc, dst, size int, kind string, apply SGApplier) {
 	c := &ep.layer.cfg.Costs
 	max := ep.layer.cfg.MaxPacket
-	for rem := size; ; {
-		sz, last := splitStep(rem, max)
+	for rem := size; ; rem -= max {
+		sz, last := nic.SplitStep(rem, max)
 		pkt := ep.ni.NewPacket()
 		pkt.Src, pkt.Dst, pkt.Size, pkt.Kind = ep.Node, dst, sz, kind
 		pkt.FwSendExtra = sim.Time(float64(sz) * c.NISGPerByte)
@@ -317,9 +306,8 @@ func (ep *Endpoint) DepositGatheredTo(p *sim.Proc, dst, size int, kind string, a
 		}
 		ep.ni.Post(p, pkt)
 		if last {
-			break
+			return
 		}
-		rem -= sz
 	}
 }
 
@@ -397,8 +385,8 @@ func fetchReqFw(homeNI *nic.NI, pkt *nic.Packet) {
 	}
 	op.reply = srv(FetchReq{Src: op.ep.Node, Tag: op.tag, Size: op.size})
 	max := op.ep.layer.cfg.MaxPacket
-	for rem := op.reply.Size; ; {
-		sz, last := splitStep(rem, max)
+	for rem := op.reply.Size; ; rem -= max {
+		sz, last := nic.SplitStep(rem, max)
 		rp := homeNI.NewPacket()
 		rp.Src, rp.Dst, rp.Size, rp.Kind = home, op.ep.Node, sz, op.replyLabel
 		if last {
@@ -407,9 +395,8 @@ func fetchReqFw(homeNI *nic.NI, pkt *nic.Packet) {
 		}
 		homeNI.FirmwareSend(rp, true) // data DMA'd from host memory
 		if last {
-			break
+			return
 		}
-		rem -= sz
 	}
 }
 
