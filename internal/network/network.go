@@ -8,8 +8,6 @@
 package network
 
 import (
-	"fmt"
-
 	"genima/internal/faults"
 	"genima/internal/sim"
 	"genima/internal/topo"
@@ -24,8 +22,8 @@ type Link struct {
 }
 
 // NewLink creates a link with the given fixed latency and ns/byte rate.
-func NewLink(eng *sim.Engine, name string, fixed sim.Time, perByte float64) *Link {
-	return &Link{res: sim.NewResource(eng, name), fixed: fixed, perByte: perByte}
+func NewLink(eng *sim.Engine, fixed sim.Time, perByte float64) *Link {
+	return &Link{res: sim.NewResource(eng), fixed: fixed, perByte: perByte}
 }
 
 // ServiceTime returns the uncontended time to carry n bytes.
@@ -60,9 +58,9 @@ type Switch struct {
 	fixed sim.Time
 }
 
-// NewSwitchNamed creates one named switch of the fabric.
-func NewSwitchNamed(eng *sim.Engine, name string, fixed sim.Time) *Switch {
-	return &Switch{res: sim.NewResource(eng, name), fixed: fixed}
+// NewSwitch creates one switch of the fabric.
+func NewSwitch(eng *sim.Engine, fixed sim.Time) *Switch {
+	return &Switch{res: sim.NewResource(eng), fixed: fixed}
 }
 
 // RouteHandler enqueues a routing decision; h.Run fires when the head
@@ -131,18 +129,14 @@ func NewFabric(eng *sim.Engine, cfg *topo.Config) *Fabric {
 		In:       make([]*Link, cfg.Nodes),
 	}
 	for i := range f.Switches {
-		name := "switch"
-		if desc.NumSwitches > 1 {
-			name = fmt.Sprintf("sw%d.s%d", i, desc.SwitchStage[i])
-		}
-		f.Switches[i] = NewSwitchNamed(eng.LPFabric(), name, cfg.Costs.SwitchFixed)
+		f.Switches[i] = NewSwitch(eng.LPFabric(), cfg.Costs.SwitchFixed)
 	}
 	if cfg.Faults.Enabled {
 		f.Faults = faults.New(&cfg.Faults, cfg.Nodes)
 	}
 	for i := 0; i < cfg.Nodes; i++ {
-		f.Out[i] = NewLink(eng.LPNode(i), "link-out", cfg.Costs.LinkFixed, cfg.Costs.LinkPerByte)
-		f.In[i] = NewLink(eng.LPNode(i), "link-in", cfg.Costs.LinkFixed, cfg.Costs.LinkPerByte)
+		f.Out[i] = NewLink(eng.LPNode(i), cfg.Costs.LinkFixed, cfg.Costs.LinkPerByte)
+		f.In[i] = NewLink(eng.LPNode(i), cfg.Costs.LinkFixed, cfg.Costs.LinkPerByte)
 	}
 	return f
 }

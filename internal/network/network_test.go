@@ -75,7 +75,7 @@ func uncontendedWire(f *network.Fabric, src, dst, n int) sim.Time {
 
 func TestLinkServiceTime(t *testing.T) {
 	eng := sim.NewEngine()
-	l := network.NewLink(eng, "l", sim.Micro(1), 1.0) // 1 ns/byte
+	l := network.NewLink(eng, sim.Micro(1), 1.0) // 1 ns/byte
 	if got := l.ServiceTime(1000); got != sim.Micro(1)+1000 {
 		t.Errorf("service = %d", got)
 	}
@@ -83,7 +83,7 @@ func TestLinkServiceTime(t *testing.T) {
 
 func TestLinkSerializesTransfers(t *testing.T) {
 	eng := sim.NewEngine()
-	l := network.NewLink(eng, "l", 0, 1.0)
+	l := network.NewLink(eng, 0, 1.0)
 	var ends []sim.Time
 	done := handlerFunc(func(_, e sim.Time) { ends = append(ends, e) })
 	l.TransferHandler(100, done)

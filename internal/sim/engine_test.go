@@ -247,7 +247,7 @@ func TestWaitQMessageHandoff(t *testing.T) {
 
 func TestResourceFIFO(t *testing.T) {
 	e := NewEngine()
-	r := NewResource(e, "pci")
+	r := NewResource(e)
 	var ends []Time
 	schedule(e, 0, func() {
 		r.EnqueueHandler(100, handlerFunc(func(_, en Time) { ends = append(ends, en) }))
@@ -274,7 +274,7 @@ func TestResourceFIFO(t *testing.T) {
 
 func TestResourceIdleGap(t *testing.T) {
 	e := NewEngine()
-	r := NewResource(e, "link")
+	r := NewResource(e)
 	var starts []Time
 	record := handlerFunc(func(s, _ Time) { starts = append(starts, s) })
 	schedule(e, 0, func() { r.EnqueueHandler(10, record) })
@@ -348,7 +348,7 @@ func TestResourceFIFOProperty(t *testing.T) {
 	prop := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		e := NewEngine()
-		r := NewResource(e, "x")
+		r := NewResource(e)
 		type span struct{ s, e Time }
 		var spans []span
 		jobs := int(n%20) + 1
@@ -394,7 +394,7 @@ func TestEngineStop(t *testing.T) {
 
 func TestResourceBacklog(t *testing.T) {
 	e := NewEngine()
-	r := NewResource(e, "x")
+	r := NewResource(e)
 	schedule(e, 0, func() {
 		r.Reserve(100)
 		r.Reserve(100)

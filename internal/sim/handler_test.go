@@ -28,7 +28,7 @@ func (h *recordingHandler) Run(start, end Time) {
 
 func TestEnqueueHandlerPassesReservationBounds(t *testing.T) {
 	e := NewEngine()
-	r := NewResource(e, "bus")
+	r := NewResource(e)
 	h := &recordingHandler{}
 	schedule(e, 0, func() {
 		r.EnqueueHandler(50, h) // idle: starts now
@@ -59,7 +59,7 @@ func (h *orderHandler) Run(_, _ Time) { *h.log = append(*h.log, h.tag) }
 // a Resource completion, and Send all draw from one seq counter.
 func TestSameTimestampFIFOAcrossSchedulers(t *testing.T) {
 	e := NewEngine()
-	r := NewResource(e, "bus")
+	r := NewResource(e)
 	var log []string
 	tag := func(s string) Handler { return &orderHandler{log: &log, tag: s} }
 	r.EnqueueHandler(10, tag("res-1")) // idle: completes at 10
@@ -145,7 +145,7 @@ func TestGateUncontendedAcquireNotCounted(t *testing.T) {
 
 func TestResourceMaxQueuedTracksWorstBacklog(t *testing.T) {
 	e := NewEngine()
-	r := NewResource(e, "bus")
+	r := NewResource(e)
 	schedule(e, 0, func() {
 		r.Reserve(100) // starts at 0, backlog 0
 		r.Reserve(100) // backlog 100
@@ -169,7 +169,7 @@ func TestResourceMaxQueuedTracksWorstBacklog(t *testing.T) {
 // EnqueueHandler must feed the same statistics as Reserve.
 func TestEnqueueHandlerUpdatesStats(t *testing.T) {
 	e := NewEngine()
-	r := NewResource(e, "bus")
+	r := NewResource(e)
 	h := &recordingHandler{}
 	schedule(e, 0, func() {
 		r.EnqueueHandler(100, h)

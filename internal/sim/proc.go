@@ -69,9 +69,6 @@ func (cl *Cluster) Release() {
 	}
 }
 
-// Name returns the process's diagnostic name.
-func (p *Proc) Name() string { return p.name }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.eng.now }
 

@@ -11,8 +11,7 @@ package sim
 // The resource keeps utilization and queueing statistics so callers can
 // compute contention ratios (actual time / uncontended time).
 type Resource struct {
-	eng  *Engine
-	name string
+	eng *Engine
 
 	busyUntil Time
 
@@ -23,13 +22,10 @@ type Resource struct {
 	MaxQueued Time   // maximum backlog (busyUntil - now) seen at enqueue
 }
 
-// NewResource creates a named FIFO resource on the engine.
-func NewResource(eng *Engine, name string) *Resource {
-	return &Resource{eng: eng, name: name}
+// NewResource creates a FIFO resource on the engine.
+func NewResource(eng *Engine) *Resource {
+	return &Resource{eng: eng}
 }
-
-// Name returns the resource's diagnostic name.
-func (r *Resource) Name() string { return r.name }
 
 // Backlog returns the current queued work (time until the server drains).
 func (r *Resource) Backlog() Time {
