@@ -13,7 +13,6 @@ import (
 type counter struct{ perProc int }
 
 func (c *counter) Name() string { return "counter" }
-func (c *counter) Ops() float64 { return float64(c.perProc) }
 
 func (c *counter) Setup(ws *app.Workspace) {
 	ws.Alloc("count", 8, memory.RoundRobin)

@@ -24,7 +24,6 @@ type dotProduct struct {
 }
 
 func (d *dotProduct) Name() string { return "dot" }
-func (d *dotProduct) Ops() float64 { return float64(d.n) * 2 }
 
 func (d *dotProduct) Setup(ws *app.Workspace) {
 	x := ws.Alloc("x", 8*d.n, memory.Blocked)

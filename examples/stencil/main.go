@@ -24,7 +24,6 @@ type heat struct {
 }
 
 func (h *heat) Name() string { return "heat" }
-func (h *heat) Ops() float64 { return float64(h.n) * float64(h.iters) * 4 }
 
 func (h *heat) Setup(ws *app.Workspace) {
 	a := ws.Alloc("a", 8*h.n, memory.Blocked)

@@ -370,7 +370,7 @@ func (s *SuiteResults) Table2() *Table2Data {
 			row.BTPct = 100 * sumBarrier / sumTotal
 		}
 		if sumBarrier > 0 {
-			row.BPTPct = 100 * float64(r.BarrierProto) / sumBarrier
+			row.BPTPct = 100 * float64(r.Acct.BarrierProto) / sumBarrier
 		}
 		if sumOverhead > 0 {
 			row.MTPct = 100 * float64(r.Acct.Mprotect) / sumOverhead
@@ -836,9 +836,6 @@ func Serve(opt SuiteOptions, seed uint64) (*ServeData, error) {
 	}
 	return d, nil
 }
-
-// Cell returns the measurement for (protocol, load index, rate index).
-func (d *ServeData) Cell(k Protocol, load, rate int) ServeCell { return d.Cells[k][load][rate] }
 
 // String renders the sweep as the protocol × load × fault-rate table.
 func (d *ServeData) String() string {

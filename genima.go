@@ -123,9 +123,14 @@ func Run(cfg Config, p Protocol, a App) (*Result, *Workspace, error) {
 type TraceEvent = nic.TraceEvent
 
 // RunTraced is Run with a packet tracer: fn receives every delivered
-// packet from the NI firmware monitor, in delivery order.
+// packet from the NI firmware monitor, in delivery order. A nil fn
+// runs untraced.
 func RunTraced(cfg Config, p Protocol, a App, fn func(TraceEvent)) (*Result, *Workspace, error) {
-	return app.RunSVMTraced(cfg, p, a, fn)
+	var ctl *RunControl
+	if fn != nil {
+		ctl = &RunControl{OnTrace: func(_ uint64, ev TraceEvent) { fn(ev) }}
+	}
+	return app.RunSVMControlled(cfg, p, a, ctl)
 }
 
 // RunControl hooks a run's trace stream for checkpointing, streaming

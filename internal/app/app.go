@@ -26,9 +26,6 @@ type App interface {
 	Setup(ws *Workspace)
 	// Run is the parallel computation, executed once per processor.
 	Run(ctx *Ctx)
-	// Ops returns the approximate sequential operation count, used for
-	// reporting only.
-	Ops() float64
 }
 
 // Comparer lets an app replace exact byte comparison of results with a
@@ -64,9 +61,8 @@ type Backend interface {
 	// Lock/Unlock provide system-wide mutual exclusion.
 	Lock(p *sim.Proc, id int)
 	Unlock(p *sim.Proc, id int)
-	// Barrier blocks until all processors arrive; it returns the
-	// protocol-processing portion of the elapsed time.
-	Barrier(p *sim.Proc) sim.Time
+	// Barrier blocks until all processors arrive.
+	Barrier(p *sim.Proc)
 	// ComputeScale multiplies compute time (SMP bus contention).
 	ComputeScale(memIntensity float64) float64
 	// TakeSteal returns pending stolen time (interrupt scheduling

@@ -16,7 +16,6 @@ type sumApp struct {
 }
 
 func (a *sumApp) Name() string { return "sum" }
-func (a *sumApp) Ops() float64 { return float64(a.n) * 3 }
 
 func (a *sumApp) Setup(ws *Workspace) {
 	v := ws.Alloc("vec", 8*a.n, memory.Blocked)

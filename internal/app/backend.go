@@ -35,7 +35,7 @@ func (b *svmBackend) Granule() int { return b.sys.Cfg.PageSize }
 func (b *svmBackend) Lock(p *sim.Proc, id int)   { b.node.LockAcquire(p, id) }
 func (b *svmBackend) Unlock(p *sim.Proc, id int) { b.node.LockRelease(p, id) }
 
-func (b *svmBackend) Barrier(p *sim.Proc) sim.Time { return b.node.Barrier(p) }
+func (b *svmBackend) Barrier(p *sim.Proc) { b.node.Barrier(p) }
 
 func (b *svmBackend) ComputeScale(mi float64) float64 {
 	return 1 + mi*b.sys.Cfg.Costs.SMPBusPenalty*float64(b.sys.Cfg.ProcsPerNode-1)
@@ -58,7 +58,7 @@ func (b *nullBackend) Bytes(page int) []byte           { return b.ws.Space.HomeC
 func (b *nullBackend) Granule() int                    { return b.ws.Cfg.PageSize }
 func (b *nullBackend) Lock(*sim.Proc, int)             {}
 func (b *nullBackend) Unlock(*sim.Proc, int)           {}
-func (b *nullBackend) Barrier(*sim.Proc) sim.Time      { return 0 }
+func (b *nullBackend) Barrier(*sim.Proc)               {}
 func (b *nullBackend) ComputeScale(float64) float64    { return 1 }
 func (b *nullBackend) TakeSteal() sim.Time             { return 0 }
 

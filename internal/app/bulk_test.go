@@ -20,7 +20,6 @@ type bulkApp struct {
 }
 
 func (a *bulkApp) Name() string { return "bulk" }
-func (a *bulkApp) Ops() float64 { return 1 }
 
 func (a *bulkApp) Setup(ws *Workspace) {
 	ws.Alloc("f", 8*a.n, memory.RoundRobin)
@@ -84,7 +83,6 @@ func TestBulkRoundTripAcrossPages(t *testing.T) {
 type attributionApp struct{}
 
 func (a *attributionApp) Name() string { return "attr" }
-func (a *attributionApp) Ops() float64 { return 1 }
 
 func (a *attributionApp) Setup(ws *Workspace) {
 	ws.Alloc("x", 4096*4, memory.RoundRobin)
@@ -186,7 +184,6 @@ func TestInvalidConfigRejected(t *testing.T) {
 type barrierApp struct{ rounds int }
 
 func (a *barrierApp) Name() string        { return "barrier" }
-func (a *barrierApp) Ops() float64        { return 1 }
 func (a *barrierApp) Setup(ws *Workspace) { ws.Alloc("x", 8, memory.RoundRobin) }
 
 func (a *barrierApp) Run(ctx *Ctx) {

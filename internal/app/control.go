@@ -3,8 +3,6 @@ package app
 import (
 	"errors"
 	"fmt"
-	"strconv"
-	"sync/atomic"
 
 	"genima/internal/core"
 	"genima/internal/nic"
@@ -71,10 +69,11 @@ func (ctl *RunControl) active() bool {
 		(ctl.VerifyAt > 0 && ctl.OnVerify != nil))
 }
 
-// RunSVMControlled is RunSVMTraced with full run control: a tracer that
-// sees ordinals, periodic boundary callbacks at deterministic cuts, a
+// RunSVMControlled is RunSVM with full run control: a tracer that sees
+// ordinals, periodic boundary callbacks at deterministic cuts, a
 // one-shot verification cut, and graceful halt. It is the engine under
-// checkpoint/restore, soak mode, and signal-safe shutdown.
+// every SVM run, traced runs, checkpoint/restore, soak mode and
+// signal-safe shutdown included; a nil ctl runs uncontrolled.
 func RunSVMControlled(cfg topo.Config, kind core.Kind, a App, ctl *RunControl) (*Result, *Workspace, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
@@ -168,38 +167,21 @@ func RunSVMControlled(cfg topo.Config, kind core.Kind, a App, ctl *RunControl) (
 	}
 	sys.Start()
 
-	n := cfg.NumProcs()
-	ctxs := make([]*Ctx, n)
-	finish := make([]sim.Time, n)
-	var finished int32
-	mi := memIntensityOf(a)
-	for i := 0; i < n; i++ {
-		i := i
-		nd, cpu := i/cfg.ProcsPerNode, i%cfg.ProcsPerNode
-		be := NewSVMBackend(sys, nd, cpu)
-		ctxs[i] = NewCtx(i, n, nil, be, ws, &cfg, mi)
-		// Each simulated processor lives on its node's logical process
-		// (LPNode is the engine itself in a serial run).
-		eng.LPNode(nd).Go(a.Name()+"-p"+strconv.Itoa(i), func(p *sim.Proc) {
-			ctxs[i].p = p
-			a.Run(ctxs[i])
-			ctxs[i].Barrier() // flush all diffs to the homes
-			finish[i] = p.Now()
-			atomic.AddInt32(&finished, 1)
-		})
+	bes := make([]Backend, cfg.NumProcs())
+	for i := range bes {
+		bes[i] = NewSVMBackend(sys, i/cfg.ProcsPerNode, i%cfg.ProcsPerNode)
 	}
+	drive := func() { eng.RunUntilQuiet() }
 	if cl != nil {
-		cl.Run()
-	} else {
-		eng.RunUntilQuiet()
+		drive = cl.Run
 	}
+	res, err := runProcs(&cfg, eng, ws, a, kind.String(), bes, drive)
 	if verifyErr != nil {
 		return nil, nil, verifyErr
 	}
-	if !interrupted && int(finished) != n {
-		return nil, nil, fmt.Errorf("app %s on %v: %d/%d processors finished (protocol deadlock)", a.Name(), kind, finished, n)
+	if err != nil && !interrupted {
+		return nil, nil, err
 	}
-	res := collect(kind.String(), ctxs, finish)
 	res.Acct = sys.Accounting()
 	res.Monitor = sys.Layer.Monitor()
 	if cl != nil {

@@ -42,9 +42,6 @@ type Ctx struct {
 	coldStamp uint64
 
 	Breakdown stats.Breakdown
-	// BarrierProto accumulates the protocol-processing share of this
-	// processor's barrier time (node leaders only), for Table 2.
-	BarrierProto sim.Time
 	// Latency collects per-request virtual-time latencies for serving
 	// workloads (svmkv); batch apps leave it empty. Per-processor
 	// recorders are merged into Result.Latency after the run.
@@ -56,9 +53,6 @@ func (c *Ctx) ID() int { return c.id }
 
 // NProc returns the total processor count.
 func (c *Ctx) NProc() int { return c.n }
-
-// Proc exposes the underlying simulation process (for Sleep in tests).
-func (c *Ctx) Proc() *sim.Proc { return c.p }
 
 // Workspace returns the shared workspace, for region lookups.
 func (c *Ctx) Workspace() *Workspace { return c.ws }
@@ -110,9 +104,8 @@ func (c *Ctx) Release(id int) {
 func (c *Ctx) Barrier() {
 	c.syncs++
 	t0 := c.p.Now()
-	proto := c.be.Barrier(c.p)
+	c.be.Barrier(c.p)
 	c.Breakdown.Add(stats.Barrier, c.p.Now()-t0)
-	c.BarrierProto += proto
 }
 
 // ReadRange pre-faults [off, off+size) bytes of region r for reading —
@@ -120,13 +113,6 @@ func (c *Ctx) Barrier() {
 func (c *Ctx) ReadRange(r memory.Region, off, size int) {
 	t0 := c.p.Now()
 	c.be.EnsureRead(c.p, r.Base+off, size)
-	c.Breakdown.Add(stats.Data, c.p.Now()-t0)
-}
-
-// WriteRange pre-faults [off, off+size) bytes of region r for writing.
-func (c *Ctx) WriteRange(r memory.Region, off, size int) {
-	t0 := c.p.Now()
-	c.be.EnsureWrite(c.p, r.Base+off, size)
 	c.Breakdown.Add(stats.Data, c.p.Now()-t0)
 }
 
@@ -232,12 +218,6 @@ func (c *Ctx) I32(r memory.Region, i int) int32 {
 func (c *Ctx) SetI32(r memory.Region, i int, v int32) {
 	pg, off := c.write(r.Base+4*i, 4)
 	putI32(pg, off, v)
-}
-
-// AddI32 adds v to element i of an int32 region.
-func (c *Ctx) AddI32(r memory.Region, i int, v int32) {
-	pg, off := c.write(r.Base+4*i, 4)
-	putI32(pg, off, getI32(pg, off)+v)
 }
 
 // I64 loads element i of an int64 region.

@@ -3,6 +3,7 @@ package app
 import (
 	"fmt"
 	"strconv"
+	"sync/atomic"
 
 	"genima/internal/core"
 	"genima/internal/hwdsm"
@@ -22,10 +23,9 @@ type Result struct {
 	Avg        stats.Breakdown
 
 	// SVM-only details (zero values otherwise).
-	Acct         stats.SVMAccounting
-	BarrierProto sim.Time // protocol share of barrier time, summed over leaders
-	Monitor      *nic.Monitor
-	Events       uint64
+	Acct    stats.SVMAccounting
+	Monitor *nic.Monitor
+	Events  uint64
 	// PostQueueStalls counts host sends that blocked on a full NI post
 	// queue; PostQueueStallTime is the total time lost to those stalls
 	// (the Barnes-spatial direct-diff effect of §3.3).
@@ -72,19 +72,44 @@ func memIntensityOf(a App) float64 {
 // returns the result plus the final workspace (home copies hold the
 // authoritative output after the harness's trailing barrier).
 func RunSVM(cfg topo.Config, kind core.Kind, a App) (*Result, *Workspace, error) {
-	return RunSVMTraced(cfg, kind, a, nil)
+	return RunSVMControlled(cfg, kind, a, nil)
 }
 
-// RunSVMTraced is RunSVM with a packet tracer installed on the NI
-// firmware monitor: tracer receives every delivered packet. It is a
-// thin wrapper over RunSVMControlled (see control.go), which carries
-// the full run machinery.
-func RunSVMTraced(cfg topo.Config, kind core.Kind, a App, tracer func(nic.TraceEvent)) (*Result, *Workspace, error) {
-	var ctl *RunControl
-	if tracer != nil {
-		ctl = &RunControl{OnTrace: func(_ uint64, ev nic.TraceEvent) { tracer(ev) }}
+// runProcs is the process loop every machine model shares. It gives
+// processor i a context over bes[i] and a process on its node's
+// logical process (the engine itself in a serial run) that runs the
+// app and then the trailing barrier, which flushes all diffs to the
+// homes. It calls drive to run the engine and collects the result
+// under label. The error reports processors that did not finish; a
+// run halted on purpose ignores it.
+func runProcs(cfg *topo.Config, eng *sim.Engine, ws *Workspace, a App, label string, bes []Backend, drive func()) (*Result, error) {
+	n := len(bes)
+	ctxs := make([]*Ctx, n)
+	finish := make([]sim.Time, n)
+	var finished atomic.Int32
+	mi := memIntensityOf(a)
+	for i, be := range bes {
+		ctxs[i] = NewCtx(i, n, nil, be, ws, cfg, mi)
+		eng.LPNode(i/cfg.ProcsPerNode).Go(a.Name()+"/"+label+"/"+strconv.Itoa(i), func(p *sim.Proc) {
+			ctxs[i].p = p
+			a.Run(ctxs[i])
+			ctxs[i].Barrier()
+			finish[i] = p.Now()
+			finished.Add(1)
+		})
 	}
-	return RunSVMControlled(cfg, kind, a, ctl)
+	drive()
+	res := &Result{Label: label, Procs: n}
+	for i, c := range ctxs {
+		res.Breakdowns = append(res.Breakdowns, c.Breakdown)
+		res.Latency.Merge(&c.Latency)
+		res.Elapsed = maxT(res.Elapsed, finish[i])
+	}
+	res.Avg = stats.Average(res.Breakdowns)
+	if got := int(finished.Load()); got != n {
+		return res, fmt.Errorf("app %s on %s: %d/%d processors finished (deadlock)", a.Name(), label, got, n)
+	}
+	return res, nil
 }
 
 func maxT(a, b sim.Time) sim.Time {
@@ -104,28 +129,14 @@ func RunHW(cfg topo.Config, a App) (*Result, *Workspace, error) {
 	ws := NewWorkspace(&cfg)
 	a.Setup(ws)
 	sys := hwdsm.New(eng, &cfg, ws.Space)
-
-	n := cfg.NumProcs()
-	ctxs := make([]*Ctx, n)
-	finish := make([]sim.Time, n)
-	finished := 0
-	for i := 0; i < n; i++ {
-		i := i
-		be := sys.Backend(i)
-		ctxs[i] = NewCtx(i, n, nil, be, ws, &cfg, 0)
-		eng.Go(a.Name()+"-hw"+strconv.Itoa(i), func(p *sim.Proc) {
-			ctxs[i].p = p
-			a.Run(ctxs[i])
-			ctxs[i].Barrier()
-			finish[i] = p.Now()
-			finished++
-		})
+	bes := make([]Backend, cfg.NumProcs())
+	for i := range bes {
+		bes[i] = sys.Backend(i)
 	}
-	eng.RunUntilQuiet()
-	if finished != n {
-		return nil, nil, fmt.Errorf("app %s on hwdsm: %d/%d processors finished", a.Name(), finished, n)
+	res, err := runProcs(&cfg, eng, ws, a, "Origin2000", bes, func() { eng.RunUntilQuiet() })
+	if err != nil {
+		return nil, nil, err
 	}
-	res := collect("Origin2000", ctxs, finish)
 	res.Events = eng.Events()
 	return res, ws, nil
 }
@@ -141,35 +152,11 @@ func RunSeq(cfg topo.Config, a App) (*Result, *Workspace, error) {
 	defer eng.Release()
 	ws := NewWorkspace(&cfg)
 	a.Setup(ws)
-
-	ctx := NewCtx(0, 1, nil, NewNullBackend(ws), ws, &cfg, 0)
-	var finish sim.Time
-	finished := 0
-	eng.Go(a.Name()+"-seq", func(p *sim.Proc) {
-		ctx.p = p
-		a.Run(ctx)
-		finish = p.Now()
-		finished++
-	})
-	eng.RunUntilQuiet()
-	if finished != 1 {
-		return nil, nil, fmt.Errorf("app %s sequential run did not finish", a.Name())
+	res, err := runProcs(&cfg, eng, ws, a, "seq", []Backend{NewNullBackend(ws)}, func() { eng.RunUntilQuiet() })
+	if err != nil {
+		return nil, nil, err
 	}
-	return collect("seq", []*Ctx{ctx}, []sim.Time{finish}), ws, nil
-}
-
-func collect(label string, ctxs []*Ctx, finish []sim.Time) *Result {
-	res := &Result{Label: label, Procs: len(ctxs)}
-	for i, c := range ctxs {
-		res.Breakdowns = append(res.Breakdowns, c.Breakdown)
-		res.BarrierProto += c.BarrierProto
-		res.Latency.Merge(&c.Latency)
-		if finish[i] > res.Elapsed {
-			res.Elapsed = finish[i]
-		}
-	}
-	res.Avg = stats.Average(res.Breakdowns)
-	return res
+	return res, ws, nil
 }
 
 // Validate compares a parallel run's output against the sequential

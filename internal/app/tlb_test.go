@@ -214,7 +214,7 @@ func TestTLBHitAllocatesNothing(t *testing.T) {
 		c.SetF64(r, 0, 1)
 		allocs := testing.AllocsPerRun(100, func() {
 			c.SetF64(r, 1, c.F64(r, 0)+c.F64(r, 1))
-			c.AddI32(r, 5, 1)
+			c.SetI32(r, 5, c.I32(r, 5)+1)
 		})
 		if allocs != 0 {
 			t.Errorf("TLB hits allocate %v times per run, want 0", allocs)

@@ -104,14 +104,6 @@ func (a *App) Name() string {
 	return "barnes-sp"
 }
 
-// Ops implements app.App.
-func (a *App) Ops() float64 {
-	return float64(a.n) * float64(a.ncells) / 4 * cellOps * float64(a.steps)
-}
-
-// N returns the body count.
-func (a *App) N() int { return a.n }
-
 const (
 	theta        = 0.7
 	dt           = 1e-3

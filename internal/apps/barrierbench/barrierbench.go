@@ -31,9 +31,6 @@ func New(r int) *App {
 // Name implements app.App.
 func (a *App) Name() string { return "barrierbench" }
 
-// Ops implements app.App.
-func (a *App) Ops() float64 { return float64(a.rounds) }
-
 // Rounds returns the configured round count.
 func (a *App) Rounds() int { return a.rounds }
 

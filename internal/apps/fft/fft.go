@@ -60,9 +60,6 @@ func New(m int) *App {
 // Name implements app.App.
 func (a *App) Name() string { return "fft" }
 
-// Ops implements app.App.
-func (a *App) Ops() float64 { return 5 * float64(a.n) * float64(a.m) }
-
 // MemIntensity marks FFT as memory-bus bound within an SMP (§3.4).
 func (a *App) MemIntensity() float64 { return 1.0 }
 

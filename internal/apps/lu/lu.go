@@ -29,15 +29,6 @@ func New(n, b int) *App {
 // Name implements app.App.
 func (a *App) Name() string { return "lu" }
 
-// Ops implements app.App.
-func (a *App) Ops() float64 {
-	nf := float64(a.n)
-	return 2.0 / 3.0 * nf * nf * nf
-}
-
-// N returns the matrix dimension.
-func (a *App) N() int { return a.n }
-
 // blockOff returns the element offset of block (i, j) in block-major
 // storage.
 func (a *App) blockOff(i, j int) int { return (i*a.nb + j) * a.b * a.b }

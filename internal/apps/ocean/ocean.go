@@ -30,14 +30,8 @@ func New(n, iters int) *App {
 // Name implements app.App.
 func (a *App) Name() string { return "ocean" }
 
-// Ops implements app.App.
-func (a *App) Ops() float64 { return float64(a.n) * float64(a.n) * float64(a.iters) * 6 }
-
 // MemIntensity marks Ocean as memory-bus bound within an SMP (§3.4).
 func (a *App) MemIntensity() float64 { return 0.8 }
-
-// N returns the interior grid dimension.
-func (a *App) N() int { return a.n }
 
 func (a *App) side() int { return a.n + 2 }
 

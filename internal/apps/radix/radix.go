@@ -39,9 +39,6 @@ func New(n, passes int) *App {
 // Name implements app.App.
 func (a *App) Name() string { return "radix" }
 
-// Ops implements app.App.
-func (a *App) Ops() float64 { return float64(a.n) * float64(a.passes) * 26 }
-
 // N returns the key count.
 func (a *App) N() int { return a.n }
 

@@ -32,11 +32,6 @@ func New(img, tile, spheres int) *App {
 // Name implements app.App.
 func (a *App) Name() string { return "raytrace" }
 
-// Ops implements app.App.
-func (a *App) Ops() float64 {
-	return float64(a.img) * float64(a.img) * float64(a.spheres) * 12
-}
-
 const (
 	sphereStride  = 8 // cx, cy, cz, r, colR, colG, colB, reflect
 	tileQueueLock = 9500

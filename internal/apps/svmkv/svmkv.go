@@ -194,12 +194,6 @@ func New(p Params) *App {
 // Name implements app.App.
 func (a *App) Name() string { return "svmkv" }
 
-// Ops approximates the per-request service compute for reporting.
-func (a *App) Ops() float64 { return float64(a.p.Requests) * 64 }
-
-// Params returns the instance's configuration.
-func (a *App) Params() Params { return a.p }
-
 // Setup allocates the store slabs, per-shard checksums, and hot
 // counters. Slabs are page-aligned so shard migration moves whole
 // pages; Blocked homes spread the shards across nodes.

@@ -33,9 +33,6 @@ func New(vol, img, tile int) *App {
 // Name implements app.App.
 func (a *App) Name() string { return "volrend" }
 
-// Ops implements app.App.
-func (a *App) Ops() float64 { return float64(a.img) * float64(a.img) * float64(a.vol) * 25 }
-
 func (a *App) tiles() int { return (a.img / a.tile) * (a.img / a.tile) }
 
 const queueLockBase = 9000

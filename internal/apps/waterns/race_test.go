@@ -16,7 +16,6 @@ import (
 type miniApp struct{ got []float64 }
 
 func (m *miniApp) Name() string { return "mini" }
-func (m *miniApp) Ops() float64 { return 1 }
 func (m *miniApp) Setup(ws *app.Workspace) {
 	ws.Alloc("f", 4096, memory.RoundRobin)
 	ws.Alloc("out", 4096, memory.RoundRobin)
@@ -86,7 +85,6 @@ func TestIsolateSteps(t *testing.T) {
 type mergeOnly struct{ n int }
 
 func (m *mergeOnly) Name() string { return "merge-only" }
-func (m *mergeOnly) Ops() float64 { return 1 }
 func (m *mergeOnly) Setup(ws *app.Workspace) {
 	full := New(m.n, 1)
 	full.Setup(ws)

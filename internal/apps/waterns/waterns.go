@@ -31,14 +31,6 @@ func New(n, steps int) *App {
 // Name implements app.App.
 func (a *App) Name() string { return "water-nsq" }
 
-// Ops implements app.App.
-func (a *App) Ops() float64 {
-	return float64(a.n) * float64(a.n) / 2 * pairOps * float64(a.steps)
-}
-
-// N returns the molecule count.
-func (a *App) N() int { return a.n }
-
 const dt = 1e-4
 
 // pairOps models the real Water force kernel: each molecule pair

@@ -36,15 +36,6 @@ func New(n, g, steps int) *App {
 // Name implements app.App.
 func (a *App) Name() string { return "water-sp" }
 
-// Ops implements app.App.
-func (a *App) Ops() float64 {
-	perCell := float64(a.n) / float64(a.g*a.g)
-	return float64(a.n) * perCell * 9 * pairOps * float64(a.steps)
-}
-
-// N returns the molecule count.
-func (a *App) N() int { return a.n }
-
 const (
 	boxSize  = 10.0
 	dt       = 1e-4

@@ -156,16 +156,16 @@ func (n *Node) barEpochAt(seq int) *barEpoch {
 }
 
 // Barrier blocks the calling processor until all processors in the
-// system arrive. It returns the portion of this call's elapsed time
-// that was protocol processing rather than wait (for Table 2).
-func (n *Node) Barrier(p *sim.Proc) sim.Time {
+// system arrive. The node leader adds the protocol-processing share of
+// its elapsed time, as opposed to wait, to Acct.BarrierProto (Table 2).
+func (n *Node) Barrier(p *sim.Proc) {
 	seq := n.barSeq
 	e := n.barEpochAt(seq)
 	e.localArrived++
 	if e.localArrived < n.sys.Cfg.ProcsPerNode {
 		// Not the node leader: wait for the leader to finish the epoch.
 		e.localDone.Wait(p)
-		return 0
+		return
 	}
 	// Node leader (last local arriver): advance the node's epoch and
 	// run the node's barrier protocol.
@@ -187,7 +187,6 @@ func (n *Node) Barrier(p *sim.Proc) sim.Time {
 		n.pool.vec.Push(e.vc)
 		e.vc = nil
 	}
-	return proto
 }
 
 // barrierDW is the interrupt-free flag barrier (DW and later).

@@ -214,7 +214,7 @@ func (b *Proc) Unlock(p *sim.Proc, id int) {
 }
 
 // Barrier is a hardware tree barrier.
-func (b *Proc) Barrier(p *sim.Proc) sim.Time {
+func (b *Proc) Barrier(p *sim.Proc) {
 	s := b.sys
 	epoch := s.bar.epoch
 	f := s.bar.flags[epoch]
@@ -230,11 +230,10 @@ func (b *Proc) Barrier(p *sim.Proc) sim.Time {
 		delete(s.bar.flags, epoch)
 		p.Sleep(cost)
 		f.Set()
-		return 0
+		return
 	}
 	f.Wait(p)
 	p.Sleep(cost)
-	return 0
 }
 
 // ComputeScale: no SMP bus penalty in the hardware machine model.

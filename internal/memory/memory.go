@@ -113,11 +113,6 @@ func (s *Space) PageRange(addr, size int) (first, last int) {
 type BufPool struct {
 	size int
 	free sim.FreeList[[]byte]
-
-	// Hits counts Gets served from the free list; Allocs counts Gets
-	// that missed and allocated fresh storage (one chunk of buffers per
-	// miss). Exposed for tests and benchmarks.
-	Hits, Allocs uint64
 }
 
 // NewBufPool returns an empty pool of size-byte buffers.
@@ -127,10 +122,8 @@ func NewBufPool(size int) *BufPool { return &BufPool{size: size} }
 // every caller overwrites the whole buffer (twin snapshot, page copy).
 func (p *BufPool) Get() []byte {
 	if b, ok := p.free.Pop(); ok {
-		p.Hits++
 		return b
 	}
-	p.Allocs++
 	// Miss: carve a chunk of buffers out of one backing array, so a
 	// growing working set costs one allocation per four pages. Full
 	// slice caps keep an append on one buffer from clobbering the next.

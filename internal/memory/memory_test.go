@@ -391,9 +391,6 @@ func TestTwinPooling(t *testing.T) {
 	if &m.twins[1][0] != first {
 		t.Error("MakeTwin did not reuse the recycled buffer")
 	}
-	if m.pool.Allocs != 1 || m.pool.Hits != 1 {
-		t.Errorf("pool stats = %d allocs / %d hits, want 1/1", m.pool.Allocs, m.pool.Hits)
-	}
 	// The recycled buffer must still produce correct twin contents.
 	if m.twins[1][0] != 2 {
 		t.Error("reused twin does not snapshot the page")

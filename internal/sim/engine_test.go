@@ -392,29 +392,6 @@ func TestEngineStop(t *testing.T) {
 	}
 }
 
-func TestResourceBacklog(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e)
-	schedule(e, 0, func() {
-		r.Reserve(100)
-		r.Reserve(100)
-		if got := r.Backlog(); got != 200 {
-			t.Errorf("backlog = %d, want 200", got)
-		}
-	})
-	schedule(e, 150, func() {
-		if got := r.Backlog(); got != 50 {
-			t.Errorf("backlog at t=150 = %d, want 50", got)
-		}
-	})
-	schedule(e, 250, func() {
-		if got := r.Backlog(); got != 0 {
-			t.Errorf("backlog after drain = %d", got)
-		}
-	})
-	e.RunUntilQuiet()
-}
-
 func TestNegativeSleepPanics(t *testing.T) {
 	e := NewEngine()
 	e.Go("p", func(p *Proc) {

@@ -27,15 +27,6 @@ func NewResource(eng *Engine) *Resource {
 	return &Resource{eng: eng}
 }
 
-// Backlog returns the current queued work (time until the server drains).
-func (r *Resource) Backlog() Time {
-	b := r.busyUntil - r.eng.now
-	if b < 0 {
-		return 0
-	}
-	return b
-}
-
 // reserve claims the next FIFO slot for a job with the given service
 // time, updates the statistics, and returns the job's (start, end).
 func (r *Resource) reserve(service Time) (start, end Time) {

@@ -143,21 +143,6 @@ func (l *LatencyRecorder) Quantile(q float64) sim.Time {
 	return l.max
 }
 
-// DigestInto folds the recorder's full state into d, pinning the exact
-// latency distribution for checkpoint/restore verification.
-func (l *LatencyRecorder) DigestInto(d *sim.Digest) {
-	d.U64(l.count)
-	d.U64(uint64(l.sum))
-	d.U64(uint64(l.max))
-	b := l.buckets
-	if b == nil {
-		b = new([latBuckets]uint64) // folds as the zero buckets it stands for
-	}
-	for _, c := range b {
-		d.U64(c)
-	}
-}
-
 // LatencySummary is the reporting view of a LatencyRecorder: request
 // count plus the tail quantiles the serving experiments report.
 type LatencySummary struct {

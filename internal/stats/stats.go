@@ -103,7 +103,6 @@ func (b *Breakdown) Fractions() [NumCategories]float64 {
 // reports: where barrier time goes and how much of all SVM overhead is
 // mprotect.
 type SVMAccounting struct {
-	BarrierWait  sim.Time // imbalance: waiting for other processors
 	BarrierProto sim.Time // protocol processing at barriers (incl. mprotect there)
 	Mprotect     sim.Time // all mprotect time, wherever incurred
 	MprotectOps  uint64   // number of mprotect system calls (post-coalescing)
@@ -117,7 +116,6 @@ type SVMAccounting struct {
 
 // Merge adds o into a.
 func (a *SVMAccounting) Merge(o SVMAccounting) {
-	a.BarrierWait += o.BarrierWait
 	a.BarrierProto += o.BarrierProto
 	a.Mprotect += o.Mprotect
 	a.MprotectOps += o.MprotectOps
@@ -192,16 +190,9 @@ func (r *FaultReport) MeanRecovery() sim.Time {
 	return r.TotalRecovery / sim.Time(r.Recovered)
 }
 
-// DigestInto folds every breakdown category into d.
-func (b *Breakdown) DigestInto(d *sim.Digest) {
-	for _, v := range b.T {
-		d.I64(v)
-	}
-}
-
 // DigestInto folds the accounting counters into d.
 func (a *SVMAccounting) DigestInto(d *sim.Digest) {
-	d.I64(a.BarrierWait)
+	d.I64(0) // a never-written barrier-wait counter's slot: kept so pinned digests stay stable
 	d.I64(a.BarrierProto)
 	d.I64(a.Mprotect)
 	d.U64(a.MprotectOps)
@@ -233,14 +224,6 @@ func (r *FaultReport) DigestInto(d *sim.Digest) {
 
 // Seconds renders a virtual time as seconds.
 func Seconds(t sim.Time) float64 { return float64(t) / float64(sim.Second) }
-
-// Pct renders a ratio as a percentage.
-func Pct(num, den sim.Time) float64 {
-	if den == 0 {
-		return 0
-	}
-	return 100 * float64(num) / float64(den)
-}
 
 // Table is a minimal fixed-width text table writer used by the bench
 // harness to print paper-style rows.

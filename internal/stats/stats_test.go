@@ -91,12 +91,6 @@ func TestHelpers(t *testing.T) {
 	if Seconds(sim.Second) != 1 {
 		t.Error("Seconds(1s) != 1")
 	}
-	if Pct(25, 100) != 25 {
-		t.Error("Pct wrong")
-	}
-	if Pct(1, 0) != 0 {
-		t.Error("Pct with zero denominator should be 0")
-	}
 }
 
 func TestTableRendering(t *testing.T) {

@@ -362,9 +362,6 @@ func DefaultCosts() Costs {
 // NumProcs returns the total processor count.
 func (c *Config) NumProcs() int { return c.Nodes * c.ProcsPerNode }
 
-// WordsPerPage returns the number of diff words in a page.
-func (c *Config) WordsPerPage() int { return c.PageSize / c.WordSize }
-
 // Validate reports configuration errors.
 func (c *Config) Validate() error {
 	switch {

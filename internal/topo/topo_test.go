@@ -20,9 +20,6 @@ func TestDefaultIsValidAndPaperShaped(t *testing.T) {
 	if cfg.NumProcs() != 16 {
 		t.Errorf("NumProcs = %d", cfg.NumProcs())
 	}
-	if cfg.WordsPerPage() != 1024 {
-		t.Errorf("WordsPerPage = %d", cfg.WordsPerPage())
-	}
 }
 
 func TestCostCalibrationAnchors(t *testing.T) {

@@ -21,7 +21,6 @@ type ResultJSON struct {
 	Breakdowns   []BreakdownJSON `json:"breakdowns"`
 
 	Accounting       AccountingJSON `json:"accounting"`
-	BarrierProtoNs   int64          `json:"barrier_proto_ns"`
 	Events           uint64         `json:"events"`
 	PostQueueStalls  uint64         `json:"post_queue_stalls"`
 	PostQueueStallNs int64          `json:"post_queue_stall_ns"`
@@ -44,7 +43,6 @@ type BreakdownJSON map[string]int64
 
 // AccountingJSON mirrors stats.SVMAccounting.
 type AccountingJSON struct {
-	BarrierWaitNs  int64  `json:"barrier_wait_ns"`
 	BarrierProtoNs int64  `json:"barrier_proto_ns"`
 	MprotectNs     int64  `json:"mprotect_ns"`
 	MprotectOps    uint64 `json:"mprotect_ops"`
@@ -120,7 +118,6 @@ func NewResultJSON(res *Result) *ResultJSON {
 		ElapsedNs:    int64(res.Elapsed),
 		AvgBreakdown: breakdownJSON(res.Avg),
 		Accounting: AccountingJSON{
-			BarrierWaitNs:  int64(res.Acct.BarrierWait),
 			BarrierProtoNs: int64(res.Acct.BarrierProto),
 			MprotectNs:     int64(res.Acct.Mprotect),
 			MprotectOps:    res.Acct.MprotectOps,
@@ -131,7 +128,6 @@ func NewResultJSON(res *Result) *ResultJSON {
 			LockOps:        res.Acct.LockOps,
 			Interrupts:     res.Acct.Interrupts,
 		},
-		BarrierProtoNs:   int64(res.BarrierProto),
 		Events:           res.Events,
 		PostQueueStalls:  res.PostQueueStalls,
 		PostQueueStallNs: int64(res.PostQueueStallTime),
