@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check build fmt vet test race smoke-faults smoke-scale smoke-soak smoke-serve bench-smoke bench-mem loc
+.PHONY: check build fmt vet test race smoke-faults smoke-scale smoke-soak smoke-serve smoke-examples bench-smoke bench-mem loc
 
-check: build fmt vet test race smoke-faults smoke-scale smoke-soak smoke-serve
+check: build fmt vet test race smoke-faults smoke-scale smoke-soak smoke-serve smoke-examples
 
 build:
 	$(GO) build ./...
@@ -126,6 +126,15 @@ smoke-serve:
 		| grep -o 'trace-hash=[0-9a-f]*' > $(SERVETMP)/genima.j4
 	cmp $(SERVETMP)/genima.j1 $(SERVETMP)/genima.j4
 	rm -rf $(SERVETMP)
+
+# smoke-examples builds and runs every library-surface example end to
+# end (each validates its own result and exits non-zero on failure);
+# the four take well under a second together.
+EXAMPLES := quickstart sort stencil tuning
+smoke-examples:
+	for e in $(EXAMPLES); do \
+		$(GO) run ./examples/$$e > /dev/null || exit 1; \
+	done
 
 # bench-smoke runs every micro- and suite-benchmark once — a fast "do
 # the benchmarks still build and run" gate, not a measurement. The
