@@ -149,7 +149,6 @@ func main() {
 			opts := genima.CheckpointOptions{
 				Path:  *ckptFlag,
 				Every: *ckptEveryFlag,
-				App:   *appFlag,
 				Scale: *scaleFlag,
 			}
 			if emit != nil {

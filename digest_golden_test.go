@@ -31,14 +31,13 @@ func stateDigests(t *testing.T, cfg genima.Config, proto genima.Protocol, appNam
 	t.Helper()
 	a, _ := appByName(t, appName)
 	var out []string
-	ctl := &genima.RunControl{
-		BoundaryEvery: every,
-		OnBoundary: func(b *genima.Boundary) bool {
+	_, err := genima.RunCheckpointed(cfg, proto, a, genima.CheckpointOptions{
+		Every: every,
+		OnBoundary: func(b *genima.Boundary) {
 			out = append(out, fmt.Sprintf("%016x", b.StateDigest()))
-			return true
 		},
-	}
-	if _, _, err := genima.RunControlled(cfg, proto, a, ctl); err != nil {
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	return out

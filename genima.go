@@ -126,33 +126,16 @@ type TraceEvent = nic.TraceEvent
 // packet from the NI firmware monitor, in delivery order. A nil fn
 // runs untraced.
 func RunTraced(cfg Config, p Protocol, a App, fn func(TraceEvent)) (*Result, *Workspace, error) {
-	var ctl *RunControl
+	var ctl app.RunControl
 	if fn != nil {
-		ctl = &RunControl{OnTrace: func(_ uint64, ev TraceEvent) { fn(ev) }}
+		ctl = func(_ uint64, ev TraceEvent, _ func() *Boundary) error { fn(ev); return nil }
 	}
 	return app.RunSVMControlled(cfg, p, a, ctl)
 }
 
-// RunControl hooks a run's trace stream for checkpointing, streaming
-// stats, and graceful shutdown (see RunControlled).
-type RunControl = app.RunControl
-
 // Boundary is a consistent cut of a running simulation, handed to
-// RunControl hooks.
+// CheckpointOptions.OnBoundary.
 type Boundary = app.Boundary
-
-// ErrInterrupted is the sentinel (match with errors.Is) wrapped into
-// RunControlled's error when a control hook halted the run early; the
-// partial Result is still returned alongside it.
-var ErrInterrupted = app.ErrInterrupted
-
-// RunControlled is RunTraced with full run control: an ordinal-aware
-// tracer, periodic boundary callbacks at deterministic cuts, a one-shot
-// verification cut, and graceful halt. It is the primitive under
-// checkpoint/restore, soak mode, and signal-safe shutdown.
-func RunControlled(cfg Config, p Protocol, a App, ctl *RunControl) (*Result, *Workspace, error) {
-	return app.RunSVMControlled(cfg, p, a, ctl)
-}
 
 // RunHardware executes a workload on the hardware-DSM model.
 func RunHardware(cfg Config, a App) (*Result, *Workspace, error) {

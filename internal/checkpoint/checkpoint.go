@@ -4,15 +4,16 @@
 // A Go simulation whose compute processors are goroutines cannot
 // serialize their stacks, so a checkpoint is not a byte image of the
 // process. Instead it records the *cut point* of a deterministic run —
-// the number of trace events emitted, the SHA-256 midstate of the
-// canonical trace prefix, the virtual clock, and a digest of the live
-// simulator state (event heaps, pools, version-vector tables, protocol
-// process queues, reliable-delivery flows, fault cursors, collective trees;
-// see the DigestInto methods across internal/...) — plus everything
-// needed to rebuild the run from its inputs. Restore re-executes the
-// run from event zero with trace emission suppressed up to the cut,
-// verifies that the replayed prefix reproduces the recorded hash
-// midstate (and, when the execution mode matches, the state digest),
+// the number of trace events emitted, the SHA-256 of the canonical
+// trace prefix, the virtual clock, the engine event count, and a digest
+// of the live simulator state (event heaps, pools, version-vector
+// tables, protocol process queues, reliable-delivery flows, fault
+// cursors, collective trees; see the DigestInto methods across
+// internal/...) — plus everything needed to rebuild the run from its
+// inputs. Restore re-executes the run from event zero with trace
+// emission suppressed up to the cut, verifies that the replayed prefix
+// reproduces the recorded prefix sum (and, when the execution mode
+// matches, the virtual clock, the event count and the state digest),
 // and then continues normally. The resumed trace is byte-identical to
 // an uninterrupted run by construction, and the verification turns "by
 // construction" into a checked invariant. Soak mode (genima.Soak)
@@ -42,8 +43,9 @@ const (
 	// Magic identifies a genima checkpoint file.
 	Magic = uint32(0x474e434b) // "GNCK"
 	// Version is the current format version. Load rejects other
-	// versions: the payload layout is not self-describing.
-	Version = uint32(1)
+	// versions: the payload layout is not self-describing. Version 1
+	// stored the trace hash's midstate where version 2 stores its sum.
+	Version = uint32(2)
 )
 
 // Sentinel errors, matchable with errors.Is.
@@ -71,11 +73,11 @@ type State struct {
 	ModeShards  int
 
 	// Cut point.
-	TraceEvents uint64 // trace events emitted before the cut
-	SimTime     int64  // virtual clock at the cut
-	Events      uint64 // engine events executed at the cut
-	StateDigest uint64 // sim/nic/core/memory/faults live-state digest
-	HashState   []byte // SHA-256 midstate of the canonical trace prefix
+	TraceEvents uint64   // trace events emitted before the cut
+	SimTime     int64    // virtual clock at the cut
+	Events      uint64   // engine events executed at the cut
+	StateDigest uint64   // sim/nic/core/memory/faults live-state digest
+	PrefixSum   [32]byte // SHA-256 of the canonical trace prefix
 
 	// Soak-mode cursor (zero outside soak runs).
 	SoakIter   uint64   // completed soak iterations
@@ -249,7 +251,7 @@ func (st *State) encode() []byte {
 	e.u64(uint64(st.SimTime))
 	e.u64(st.Events)
 	e.u64(st.StateDigest)
-	e.bytes(st.HashState)
+	e.bytes(st.PrefixSum[:])
 	e.u64(st.SoakIter)
 	e.u64(st.SoakEvents)
 	e.bytes(st.SoakChain[:])
@@ -301,9 +303,13 @@ func (st *State) decode(payload []byte) error {
 	if st.StateDigest, err = d.u64(); err != nil {
 		return fail("StateDigest", err)
 	}
-	if st.HashState, err = d.bytes(); err != nil {
-		return fail("HashState", err)
+	if b, err = d.bytes(); err != nil {
+		return fail("PrefixSum", err)
 	}
+	if len(b) != len(st.PrefixSum) {
+		return fmt.Errorf("%w: PrefixSum is %d bytes", ErrCorrupt, len(b))
+	}
+	copy(st.PrefixSum[:], b)
 	if st.SoakIter, err = d.u64(); err != nil {
 		return fail("SoakIter", err)
 	}

@@ -17,7 +17,6 @@ func sampleState() *State {
 		ModeWorkers: 4, ModeShards: 2,
 		TraceEvents: 12345, SimTime: 987654321, Events: 400000,
 		StateDigest: 0xdeadbeefcafef00d,
-		HashState:   []byte{1, 2, 3, 4, 5},
 		SoakIter:    7, SoakEvents: 1 << 30,
 		Note: "unit test",
 	}
@@ -25,6 +24,7 @@ func sampleState() *State {
 	st.ConfigSum = ConfigSum(&cfg)
 	for i := range st.SoakChain {
 		st.SoakChain[i] = byte(i)
+		st.PrefixSum[i] = byte(100 + i)
 	}
 	return st
 }
@@ -42,12 +42,9 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if got.ConfigSum != want.ConfigSum || got.App != want.App || got.Proto != want.Proto ||
 		got.Scale != want.Scale || got.ModeWorkers != want.ModeWorkers || got.ModeShards != want.ModeShards ||
 		got.TraceEvents != want.TraceEvents || got.SimTime != want.SimTime || got.Events != want.Events ||
-		got.StateDigest != want.StateDigest || got.SoakIter != want.SoakIter ||
+		got.StateDigest != want.StateDigest || got.PrefixSum != want.PrefixSum || got.SoakIter != want.SoakIter ||
 		got.SoakEvents != want.SoakEvents || got.SoakChain != want.SoakChain || got.Note != want.Note {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, want)
-	}
-	if string(got.HashState) != string(want.HashState) {
-		t.Fatalf("HashState mismatch: %v vs %v", got.HashState, want.HashState)
 	}
 }
 
@@ -139,39 +136,35 @@ func TestCompatibleWith(t *testing.T) {
 	}
 }
 
-// A hasher restored from a midstate snapshot must finish with exactly
-// the hash an uninterrupted hasher produces.
-func TestTraceHasherMidstateResume(t *testing.T) {
+// Taking a PrefixSum mid-stream must not disturb the running hash, and
+// two hashers' prefix sums agree exactly when they folded the same
+// events: a restore's verification rests on both.
+func TestTraceHasherPrefixSum(t *testing.T) {
 	evs := make([]nic.TraceEvent, 50)
 	for i := range evs {
 		evs[i] = nic.TraceEvent{Time: int64(1000 * i), Src: i % 4, Dst: (i + 1) % 4,
 			Size: 64 + i, Kind: "page-req", Firmware: i%2 == 0}
 	}
-	straight := NewTraceHasher()
+	straight, probed := NewTraceHasher(), NewTraceHasher()
 	for _, ev := range evs {
 		straight.Add(ev)
+		probed.Add(ev)
+		probed.PrefixSum()
 	}
-	want := straight.Final(777777, 999)
+	if got, want := probed.Final(777777, 999), straight.Final(777777, 999); got != want {
+		t.Fatalf("probed hash %s, want %s", got, want)
+	}
 
-	first := NewTraceHasher()
+	a, b := NewTraceHasher(), NewTraceHasher()
 	for _, ev := range evs[:20] {
-		first.Add(ev)
+		a.Add(ev)
+		b.Add(ev)
 	}
-	snap, err := first.Snapshot()
-	if err != nil {
-		t.Fatal(err)
+	if a.PrefixSum() != b.PrefixSum() {
+		t.Fatal("equal prefixes have different sums")
 	}
-	resumed := NewTraceHasher()
-	if err := resumed.Restore(snap, first.Count()); err != nil {
-		t.Fatal(err)
-	}
-	if resumed.Count() != 20 {
-		t.Fatalf("resumed count %d, want 20", resumed.Count())
-	}
-	for _, ev := range evs[20:] {
-		resumed.Add(ev)
-	}
-	if got := resumed.Final(777777, 999); got != want {
-		t.Fatalf("resumed hash %s, want %s", got, want)
+	b.Add(evs[20])
+	if a.PrefixSum() == b.PrefixSum() {
+		t.Fatal("a longer prefix has the same sum")
 	}
 }

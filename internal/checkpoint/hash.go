@@ -2,7 +2,6 @@ package checkpoint
 
 import (
 	"crypto/sha256"
-	"encoding"
 	"encoding/hex"
 	"fmt"
 	"hash"
@@ -13,11 +12,8 @@ import (
 
 // TraceHasher accumulates the canonical SHA-256 over a run's delivered-
 // packet trace — the same rendering trace_golden_test.go pins the
-// golden hashes with — and can snapshot/restore its midstate, which is
-// what lets a checkpoint resume the hash without replaying the prefix
-// bytes. The midstate snapshot uses the stdlib hash's binary marshaling
-// (stable within a format version; the checkpoint file version gates
-// compatibility).
+// golden hashes with. A checkpoint records its PrefixSum at the cut; a
+// restore replays the prefix through a fresh hasher and compares.
 type TraceHasher struct {
 	h hash.Hash
 	n uint64
@@ -41,29 +37,9 @@ func (t *TraceHasher) Count() uint64 { return t.n }
 
 // PrefixSum returns the hash of the events folded so far, without the
 // final trailer and without disturbing the accumulating state.
-func (t *TraceHasher) PrefixSum() []byte { return t.h.Sum(nil) }
-
-// Snapshot marshals the hash midstate for storage in a checkpoint.
-func (t *TraceHasher) Snapshot() ([]byte, error) {
-	m, ok := t.h.(encoding.BinaryMarshaler)
-	if !ok {
-		return nil, fmt.Errorf("checkpoint: sha256 state is not marshalable")
-	}
-	return m.MarshalBinary()
-}
-
-// Restore replaces the hasher's state with a checkpointed midstate
-// covering n events.
-func (t *TraceHasher) Restore(state []byte, n uint64) error {
-	u, ok := t.h.(encoding.BinaryUnmarshaler)
-	if !ok {
-		return fmt.Errorf("checkpoint: sha256 state is not unmarshalable")
-	}
-	if err := u.UnmarshalBinary(state); err != nil {
-		return fmt.Errorf("checkpoint: restoring hash midstate: %w", err)
-	}
-	t.n = n
-	return nil
+func (t *TraceHasher) PrefixSum() (sum [sha256.Size]byte) {
+	t.h.Sum(sum[:0])
+	return sum
 }
 
 // Final appends the run trailer (final elapsed time and engine event

@@ -70,9 +70,10 @@ func suiteWorkers(workers int) int {
 
 // job is one simulation. In runAll's refs it is a sequential
 // reference; in its runs it is a protocol run (a hardware-DSM run when
-// hw is set) validated against refs[ref]. app builds a fresh instance
-// per use, since applications cache derived state on the receiver
-// during Setup. label names the job in progress and error messages.
+// hw is set) validated against refs[ref], under the control hook ctl
+// when one is set. app builds a fresh instance per use, since
+// applications cache derived state on the receiver during Setup. label
+// names the job in progress and error messages.
 type job struct {
 	label string
 	cfg   Config
@@ -80,6 +81,7 @@ type job struct {
 	kind  Protocol
 	hw    bool
 	ref   int
+	ctl   app.RunControl
 }
 
 // runAll executes the references, then the runs, on opt.Workers
@@ -106,7 +108,7 @@ func runAll(opt SuiteOptions, refs, runs []job) (seq, res []*Result, err error) 
 			case j.hw:
 				out[1][i], ws, err = app.RunHW(j.cfg, a)
 			default:
-				out[1][i], ws, err = app.RunSVM(j.cfg, j.kind, a)
+				out[1][i], ws, err = app.RunSVMControlled(j.cfg, j.kind, a, j.ctl)
 			}
 			if err == nil && phase == 1 {
 				err = app.Validate(a, ws, seqWS[j.ref])

@@ -10,6 +10,13 @@ import (
 	genima "genima"
 )
 
+// stopAfter returns a SoakOptions.ShouldStop that halts a campaign
+// after n iterations: Soak polls once before each iteration.
+func stopAfter(n int) func() bool {
+	polls := 0
+	return func() bool { polls++; return polls > n }
+}
+
 // A soak campaign halted mid-way and resumed from its checkpoint cursor
 // must end with the same verification chain as an uninterrupted one,
 // and its JSONL stats log must hold exactly one record per iteration.
@@ -30,7 +37,7 @@ func TestSoakResumeMatchesUninterrupted(t *testing.T) {
 	stats := filepath.Join(dir, "soak.jsonl")
 
 	first := base
-	first.CheckpointPath, first.StatsPath, first.StopAfter = ck, stats, 2
+	first.CheckpointPath, first.StatsPath, first.ShouldStop = ck, stats, stopAfter(2)
 	r1, err := genima.Soak(cfg, first)
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +107,7 @@ func TestSoakRestoreRejectsParameterMismatch(t *testing.T) {
 	cfg := genima.DefaultConfig()
 	dir := t.TempDir()
 	ck := filepath.Join(dir, "soak.ckpt")
-	opts := genima.SoakOptions{Iters: 3, FaultRate: 0.01, FaultSeed: 3, CheckpointPath: ck, StopAfter: 1}
+	opts := genima.SoakOptions{Iters: 3, FaultRate: 0.01, FaultSeed: 3, CheckpointPath: ck, ShouldStop: stopAfter(1)}
 	if _, err := genima.Soak(cfg, opts); err != nil {
 		t.Fatal(err)
 	}
