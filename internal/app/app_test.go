@@ -5,6 +5,7 @@ import (
 
 	"genima/internal/core"
 	"genima/internal/memory"
+	"genima/internal/stats"
 	"genima/internal/topo"
 )
 
@@ -159,13 +160,13 @@ func TestBreakdownCategoriesPopulated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Avg.T[0] == 0 {
+	if res.Avg.T[stats.Compute] == 0 {
 		t.Error("no Compute time")
 	}
-	if res.Avg.T[1] == 0 {
+	if res.Avg.T[stats.Data] == 0 {
 		t.Error("no Data time")
 	}
-	if res.Avg.T[4] == 0 {
+	if res.Avg.T[stats.Barrier] == 0 {
 		t.Error("no Barrier time")
 	}
 	tot := res.Avg.Total()

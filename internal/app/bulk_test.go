@@ -94,8 +94,6 @@ func (a *attributionApp) Run(ctx *Ctx) {
 	ctx.SetF64(x, 512*ctx.ID()%1024, 1) // remote fault for most procs
 	ctx.Lock(1)
 	ctx.Unlock(1)
-	ctx.Acquire(2)
-	ctx.Release(2)
 	ctx.Barrier()
 }
 
@@ -109,7 +107,7 @@ func TestBreakdownAttribution(t *testing.T) {
 	for _, b := range res.Breakdowns {
 		sum.Merge(b)
 	}
-	for _, c := range []stats.Category{stats.Compute, stats.Data, stats.Lock, stats.AcqRel, stats.Barrier} {
+	for _, c := range []stats.Category{stats.Compute, stats.Data, stats.Lock, stats.Barrier} {
 		if sum.T[c] == 0 {
 			t.Errorf("category %v never charged", c)
 		}

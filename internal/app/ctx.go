@@ -13,8 +13,8 @@ import (
 
 // Ctx is one simulated processor's handle to the shared address space:
 // typed accessors with fault handling, compute-time charging, locks and
-// barriers. All elapsed virtual time is attributed to the paper's five
-// execution-time categories.
+// barriers. All elapsed virtual time is attributed to the four
+// execution-time categories of internal/stats.
 type Ctx struct {
 	id, n int
 	p     *sim.Proc
@@ -79,25 +79,6 @@ func (c *Ctx) Unlock(id int) {
 	t0 := c.p.Now()
 	c.be.Unlock(c.p, id)
 	c.Breakdown.Add(stats.Lock, c.p.Now()-t0)
-}
-
-// Acquire performs an acquire purely for release consistency (no
-// mutual exclusion needed — e.g. consuming a flag another processor
-// set). Mechanically it is a lock acquire, but the time lands in the
-// paper's "Acq/Rel" breakdown category.
-func (c *Ctx) Acquire(id int) {
-	c.syncs++
-	t0 := c.p.Now()
-	c.be.Lock(c.p, id)
-	c.Breakdown.Add(stats.AcqRel, c.p.Now()-t0)
-}
-
-// Release is the matching release-consistency release.
-func (c *Ctx) Release(id int) {
-	c.syncs++
-	t0 := c.p.Now()
-	c.be.Unlock(c.p, id)
-	c.Breakdown.Add(stats.AcqRel, c.p.Now()-t0)
 }
 
 // Barrier waits for all processors.

@@ -114,8 +114,6 @@ func TestTLBSyncCallsInvalidate(t *testing.T) {
 	}{
 		{"Lock", func(c *Ctx) { c.Lock(1) }},
 		{"Unlock", func(c *Ctx) { c.Unlock(1) }},
-		{"Acquire", func(c *Ctx) { c.Acquire(1) }},
-		{"Release", func(c *Ctx) { c.Release(1) }},
 		{"Barrier", func(c *Ctx) { c.Barrier() }},
 	}
 	for _, s := range syncs {

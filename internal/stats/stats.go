@@ -1,6 +1,7 @@
 // Package stats collects and formats execution-time statistics for the
-// simulated SVM system: per-processor execution-time breakdowns in the
-// paper's five categories, overhead sub-accounting (mprotect, barrier
+// simulated SVM system: per-processor execution-time breakdowns in four
+// of the paper's five categories (no workload uses the paper's Acq/Rel
+// category, acquires and releases without mutual exclusion), overhead sub-accounting (mprotect, barrier
 // protocol time), and simple aggregation helpers used by the benchmark
 // harness to regenerate the paper's tables and figures.
 package stats
@@ -23,15 +24,12 @@ const (
 	Data
 	// Lock is time spent in lock synchronization.
 	Lock
-	// AcqRel is time in acquire/release primitives used purely for
-	// release consistency (no mutual exclusion).
-	AcqRel
 	// Barrier is time spent in barriers.
 	Barrier
 	numCategories
 )
 
-var categoryNames = [...]string{"Compute", "Data", "Lock", "Acq/Rel", "Barrier"}
+var categoryNames = [...]string{"Compute", "Data", "Lock", "Barrier"}
 
 // String returns the category's display name.
 func (c Category) String() string {

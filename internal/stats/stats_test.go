@@ -41,12 +41,11 @@ func TestBreakdownMergeAndAverage(t *testing.T) {
 }
 
 func TestFractionsSumToOne(t *testing.T) {
-	prop := func(c, d, l, a, bar uint16) bool {
+	prop := func(c, d, l, bar uint16) bool {
 		var b Breakdown
 		b.Add(Compute, sim.Time(c))
 		b.Add(Data, sim.Time(d))
 		b.Add(Lock, sim.Time(l))
-		b.Add(AcqRel, sim.Time(a))
 		b.Add(Barrier, sim.Time(bar))
 		f := b.Fractions()
 		sum := 0.0
@@ -67,7 +66,7 @@ func TestFractionsSumToOne(t *testing.T) {
 }
 
 func TestCategoryNames(t *testing.T) {
-	want := []string{"Compute", "Data", "Lock", "Acq/Rel", "Barrier"}
+	want := []string{"Compute", "Data", "Lock", "Barrier"}
 	for i, w := range want {
 		if Category(i).String() != w {
 			t.Errorf("category %d = %q, want %q", i, Category(i), w)
