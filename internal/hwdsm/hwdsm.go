@@ -9,6 +9,8 @@
 package hwdsm
 
 import (
+	"math/bits"
+
 	"genima/internal/memory"
 	"genima/internal/sim"
 	"genima/internal/topo"
@@ -154,7 +156,7 @@ func (b *Proc) EnsureWrite(p *sim.Proc, addr, size int) {
 			continue // already exclusive
 		}
 		s.Misses++
-		others := popcount(s.shared[l] &^ bit)
+		others := bits.OnesCount64(s.shared[l] &^ bit)
 		if s.owner[l] >= 0 {
 			cost += s.costs.DirtyMiss
 		} else if s.shared[l]&bit == 0 {
@@ -173,14 +175,6 @@ func (b *Proc) EnsureWrite(p *sim.Proc, addr, size int) {
 	if cost > 0 {
 		p.Sleep(cost)
 	}
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for ; x != 0; x &= x - 1 {
-		n++
-	}
-	return n
 }
 
 // Bytes returns the coherent memory for a page (the home copy).

@@ -144,15 +144,6 @@ func TestBytesIsCoherentMemory(t *testing.T) {
 	}
 }
 
-func TestPopcount(t *testing.T) {
-	cases := map[uint64]int{0: 0, 1: 1, 3: 2, 0xFF: 8, 1 << 63: 1}
-	for in, want := range cases {
-		if got := popcount(in); got != want {
-			t.Errorf("popcount(%#x) = %d, want %d", in, got, want)
-		}
-	}
-}
-
 func TestMissCounterAdvances(t *testing.T) {
 	eng, s, _ := build(t)
 	be := s.Backend(0)

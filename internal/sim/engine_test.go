@@ -318,16 +318,16 @@ func TestEventOrderProperty(t *testing.T) {
 		}
 		e := NewEngine()
 		var seen []Time
-		var maxT Time
+		var last Time
 		for _, d := range delays {
 			at := Time(d)
-			if at > maxT {
-				maxT = at
+			if at > last {
+				last = at
 			}
 			schedule(e, at, func() { seen = append(seen, e.Now()) })
 		}
 		end := e.RunUntilQuiet()
-		if end != maxT {
+		if end != last {
 			return false
 		}
 		for i := 1; i < len(seen); i++ {
