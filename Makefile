@@ -65,7 +65,10 @@ smoke-scale:
 #       cursor checkpoint lands (signal-safe shutdown, exit 130),
 #       resume with -soak-restore, final verification chain must equal
 #       an uninterrupted campaign's, and the JSONL stats log is
-#       non-empty.
+#       non-empty;
+#   (3) soak campaign halted by -soak-stop-after 3: exit 0 with
+#       interrupted=true, then -soak-restore finishes the campaign
+#       with the uninterrupted chain.
 SOAKTMP := /tmp/genima-smoke-soak
 smoke-soak:
 	rm -rf $(SOAKTMP) && mkdir -p $(SOAKTMP)
@@ -101,6 +104,17 @@ smoke-soak:
 		| grep -o 'chain=[0-9a-f]*' > $(SOAKTMP)/chain.resumed
 	cmp $(SOAKTMP)/chain.full $(SOAKTMP)/chain.resumed
 	test -s $(SOAKTMP)/soak.jsonl
+	$(SOAKTMP)/genima-bench -exp soak -scale test -soak-iters 40 -soak-events 0 \
+		-faults 0.01 -fault-seed 5 -q \
+		| grep -o 'chain=[0-9a-f]*' > $(SOAKTMP)/chain40.full
+	out=$$($(SOAKTMP)/genima-bench -exp soak -scale test -soak-iters 40 -soak-events 0 \
+		-faults 0.01 -fault-seed 5 -q -soak-stop-after 3 \
+		-soak-checkpoint $(SOAKTMP)/stop.ckpt) \
+		&& echo "$$out" | grep -q 'iters=3 .*interrupted=true'
+	$(SOAKTMP)/genima-bench -exp soak -scale test -soak-iters 40 -soak-events 0 \
+		-faults 0.01 -fault-seed 5 -q -soak-restore -soak-checkpoint $(SOAKTMP)/stop.ckpt \
+		| grep -o 'chain=[0-9a-f]*' > $(SOAKTMP)/chain40.resumed
+	cmp $(SOAKTMP)/chain40.full $(SOAKTMP)/chain40.resumed
 	rm -rf $(SOAKTMP)
 
 # smoke-serve exercises the svmkv open-loop serving workload end to
