@@ -14,7 +14,10 @@ package genima_test
 // folding a barrier epoch's arrival vector only while the epoch is live
 // (once the node leader leaves the barrier it folds as zeros), and
 // folding each retransmit entry's header-checksum slot as zero (the
-// receive gate reads only whether a link corrupted a packet); any
+// receive gate reads only whether a link corrupted a packet), and
+// folding each engine's pending events sorted by their (at, seq) key
+// rather than in the event heap's slot order (so the digest does not
+// depend on how the queue is laid out); any
 // drift in how live state digests shows up here at every checkpoint
 // cut.
 
@@ -67,15 +70,15 @@ func TestStateDigestGolden(t *testing.T) {
 		want  []string
 	}{
 		{"xbar8/fft/GeNIMA", xbar8, genima.GeNIMA, "fft", 150, []string{
-			"22406b91a7cadff8", "243503065a77d93d", "24ace2f18d7df4c6",
-			"44d91ce3c1629c4b", "23ce66f6a081a103", "c69a1c289cb87baa",
+			"f32d0f82cfd2a6bc", "d35d7646f36c53a1", "79201808eb438a82",
+			"0941c8e3a964a8ff", "1bea08392552f51b", "3edc6356176cbf2a",
 		}},
 		{"fattree64/barrierbench/Base", fattree64, genima.Base, "barrierbench", 500, []string{
-			"8f04d1efcde74bdc", "e62ab7c3d185c15d", "a26e397818ce58f8", "0113a034b0cf0b07",
+			"b0a4b79193432740", "2dd6d9d7a5852df9", "eb0e4549ec5d3ed8", "4fb44c3df814aa87",
 		}},
 		{"fattree64/barrierbench/GeNIMA-tree", fattree64Tree, genima.GeNIMA, "barrierbench", 500, []string{
-			"c4899322b77636aa", "bf24ef1bd3255711", "dbd4ff884954f36a", "480784812d0dfd1c",
-			"56df6d361f60c12f",
+			"a60a6647cacfd24a", "c88dd79f55392edd", "85821646d75e8236", "8d864353aa1ee4e4",
+			"c77f014793f0f9c7",
 		}},
 	} {
 		got := stateDigests(t, tc.cfg, tc.proto, tc.app, tc.every)
