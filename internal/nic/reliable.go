@@ -113,13 +113,16 @@ type retxEntry struct {
 	attempts  int
 }
 
-// relTimer is a rearmable virtual-time timer. The event queue has no
-// cancellation, so disarm/rearm work by deadline: a fired event whose
-// deadline moved later reschedules itself, and a disarmed one
-// (deadline 0) drains without effect. A timer can therefore fire
-// slightly later than its nominal deadline after rapid rearming —
-// harmless for retransmission and delayed-ack purposes — but never
-// earlier, and never leaks: every queued event either fires or drains.
+// relTimer is a rearmable virtual-time timer. It schedules through
+// Engine.AtTimer, so its events sit on the engine's timer heap rather
+// than the hot event heap: under a large flat barrier most flows have
+// one pending, far in the future. The queue has no cancellation, so
+// disarm/rearm work by deadline: a fired event whose deadline moved
+// later reschedules itself, and a disarmed one (deadline 0) drains
+// without effect. A timer can therefore fire slightly later than its
+// nominal deadline after rapid rearming — harmless for retransmission
+// and delayed-ack purposes — but never earlier, and never leaks: every
+// queued event either fires or drains.
 type relTimer struct {
 	rel      *relState
 	peer     int
@@ -136,7 +139,7 @@ func (t *relTimer) arm(at sim.Time) {
 	}
 	t.queued++
 	t.nextFire = at
-	t.rel.ni.eng.AtHandler(at, at, t)
+	t.rel.ni.eng.AtTimer(at, at, t)
 }
 
 func (t *relTimer) disarm() { t.deadline = 0 }
@@ -148,7 +151,7 @@ func (t *relTimer) Run(_, now sim.Time) {
 		if t.deadline != 0 && t.queued == 0 {
 			t.queued++
 			t.nextFire = t.deadline
-			t.rel.ni.eng.AtHandler(t.deadline, t.deadline, t)
+			t.rel.ni.eng.AtTimer(t.deadline, t.deadline, t)
 		}
 		return
 	}

@@ -3,10 +3,10 @@
 // The engine advances a virtual clock (int64 nanoseconds) by executing
 // events in timestamp order. Two styles of simulated activity coexist:
 //
-//   - Events: Handler values scheduled with AtHandler (or through a
-//     Resource reservation, or Send across logical processes), executed
-//     inline by the engine loop. Used for message deliveries, DMA
-//     completions, etc.
+//   - Events: Handler values scheduled with AtHandler (or AtTimer, or
+//     through a Resource reservation, or Send across logical processes),
+//     executed inline by the engine loop. Used for message deliveries,
+//     DMA completions, timers, etc.
 //   - Processes: runtime coroutines (iter.Pull) that model sequential
 //     agents (simulated processors). Exactly one of the engine loop or a
 //     single process runs at any instant; a dispatch switches straight
@@ -78,6 +78,9 @@ type eventQueue struct {
 func (q *eventQueue) len() int     { return len(q.a) }
 func (q *eventQueue) peek() *event { return &q.a[0] }
 
+// after reports whether every queued event is due strictly after t.
+func (q *eventQueue) after(t Time) bool { return len(q.a) == 0 || q.a[0].at > t }
+
 func (q *eventQueue) push(e event) {
 	q.a = append(q.a, e)
 	a := q.a
@@ -126,10 +129,19 @@ func (q *eventQueue) pop() event {
 
 // Engine is a discrete-event simulator. The zero value is not usable;
 // construct with NewEngine.
+//
+// A standalone engine keeps its pending events in three places, each
+// event behind its own (at, seq) key: the event heap; one FIFO lane per
+// backlogged Resource, which the heap reaches through a single proxy
+// entry keyed by the lane's head (see lane); and a second heap for
+// timers (AtTimer). Run pops whichever heap top has the smaller key, so
+// the split changes how deep the heaps get, never which event runs
+// next.
 type Engine struct {
 	now    Time
 	seq    uint64
-	events eventQueue
+	events eventQueue // handlers, process wakes and lane proxies
+	timers eventQueue // AtTimer events
 
 	procs    []*Proc // every process spawned by Go, for Release
 	stopped  bool
@@ -211,6 +223,36 @@ func (e *Engine) AtHandler(t, start Time, h Handler) {
 	e.events.push(event{at: t, seq: e.nextKey(), start: start, h: h})
 }
 
+// AtTimer is AtHandler for timers: events that are rearmed often and
+// usually fire far in the future (retransmission and delayed-ack
+// timeouts), kept on a heap of their own so they do not deepen the hot
+// one. Order is the same as if they shared one heap. On an LP engine
+// of a parallel cluster it is AtHandler.
+func (e *Engine) AtTimer(t, start Time, h Handler) {
+	if e.cl != nil {
+		e.AtHandler(t, start, h)
+		return
+	}
+	if t < e.now {
+		panic(fmt.Sprintf("sim: scheduling timer at %d before now %d", t, e.now))
+	}
+	e.seq++
+	e.timers.push(event{at: t, seq: e.seq, start: start, h: h})
+}
+
+// next returns the heap whose top runs next, or nil when both are
+// empty.
+func (e *Engine) next() *eventQueue {
+	q := &e.events
+	if len(e.timers.a) > 0 && (len(q.a) == 0 || eventBefore(&e.timers.a[0], &q.a[0])) {
+		return &e.timers
+	}
+	if len(q.a) == 0 {
+		return nil
+	}
+	return q
+}
+
 // Stop makes Run return after the current event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
@@ -218,12 +260,16 @@ func (e *Engine) Stop() { e.stopped = true }
 // the optional deadline (>0) is reached. It returns the final virtual time.
 func (e *Engine) Run(deadline Time) Time {
 	e.deadline = deadline
-	for !e.stopped && e.events.len() > 0 {
-		if deadline > 0 && e.events.peek().at > deadline {
+	for !e.stopped {
+		q := e.next()
+		if q == nil {
+			break
+		}
+		if deadline > 0 && q.peek().at > deadline {
 			e.now = deadline
 			break
 		}
-		ev := e.events.pop()
+		ev := q.pop()
 		e.now = ev.at
 		e.nEvents++
 		ev.h.Run(ev.start, ev.at)

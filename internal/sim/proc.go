@@ -106,12 +106,13 @@ func (p *Proc) yield() {
 //
 // On a standalone engine, when the wake would be the very next event
 // Run executes — Run is not stopping, the wake is within its deadline,
-// and every queued event is strictly later — the process keeps
-// running: Sleep takes the wake's sequence number, advances the clock
-// and counts the event in place, with no heap push and no coroutine
-// round trip. Pushing a new strict minimum and popping it at once
-// leaves a 4-ary heap's array exactly as it was (keys are unique), so
-// the engine ends in the state the scheduled wake would have left.
+// and every queued event, on the event heap (lanes included, through
+// their proxies) and on the timer heap, is strictly later — the
+// process keeps running: Sleep takes the wake's sequence number,
+// advances the clock and counts the event in place, with no heap push
+// and no coroutine round trip. The queues then hold the same events a
+// scheduled wake would have left, and the digest folds events by key,
+// not by heap slot, so the engine ends in the same state.
 func (p *Proc) Sleep(d Time) {
 	if d < 0 {
 		panic("sim: negative sleep")
@@ -122,7 +123,7 @@ func (p *Proc) Sleep(d Time) {
 	e := p.eng
 	t := e.now + d
 	if e.cl == nil && !e.stopped && (e.deadline <= 0 || t <= e.deadline) &&
-		(e.events.len() == 0 || e.events.peek().at > t) {
+		e.events.after(t) && e.timers.after(t) {
 		e.seq++
 		e.now = t
 		e.nEvents++
