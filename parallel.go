@@ -88,39 +88,68 @@ type job struct {
 // goroutines, validating every run against its reference. seq and res
 // are indexed like refs and runs.
 func runAll(opt SuiteOptions, refs, runs []job) (seq, res []*Result, err error) {
-	var mu sync.Mutex
-	var out [2][]*Result
-	seqWS := make([]*Workspace, len(refs))
-	for phase, jobs := range [2][]job{refs, runs} {
-		out[phase] = make([]*Result, len(jobs))
-		err := parallelFor(suiteWorkers(opt.Workers), len(jobs), func(i int) (err error) {
-			j := jobs[i]
-			if opt.Progress != nil {
-				mu.Lock()
-				opt.Progress(j.label)
-				mu.Unlock()
-			}
-			a := j.app()
-			var ws *Workspace
-			switch {
-			case phase == 0:
-				out[0][i], seqWS[i], err = app.RunSeq(j.cfg, a)
-			case j.hw:
-				out[1][i], ws, err = app.RunHW(j.cfg, a)
-			default:
-				out[1][i], ws, err = app.RunSVMControlled(j.cfg, j.kind, a, j.ctl)
-			}
-			if err == nil && phase == 1 {
-				err = app.Validate(a, ws, seqWS[j.ref])
-			}
-			if err != nil {
-				return fmt.Errorf("%s: %w", j.label, err)
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, nil, err
-		}
+	seq, seqWS, err := runRefs(opt, refs)
+	if err != nil {
+		return nil, nil, err
 	}
-	return out[0], out[1], nil
+	if res, err = runValidated(opt, runs, seqWS); err != nil {
+		return nil, nil, err
+	}
+	return seq, res, nil
+}
+
+// runRefs executes sequential references on opt.Workers goroutines and
+// returns their results and workspaces, indexed like refs.
+func runRefs(opt SuiteOptions, refs []job) ([]*Result, []*Workspace, error) {
+	seq, ws := make([]*Result, len(refs)), make([]*Workspace, len(refs))
+	err := runEach(opt, refs, func(i int, j job, a App) (err error) {
+		seq[i], ws[i], err = app.RunSeq(j.cfg, a)
+		return err
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return seq, ws, nil
+}
+
+// runValidated executes runs on opt.Workers goroutines and validates
+// each against the reference workspace seqWS[j.ref]. res is indexed
+// like runs.
+func runValidated(opt SuiteOptions, runs []job, seqWS []*Workspace) ([]*Result, error) {
+	res := make([]*Result, len(runs))
+	err := runEach(opt, runs, func(i int, j job, a App) (err error) {
+		var ws *Workspace
+		if j.hw {
+			res[i], ws, err = app.RunHW(j.cfg, a)
+		} else {
+			res[i], ws, err = app.RunSVMControlled(j.cfg, j.kind, a, j.ctl)
+		}
+		if err != nil {
+			return err
+		}
+		return app.Validate(a, ws, seqWS[j.ref])
+	})
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// runEach calls do with a fresh app instance for every job on
+// opt.Workers goroutines, reporting each job's label to opt.Progress
+// and naming it in its error.
+func runEach(opt SuiteOptions, jobs []job, do func(i int, j job, a App) error) error {
+	var mu sync.Mutex
+	return parallelFor(suiteWorkers(opt.Workers), len(jobs), func(i int) error {
+		j := jobs[i]
+		if opt.Progress != nil {
+			mu.Lock()
+			opt.Progress(j.label)
+			mu.Unlock()
+		}
+		if err := do(i, j, j.app()); err != nil {
+			return fmt.Errorf("%s: %w", j.label, err)
+		}
+		return nil
+	})
 }
