@@ -1,9 +1,10 @@
 package sim
 
 // Wall-clock micro-benchmarks for the simulation hot paths: event
-// scheduling/dispatch (the typed 4-ary heap) and process switching (two
-// coroutine switches per dispatch). `make bench-smoke` runs these once;
-// compare before/after with `go test -bench Engine -benchmem ./internal/sim`.
+// scheduling/dispatch (the typed 4-ary heap, resource lanes and the
+// timer heap) and process switching (two coroutine switches per
+// dispatch). `make bench-smoke` runs these once; compare before/after
+// with `go test -bench . -benchmem ./internal/sim`.
 
 import (
 	"testing"
@@ -59,6 +60,86 @@ func BenchmarkEventCascade(b *testing.B) {
 	if got := e.Events(); got != uint64(b.N) {
 		b.Fatalf("ran %d ticks, want %d", got, b.N)
 	}
+}
+
+// BenchmarkResourceBacklog measures one resource with a standing FIFO
+// backlog of 4096 jobs, in ns per completion: each completion queues
+// its successor, the pattern of a congested link or switch under a
+// large flat barrier.
+func BenchmarkResourceBacklog(b *testing.B) {
+	e := NewEngine()
+	r := NewResource(e)
+	const backlog = 4096
+	jobs := make([]backlogJob, backlog)
+	for i := range jobs {
+		n := b.N / backlog // completions of this job; they sum to b.N
+		if i < b.N%backlog {
+			n++
+		}
+		if n == 0 {
+			continue
+		}
+		jobs[i] = backlogJob{r: r, left: n - 1}
+		r.EnqueueHandler(1, &jobs[i])
+	}
+	b.ResetTimer()
+	e.RunUntilQuiet()
+	if got := e.Events(); got != uint64(b.N) {
+		b.Fatalf("ran %d completions, want %d", got, b.N)
+	}
+}
+
+// churnTimer is a far timer rearmed by moving its deadline, in the
+// style of the NI's retransmit timer: a queued event that fires before
+// the deadline puts itself back at the deadline.
+type churnTimer struct {
+	e        *Engine
+	deadline Time
+}
+
+func (t *churnTimer) Run(_, now Time) {
+	if now < t.deadline {
+		t.e.AtTimer(t.deadline, 0, t)
+	}
+}
+
+// churnTick is one of a few self-rescheduling hot events; each firing
+// rearms the next far timer, and the firing that finds no work left
+// stops the engine.
+type churnTick struct {
+	e      *Engine
+	timers []churnTimer
+	left   *int
+}
+
+func (h *churnTick) Run(_, now Time) {
+	if *h.left == 0 {
+		h.e.Stop()
+		return
+	}
+	*h.left--
+	h.timers[*h.left%len(h.timers)].deadline = now + 4096
+	h.e.AtHandler(now+8, now, h)
+}
+
+// BenchmarkTimerChurn measures 1024 rearmed far timers beside a
+// shallow hot queue of 8 self-rescheduling events, in ns per hot
+// event; the timers refire about once per four hot events.
+func BenchmarkTimerChurn(b *testing.B) {
+	e := NewEngine()
+	timers := make([]churnTimer, 1024)
+	for i := range timers {
+		timers[i] = churnTimer{e: e, deadline: 4096}
+		e.AtTimer(4096, 0, &timers[i])
+	}
+	left := b.N
+	ticks := make([]churnTick, 8)
+	for i := range ticks {
+		ticks[i] = churnTick{e: e, timers: timers, left: &left}
+		e.AtHandler(Time(i), 0, &ticks[i])
+	}
+	b.ResetTimer()
+	e.RunUntilQuiet()
 }
 
 // BenchmarkProcSleepInPlace measures a lone process's 1-tick Sleep.

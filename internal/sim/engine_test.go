@@ -455,27 +455,79 @@ func TestEventQueueOrderProperty(t *testing.T) {
 }
 
 // TestDrainedEngineHoldsNoEvents is the regression test for the event
-// retention leak: after the queue drains, every slot of the backing
-// array must be zeroed so executed handlers are collectable.
+// retention leak: after the queues drain, every slot of the event
+// heap's and the timer heap's backing arrays, and of a backlogged
+// resource's lane, must be zeroed so executed handlers are collectable.
 func TestDrainedEngineHoldsNoEvents(t *testing.T) {
 	e := NewEngine()
+	r := NewResource(e)
 	var ran int
+	count := handlerFunc(func(_, _ Time) { ran++ })
 	for i := 0; i < 1000; i++ {
 		d := Time(i % 37)
 		schedule(e, d, func() { ran++ })
+		e.AtTimer(d+5, 0, count)
+		r.EnqueueHandler(d, count)
+	}
+	if r.q.n == 0 {
+		t.Fatal("the resource never backlogged: the test covers no lane")
 	}
 	e.RunUntilQuiet()
-	if ran != 1000 {
-		t.Fatalf("ran %d events, want 1000", ran)
+	if ran != 3000 {
+		t.Fatalf("ran %d events, want 3000", ran)
 	}
-	if e.events.len() != 0 {
-		t.Fatalf("queue not drained: %d left", e.events.len())
+	if e.events.len() != 0 || e.timers.len() != 0 || r.q.n != 0 {
+		t.Fatalf("queues not drained: %d events, %d timers, %d in the lane left",
+			e.events.len(), e.timers.len(), r.q.n)
 	}
-	backing := e.events.a[:cap(e.events.a)]
-	for i, ev := range backing {
-		if ev.h != nil {
-			t.Fatalf("drained queue retains a handler at slot %d of %d", i, len(backing))
+	for _, q := range []struct {
+		name    string
+		backing []event
+	}{
+		{"event heap", e.events.a[:cap(e.events.a)]},
+		{"timer heap", e.timers.a[:cap(e.timers.a)]},
+		{"lane", r.q.ring},
+	} {
+		for i, ev := range q.backing {
+			if ev.h != nil {
+				t.Fatalf("drained %s retains a handler at slot %d of %d", q.name, i, len(q.backing))
+			}
 		}
+	}
+}
+
+// backlogJob is a resource completion that queues its successor on the
+// same resource left more times, so the resource keeps a standing FIFO
+// backlog.
+type backlogJob struct {
+	r    *Resource
+	left int
+}
+
+func (j *backlogJob) Run(_, _ Time) {
+	if j.left > 0 {
+		j.left--
+		j.r.EnqueueHandler(1, j)
+	}
+}
+
+// TestResourceBacklogAllocatesNothing: once a lane has grown to hold a
+// resource's backlog, a steady cycle of completions that each queue a
+// successor allocates nothing.
+func TestResourceBacklogAllocatesNothing(t *testing.T) {
+	e := NewEngine()
+	r := NewResource(e)
+	jobs := make([]backlogJob, 64)
+	for i := range jobs {
+		jobs[i] = backlogJob{r: r, left: 1 << 30}
+		r.EnqueueHandler(1, &jobs[i])
+	}
+	e.Run(1000)
+	if int(r.q.n) != len(jobs) {
+		t.Fatalf("lane holds %d completions, want %d", r.q.n, len(jobs))
+	}
+	if allocs := testing.AllocsPerRun(100, func() { e.Run(e.Now() + 64) }); allocs != 0 {
+		t.Fatalf("a backlog cycle allocates %.1f times, want 0", allocs)
 	}
 }
 

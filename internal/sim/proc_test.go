@@ -170,40 +170,59 @@ func (s *stepper) Run(_, _ Time) {
 // always the next event runs its sleeps in place — one dispatch in all —
 // and the engine's clock, event count and digest match a handler that
 // schedules the same wakes through the heap, with a later event queued
-// throughout.
+// throughout. In the second leg a timer falls due before one wake, so
+// that sleep must go through the queue (two dispatches) and the timer
+// must run first; everything else still matches.
 func TestSleepFastPathMatchesScheduledWake(t *testing.T) {
 	delays := []Time{10, 20, 5}
-	var fast, ref []string
-
-	e := NewEngine()
-	schedule(e, 100, func() {})
-	p := e.Go("sleeper", func(p *Proc) {
-		fast = append(fast, fmt.Sprintf("@%d events=%d", e.Now(), e.Events()))
-		for _, d := range delays {
-			p.Sleep(d)
-			fast = append(fast, fmt.Sprintf("@%d events=%d", e.Now(), e.Events()))
+	for _, leg := range []struct {
+		name       string
+		timer      Time // a timer due at this time (0: none)
+		dispatches int
+	}{
+		{"later event only", 0, 1},
+		{"timer due before a wake", 15, 2},
+	} {
+		var fast, ref []string
+		setup := func(e *Engine, log *[]string) {
+			schedule(e, 100, func() {})
+			if leg.timer > 0 {
+				e.AtTimer(leg.timer, leg.timer, handlerFunc(func(_, now Time) {
+					*log = append(*log, fmt.Sprintf("timer@%d events=%d", now, e.Events()))
+				}))
+			}
 		}
-	})
-	dispatches := countDispatches(p)
-	e.RunUntilQuiet()
 
-	r := NewEngine()
-	schedule(r, 100, func() {})
-	r.AtHandler(0, 0, &stepper{e: r, delays: delays, log: &ref})
-	r.RunUntilQuiet()
+		e := NewEngine()
+		setup(e, &fast)
+		p := e.Go("sleeper", func(p *Proc) {
+			fast = append(fast, fmt.Sprintf("@%d events=%d", e.Now(), e.Events()))
+			for _, d := range delays {
+				p.Sleep(d)
+				fast = append(fast, fmt.Sprintf("@%d events=%d", e.Now(), e.Events()))
+			}
+		})
+		dispatches := countDispatches(p)
+		e.RunUntilQuiet()
 
-	if fmt.Sprint(fast) != fmt.Sprint(ref) {
-		t.Fatalf("process saw %v, scheduled wakes saw %v", fast, ref)
-	}
-	if *dispatches != 1 {
-		t.Fatalf("process dispatched %d times, want 1 (every sleep in place)", *dispatches)
-	}
-	de, dr := NewDigest(), NewDigest()
-	e.DigestInto(de)
-	r.DigestInto(dr)
-	if e.Now() != r.Now() || e.Events() != r.Events() || de.Sum() != dr.Sum() {
-		t.Fatalf("engine now=%d events=%d digest %x, reference now=%d events=%d digest %x",
-			e.Now(), e.Events(), de.Sum(), r.Now(), r.Events(), dr.Sum())
+		r := NewEngine()
+		setup(r, &ref)
+		r.AtHandler(0, 0, &stepper{e: r, delays: delays, log: &ref})
+		r.RunUntilQuiet()
+
+		if fmt.Sprint(fast) != fmt.Sprint(ref) {
+			t.Fatalf("%s: process saw %v, scheduled wakes saw %v", leg.name, fast, ref)
+		}
+		if *dispatches != leg.dispatches {
+			t.Fatalf("%s: process dispatched %d times, want %d", leg.name, *dispatches, leg.dispatches)
+		}
+		de, dr := NewDigest(), NewDigest()
+		e.DigestInto(de)
+		r.DigestInto(dr)
+		if e.Now() != r.Now() || e.Events() != r.Events() || de.Sum() != dr.Sum() {
+			t.Fatalf("%s: engine now=%d events=%d digest %x, reference now=%d events=%d digest %x",
+				leg.name, e.Now(), e.Events(), de.Sum(), r.Now(), r.Events(), dr.Sum())
+		}
 	}
 }
 
