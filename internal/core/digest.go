@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sort"
-
-	"genima/internal/sim"
-)
+import "genima/internal/sim"
 
 // DigestInto folds the whole protocol system's live state — per-node
 // page tables, vector clocks, flat version-vector tables, lock caches,
@@ -60,22 +56,12 @@ func (n *Node) digestInto(d *sim.Digest) {
 	d.U64(uint64(len(n.dirtyList)))
 	n.ivGate.DigestInto(d)
 
-	pages := make([]int, 0, len(n.pendingReqs))
-	for pg := range n.pendingReqs {
-		pages = append(pages, pg)
-	}
-	sort.Ints(pages)
-	for _, pg := range pages {
+	for _, pg := range sim.SortedKeys(n.pendingReqs) {
 		d.U64(uint64(pg))
 		d.U64(uint64(len(n.pendingReqs[pg])))
 	}
 
-	ids := make([]int, 0, len(n.locks))
-	for id := range n.locks {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
+	for _, id := range sim.SortedKeys(n.locks) {
 		lk := n.locks[id]
 		d.U64(uint64(id))
 		d.Bool(lk.cached)
@@ -87,12 +73,7 @@ func (n *Node) digestInto(d *sim.Digest) {
 		d.Bool(lk.pendingReq)
 		d.U64(uint64(lk.pendingRequester))
 	}
-	ids = ids[:0]
-	for id := range n.lockDir {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
+	for _, id := range sim.SortedKeys(n.lockDir) {
 		d.U64(uint64(id))
 		d.U64(uint64(n.lockDir[id].lastOwner))
 	}

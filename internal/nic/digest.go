@@ -1,10 +1,6 @@
 package nic
 
-import (
-	"sort"
-
-	"genima/internal/sim"
-)
+import "genima/internal/sim"
 
 // DigestInto folds the whole NI subsystem's live state — per-NI queues,
 // pools, reliable-delivery flows, collective trees, and the shared
@@ -100,12 +96,7 @@ func (m *Monitor) DigestInto(d *sim.Digest) {
 			d.I64(st.Uncontended[s])
 		}
 	}
-	kinds := make([]string, 0, len(m.ByKind))
-	for k := range m.ByKind {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	for _, k := range kinds {
+	for _, k := range sim.SortedKeys(m.ByKind) {
 		ks := m.ByKind[k]
 		d.Str(k)
 		d.U64(ks.Packets)
