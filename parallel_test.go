@@ -16,7 +16,7 @@ import (
 	genima "genima"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/experiments.golden from the serial render")
+var update = flag.Bool("update", false, "rewrite the golden files under testdata from the current code")
 
 const experimentsGolden = "testdata/experiments.golden"
 
