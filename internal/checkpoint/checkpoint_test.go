@@ -1,10 +1,14 @@
 package checkpoint
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"genima/internal/nic"
@@ -45,6 +49,62 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		got.StateDigest != want.StateDigest || got.PrefixSum != want.PrefixSum || got.SoakIter != want.SoakIter ||
 		got.SoakEvents != want.SoakEvents || got.SoakChain != want.SoakChain || got.Note != want.Note {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestLoadV2File reads a v2 file written by an earlier build (the
+// FuzzLoad corpus's valid seed) and checks every decoded field against
+// the values it was saved with, then that Save writes the same bytes.
+// A round trip through this build alone cannot catch two fields that
+// swap places on the wire, since Save and Load would swap them alike.
+func TestLoadV2File(t *testing.T) {
+	seed, err := os.ReadFile("testdata/fuzz/FuzzLoad/valid")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(seed)), "\n")
+	lit := strings.TrimSuffix(strings.TrimPrefix(lines[len(lines)-1], "[]byte("), ")")
+	file, err := strconv.Unquote(lit)
+	if err != nil {
+		t.Fatalf("corpus entry is not a quoted []byte: %v", err)
+	}
+	path := filepath.Join(t.TempDir(), "v2.ckpt")
+	if err := os.WriteFile(path, []byte(file), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	want := &State{
+		App: "fft", Proto: "GeNIMA", Scale: "test",
+		ModeWorkers: 4, ModeShards: 2,
+		TraceEvents: 12345, SimTime: 987654321, Events: 400000,
+		StateDigest: 0xdeadbeefcafef00d,
+		SoakIter:    7, SoakEvents: 1 << 30,
+		Note: "unit test",
+	}
+	sum, _ := hex.DecodeString("bf78f6c6e1ebac7439da481f1e9f861c98e30c51b10fd3acde0c50a7e144cc0f")
+	copy(want.ConfigSum[:], sum)
+	for i := range want.SoakChain {
+		want.SoakChain[i] = byte(i)
+		want.PrefixSum[i] = byte(100 + i)
+	}
+	if *got != *want {
+		t.Fatalf("v2 file decoded wrong:\n got %+v\nwant %+v", got, want)
+	}
+
+	out := filepath.Join(t.TempDir(), "out.ckpt")
+	if err := Save(out, got); err != nil {
+		t.Fatal(err)
+	}
+	back, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(back, []byte(file)) {
+		t.Fatalf("Save does not reproduce the v2 file\nfile: %x\n got: %x", file, back)
 	}
 }
 
