@@ -45,12 +45,12 @@ type Result struct {
 // over the run (max across nodes for the per-node devices), plus the
 // largest backlog ever seen in an NI firmware queue.
 type Utilization struct {
-	Firmware    float64    // NI processor (the paper's 33 MHz LANai)
-	PCI         float64    // host I/O bus
-	Link        float64    // busiest link direction
-	Switch      float64    // busiest single switch (the crossbar on xbar8)
-	SwitchStage []sim.Time // per-stage summed switch busy time (len = fabric stages)
-	MaxBacklog  sim.Time   // worst firmware-queue backlog observed
+	Firmware    float64    `json:"firmware"`                  // NI processor (the paper's 33 MHz LANai)
+	PCI         float64    `json:"pci"`                       // host I/O bus
+	Link        float64    `json:"link"`                      // busiest link direction
+	Switch      float64    `json:"switch"`                    // busiest single switch (the crossbar on xbar8)
+	SwitchStage []sim.Time `json:"switch_stage_ns,omitempty"` // per-stage summed switch busy time (len = fabric stages)
+	MaxBacklog  sim.Time   `json:"max_backlog_ns"`            // worst firmware-queue backlog observed
 }
 
 // Speedup computes seq.Elapsed / par.Elapsed.

@@ -25,8 +25,8 @@ func (s *StageStats) Ratio(st Stage) float64 {
 
 // KindStats counts traffic for one protocol message kind.
 type KindStats struct {
-	Packets uint64
-	Bytes   uint64
+	Packets uint64 `json:"packets"`
+	Bytes   uint64 `json:"bytes"`
 }
 
 // TraceEvent is one delivered packet, as seen by the firmware monitor.
@@ -182,7 +182,7 @@ func (m *Monitor) TotalBytes() uint64 {
 // KindRow is one message kind's firmware statistics, as TopKinds
 // ranks them.
 type KindRow struct {
-	Kind string
+	Kind string `json:"kind"`
 	KindStats
 }
 

@@ -146,13 +146,13 @@ func (l *LatencyRecorder) Quantile(q float64) sim.Time {
 // LatencySummary is the reporting view of a LatencyRecorder: request
 // count plus the tail quantiles the serving experiments report.
 type LatencySummary struct {
-	Count uint64
-	Mean  sim.Time
-	P50   sim.Time
-	P90   sim.Time
-	P99   sim.Time
-	P999  sim.Time
-	Max   sim.Time
+	Count uint64   `json:"count"`
+	Mean  sim.Time `json:"mean_ns"`
+	P50   sim.Time `json:"p50_ns"`
+	P90   sim.Time `json:"p90_ns"`
+	P99   sim.Time `json:"p99_ns"`
+	P999  sim.Time `json:"p999_ns"`
+	Max   sim.Time `json:"max_ns"`
 }
 
 // Summary computes the reporting view. Zero-valued when empty.

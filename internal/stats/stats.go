@@ -101,15 +101,15 @@ func (b *Breakdown) Fractions() [NumCategories]float64 {
 // reports: where barrier time goes and how much of all SVM overhead is
 // mprotect.
 type SVMAccounting struct {
-	BarrierProto sim.Time // protocol processing at barriers (incl. mprotect there)
-	Mprotect     sim.Time // all mprotect time, wherever incurred
-	MprotectOps  uint64   // number of mprotect system calls (post-coalescing)
-	DiffCompute  sim.Time // time spent computing diffs
-	DiffBytes    uint64   // bytes of diff data produced
-	PageFetches  uint64   // remote page fetches
-	FetchRetries uint64   // remote-fetch retries due to stale home version
-	LockOps      uint64   // remote lock acquires
-	Interrupts   uint64   // host interrupts taken (Base-style asynchronous handling)
+	BarrierProto sim.Time `json:"barrier_proto_ns"` // protocol processing at barriers (incl. mprotect there)
+	Mprotect     sim.Time `json:"mprotect_ns"`      // all mprotect time, wherever incurred
+	MprotectOps  uint64   `json:"mprotect_ops"`     // number of mprotect system calls (post-coalescing)
+	DiffCompute  sim.Time `json:"diff_compute_ns"`  // time spent computing diffs
+	DiffBytes    uint64   `json:"diff_bytes"`       // bytes of diff data produced
+	PageFetches  uint64   `json:"page_fetches"`     // remote page fetches
+	FetchRetries uint64   `json:"fetch_retries"`    // remote-fetch retries due to stale home version
+	LockOps      uint64   `json:"lock_ops"`         // remote lock acquires
+	Interrupts   uint64   `json:"interrupts"`       // host interrupts taken (Base-style asynchronous handling)
 }
 
 // Merge adds o into a.
@@ -131,25 +131,25 @@ func (a *SVMAccounting) Merge(o SVMAccounting) {
 // when fault injection is disabled.
 type FaultReport struct {
 	// Injected by the fault plan, at link granularity.
-	DropsInjected    uint64 // packets lost on a link crossing
-	DupsInjected     uint64 // packets delivered twice by the in-link
-	DelaysInjected   uint64 // packets held for an extra reorder delay
-	CorruptsInjected uint64 // packets with flipped payload bits
-	DownDrops        uint64 // packets lost to a timed link-down window
+	DropsInjected    uint64 `json:"drops_injected"`    // packets lost on a link crossing
+	DupsInjected     uint64 `json:"dups_injected"`     // packets delivered twice by the in-link
+	DelaysInjected   uint64 `json:"delays_injected"`   // packets held for an extra reorder delay
+	CorruptsInjected uint64 `json:"corrupts_injected"` // packets with flipped payload bits
+	DownDrops        uint64 `json:"down_drops"`        // packets lost to a timed link-down window
 
 	// Masked by the NI reliable-delivery layer.
-	RetxSent       uint64 // retransmissions sent (go-back-N bursts)
-	DupsSuppressed uint64 // arrivals below the cumulative ack, discarded
-	OOODropped     uint64 // out-of-order arrivals discarded (go-back-N)
-	CorruptDropped uint64 // checksum-failed arrivals discarded
-	AcksSent       uint64 // standalone cumulative acks
-	PiggybackAcks  uint64 // acks carried by reverse data traffic
+	RetxSent       uint64 `json:"retx_sent"`       // retransmissions sent (go-back-N bursts)
+	DupsSuppressed uint64 `json:"dups_suppressed"` // arrivals below the cumulative ack, discarded
+	OOODropped     uint64 `json:"ooo_dropped"`     // out-of-order arrivals discarded (go-back-N)
+	CorruptDropped uint64 `json:"corrupt_dropped"` // checksum-failed arrivals discarded
+	AcksSent       uint64 `json:"acks_sent"`       // standalone cumulative acks
+	PiggybackAcks  uint64 `json:"piggyback_acks"`  // acks carried by reverse data traffic
 
 	// Recovery time: first transmission to cumulative ack, over packets
 	// that needed at least one retransmission.
-	Recovered     uint64
-	TotalRecovery sim.Time
-	MaxRecovery   sim.Time
+	Recovered     uint64   `json:"recovered"`
+	TotalRecovery sim.Time `json:"total_recovery_ns"`
+	MaxRecovery   sim.Time `json:"max_recovery_ns"`
 }
 
 // Merge adds o into r.

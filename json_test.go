@@ -83,7 +83,7 @@ func TestResultJSONCleanRunOmissions(t *testing.T) {
 	if view.Latency != nil {
 		t.Fatalf("batch app grew a latency section: %+v", view.Latency)
 	}
-	if view.Faults != (genima.FaultsJSON{}) {
+	if view.Faults != (genima.FaultReport{}) {
 		t.Fatalf("clean run reported faults: %+v", view.Faults)
 	}
 	blob, err := json.Marshal(view)
