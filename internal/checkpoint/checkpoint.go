@@ -195,139 +195,90 @@ func (st *State) SameMode(workers, shards int) bool {
 
 // --- payload encoding -------------------------------------------------
 
-type encoder struct{ b []byte }
-
-func (e *encoder) u64(v uint64) {
-	var w [8]byte
-	binary.LittleEndian.PutUint64(w[:], v)
-	e.b = append(e.b, w[:]...)
+// field is one payload entry: its name for error messages and a pointer
+// to the State field it carries.
+type field struct {
+	name string
+	p    any
 }
 
-func (e *encoder) bytes(b []byte) {
-	e.u64(uint64(len(b)))
-	e.b = append(e.b, b...)
-}
-
-func (e *encoder) str(s string) { e.bytes([]byte(s)) }
-
-type decoder struct{ b []byte }
-
-func (d *decoder) u64() (uint64, error) {
-	if len(d.b) < 8 {
-		return 0, fmt.Errorf("%w: truncated payload", ErrCorrupt)
+// fields is the payload layout, in wire order; encode and decode both
+// walk it. Every entry starts with one little-endian 8-byte word:
+// integers are that word, while strings and digests are a length word
+// followed by their bytes.
+func (st *State) fields() []field {
+	return []field{
+		{"ConfigSum", &st.ConfigSum},
+		{"App", &st.App},
+		{"Proto", &st.Proto},
+		{"Scale", &st.Scale},
+		{"ModeWorkers", &st.ModeWorkers},
+		{"ModeShards", &st.ModeShards},
+		{"TraceEvents", &st.TraceEvents},
+		{"SimTime", &st.SimTime},
+		{"Events", &st.Events},
+		{"StateDigest", &st.StateDigest},
+		{"PrefixSum", &st.PrefixSum},
+		{"SoakIter", &st.SoakIter},
+		{"SoakEvents", &st.SoakEvents},
+		{"SoakChain", &st.SoakChain},
+		{"Note", &st.Note},
 	}
-	v := binary.LittleEndian.Uint64(d.b)
-	d.b = d.b[8:]
-	return v, nil
-}
-
-func (d *decoder) bytes() ([]byte, error) {
-	n, err := d.u64()
-	if err != nil {
-		return nil, err
-	}
-	if uint64(len(d.b)) < n {
-		return nil, fmt.Errorf("%w: truncated payload", ErrCorrupt)
-	}
-	v := d.b[:n:n]
-	d.b = d.b[n:]
-	return v, nil
-}
-
-func (d *decoder) str() (string, error) {
-	b, err := d.bytes()
-	return string(b), err
 }
 
 func (st *State) encode() []byte {
-	var e encoder
-	e.bytes(st.ConfigSum[:])
-	e.str(st.App)
-	e.str(st.Proto)
-	e.str(st.Scale)
-	e.u64(uint64(st.ModeWorkers))
-	e.u64(uint64(st.ModeShards))
-	e.u64(st.TraceEvents)
-	e.u64(uint64(st.SimTime))
-	e.u64(st.Events)
-	e.u64(st.StateDigest)
-	e.bytes(st.PrefixSum[:])
-	e.u64(st.SoakIter)
-	e.u64(st.SoakEvents)
-	e.bytes(st.SoakChain[:])
-	e.str(st.Note)
-	return e.b
+	var b []byte
+	le := binary.LittleEndian
+	for _, f := range st.fields() {
+		switch p := f.p.(type) {
+		case *uint64:
+			b = le.AppendUint64(b, *p)
+		case *int64:
+			b = le.AppendUint64(b, uint64(*p))
+		case *int:
+			b = le.AppendUint64(b, uint64(*p))
+		case *string:
+			b = append(le.AppendUint64(b, uint64(len(*p))), *p...)
+		case *[32]byte:
+			b = append(le.AppendUint64(b, uint64(len(p))), p[:]...)
+		}
+	}
+	return b
 }
 
-func (st *State) decode(payload []byte) error {
-	d := decoder{b: payload}
-	fail := func(field string, err error) error {
-		return fmt.Errorf("checkpoint: field %s: %w", field, err)
+func (st *State) decode(b []byte) error {
+	for _, f := range st.fields() {
+		if len(b) < 8 {
+			return fmt.Errorf("%w: field %s truncated", ErrCorrupt, f.name)
+		}
+		w := binary.LittleEndian.Uint64(b)
+		b = b[8:]
+		switch p := f.p.(type) {
+		case *uint64:
+			*p = w
+		case *int64:
+			*p = int64(w)
+		case *int:
+			*p = int(w)
+		default: // w is the length of the bytes that follow
+			if uint64(len(b)) < w {
+				return fmt.Errorf("%w: field %s truncated", ErrCorrupt, f.name)
+			}
+			v := b[:w]
+			b = b[w:]
+			switch p := p.(type) {
+			case *string:
+				*p = string(v)
+			case *[32]byte:
+				if len(v) != len(p) {
+					return fmt.Errorf("%w: field %s is %d bytes", ErrCorrupt, f.name, len(v))
+				}
+				copy(p[:], v)
+			}
+		}
 	}
-	b, err := d.bytes()
-	if err != nil {
-		return fail("ConfigSum", err)
-	}
-	if len(b) != len(st.ConfigSum) {
-		return fmt.Errorf("%w: ConfigSum is %d bytes", ErrCorrupt, len(b))
-	}
-	copy(st.ConfigSum[:], b)
-	if st.App, err = d.str(); err != nil {
-		return fail("App", err)
-	}
-	if st.Proto, err = d.str(); err != nil {
-		return fail("Proto", err)
-	}
-	if st.Scale, err = d.str(); err != nil {
-		return fail("Scale", err)
-	}
-	var v uint64
-	if v, err = d.u64(); err != nil {
-		return fail("ModeWorkers", err)
-	}
-	st.ModeWorkers = int(v)
-	if v, err = d.u64(); err != nil {
-		return fail("ModeShards", err)
-	}
-	st.ModeShards = int(v)
-	if st.TraceEvents, err = d.u64(); err != nil {
-		return fail("TraceEvents", err)
-	}
-	if v, err = d.u64(); err != nil {
-		return fail("SimTime", err)
-	}
-	st.SimTime = int64(v)
-	if st.Events, err = d.u64(); err != nil {
-		return fail("Events", err)
-	}
-	if st.StateDigest, err = d.u64(); err != nil {
-		return fail("StateDigest", err)
-	}
-	if b, err = d.bytes(); err != nil {
-		return fail("PrefixSum", err)
-	}
-	if len(b) != len(st.PrefixSum) {
-		return fmt.Errorf("%w: PrefixSum is %d bytes", ErrCorrupt, len(b))
-	}
-	copy(st.PrefixSum[:], b)
-	if st.SoakIter, err = d.u64(); err != nil {
-		return fail("SoakIter", err)
-	}
-	if st.SoakEvents, err = d.u64(); err != nil {
-		return fail("SoakEvents", err)
-	}
-	if b, err = d.bytes(); err != nil {
-		return fail("SoakChain", err)
-	}
-	if len(b) != len(st.SoakChain) {
-		return fmt.Errorf("%w: SoakChain is %d bytes", ErrCorrupt, len(b))
-	}
-	copy(st.SoakChain[:], b)
-	if st.Note, err = d.str(); err != nil {
-		return fail("Note", err)
-	}
-	if len(d.b) != 0 {
-		return fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, len(d.b))
+	if len(b) != 0 {
+		return fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, len(b))
 	}
 	return nil
 }
