@@ -27,6 +27,7 @@ import (
 	"time"
 
 	genima "genima"
+	"genima/internal/apps"
 )
 
 var (
@@ -167,11 +168,10 @@ func main() {
 		// small enough that sampled profiles are all noise.
 		runtime.MemProfileRate = 1
 	}
-	scale := genima.BenchScale
-	scaleName := "bench"
-	if *scaleFlag == "test" {
-		scale = genima.TestScale
-		scaleName = "test"
+	scale, err := apps.ParseScale(*scaleFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "genima-bench:", err)
+		os.Exit(2)
 	}
 
 	if *cpuProfile != "" {
@@ -205,7 +205,7 @@ func main() {
 		fatal(err)
 	}
 	if want["soak"] {
-		runSoak(scaleName)
+		runSoak(*scaleFlag)
 		return
 	}
 	all := want["all"]

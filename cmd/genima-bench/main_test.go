@@ -3,6 +3,8 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"genima/internal/apps"
 )
 
 func TestParseExperimentsAcceptsValidNames(t *testing.T) {
@@ -44,6 +46,28 @@ func TestParseExperimentsRejectsUnknownNames(t *testing.T) {
 		if !strings.Contains(err.Error(), "valid experiments") ||
 			!strings.Contains(err.Error(), "serve") {
 			t.Errorf("parseExperiments(%q) error does not list valid experiments: %v", in, err)
+		}
+	}
+}
+
+// TestParseScaleRejectsUnknownNames: both CLIs and Soak parse -scale
+// with apps.ParseScale, which maps exactly "test" and "bench" and
+// rejects everything else with the valid names listed. Any name but
+// "test" used to run bench-scale problems.
+func TestParseScaleRejectsUnknownNames(t *testing.T) {
+	for in, want := range map[string]apps.Scale{"test": apps.Test, "bench": apps.Bench} {
+		if got, err := apps.ParseScale(in); err != nil || got != want {
+			t.Errorf("ParseScale(%q) = %v, %v; want %v", in, got, err, want)
+		}
+	}
+	for _, in := range []string{"tset", "Test", "BENCH", " bench", ""} {
+		_, err := apps.ParseScale(in)
+		if err == nil {
+			t.Errorf("ParseScale(%q) accepted", in)
+			continue
+		}
+		if !strings.Contains(err.Error(), "valid scales: test, bench") {
+			t.Errorf("ParseScale(%q) error does not list valid scales: %v", in, err)
 		}
 	}
 }

@@ -58,9 +58,10 @@ var (
 
 func main() {
 	flag.Parse()
-	scale := apps.Bench
-	if *scaleFlag == "test" {
-		scale = apps.Test
+	scale, err := apps.ParseScale(*scaleFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "genima-run:", err)
+		os.Exit(2)
 	}
 	entry, ok := apps.ByName(scale, *appFlag)
 	if !ok {

@@ -7,6 +7,9 @@
 package apps
 
 import (
+	"fmt"
+	"strings"
+
 	"genima/internal/app"
 	"genima/internal/apps/barnes"
 	"genima/internal/apps/barrierbench"
@@ -32,6 +35,21 @@ const (
 	// Bench sizes drive the table/figure regeneration.
 	Bench
 )
+
+// scaleNames are the scales' command-line names, in Scale order.
+var scaleNames = []string{"test", "bench"}
+
+// ParseScale maps a scale name, "test" or "bench", to its Scale. Any
+// other name is an error that lists the valid ones, so a typo fails
+// instead of silently running the wrong problem sizes.
+func ParseScale(name string) (Scale, error) {
+	for i, n := range scaleNames {
+		if n == name {
+			return Scale(i), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown scale %q; valid scales: %s", name, strings.Join(scaleNames, ", "))
+}
 
 // Entry pairs an application with the paper's metadata for it.
 type Entry struct {

@@ -102,11 +102,13 @@ func Soak(cfg Config, opts SoakOptions) (*SoakResult, error) {
 	if opts.TargetEvents == 0 && opts.Iters == 0 {
 		return nil, fmt.Errorf("soak: need TargetEvents or Iters")
 	}
-	scale, scaleName := apps.Test, "test"
-	if opts.Scale == "bench" {
-		scale, scaleName = apps.Bench, "bench"
-	} else if opts.Scale != "" && opts.Scale != "test" {
-		return nil, fmt.Errorf("soak: unknown scale %q", opts.Scale)
+	scaleName := opts.Scale
+	if scaleName == "" {
+		scaleName = "test"
+	}
+	scale, err := apps.ParseScale(scaleName)
+	if err != nil {
+		return nil, fmt.Errorf("soak: %w", err)
 	}
 	// Campaign identity: the base config with per-iteration fault plans
 	// cleared (they are derived from the iteration index), plus the
