@@ -15,8 +15,11 @@ build:
 fmt:
 	test -z "$$(gofmt -l .)"
 
+# vet also covers the benchmark module, which builds against the root
+# package's API: a root change that breaks benchmark/ fails here.
 vet:
 	$(GO) vet ./...
+	$(GO) -C benchmark vet ./...
 
 test:
 	$(GO) test ./...
