@@ -56,13 +56,14 @@ func allocBytes(fn func()) uint64 {
 }
 
 // TestBuildFootprint512 pins the bytes allocated to build the 512-node
-// fabric cluster, about 12 MB. Dense per-peer tables (a reliable flow
-// and a notice counter per peer at every node, per-epoch barrier
-// vectors everywhere) would cost about 114 MB here, and dense per-node
-// tables (version-vector rows for every page, a source log per node)
-// another 20 MB.
+// fabric cluster, about 9 MB. An all-pairs route table (Nodes² routes
+// of up to five int16 hops) would add about 3 MB. Dense per-peer
+// tables (a reliable flow and a notice counter per peer at every node,
+// per-epoch barrier vectors everywhere) would cost about 114 MB here,
+// and dense per-node tables (version-vector rows for every page, a
+// source log per node) another 20 MB.
 func TestBuildFootprint512(t *testing.T) {
-	const limit = 16 << 20
+	const limit = 11 << 20
 	cfg := build512Config()
 	a := barrierbench.New(16)
 	var sys *core.System
@@ -87,8 +88,8 @@ func run512(tb testing.TB, proto genima.Protocol, tree bool) {
 }
 
 // TestRunFootprint512 pins the bytes one 2-round barrierbench run
-// allocates at 512 nodes, build included: about 33 MB (Base flat) and
-// 28 MB (GeNIMA tree). Dense per-node tables, a full epoch vector ring
+// allocates at 512 nodes, build included: about 29 MB (Base flat) and
+// 25 MB (GeNIMA tree). Dense per-node tables, a full epoch vector ring
 // or per-processor latency buckets would each add 2–24 MB. What is
 // left is mostly state the barrier touches: every node's vector clock,
 // its row of the one shared page, and the barrier's arrival records

@@ -63,8 +63,8 @@ func RunSVMControlled(cfg topo.Config, kind core.Kind, a App, ctl RunControl) (*
 	// clamped to Nodes by NewCluster, plus the fabric LP). The serial
 	// path builds no cluster at all, so it is exactly the engine the
 	// goldens were recorded on. Nodes talk to other nodes only through
-	// fabric links and switches (TransferCross/RouteCross in
-	// internal/network), and NI-local timers stay on their own LP, so
+	// fabric links and switches (the EnqueueHandlerCross calls of the NI
+	// transit pipeline), and NI-local timers stay on their own LP, so
 	// every cross-LP send honours the lookaheads below.
 	var cl *sim.Cluster
 	var eng *sim.Engine
@@ -162,11 +162,11 @@ func RunSVMControlled(cfg topo.Config, kind core.Kind, a App, ctl RunControl) (*
 		res.Util.Firmware = max(res.Util.Firmware, frac(ni.Firmware.BusyTime))
 		res.Util.PCI = max(res.Util.PCI, frac(ni.PCI.BusyTime))
 		res.Util.Link = max(res.Util.Link,
-			frac(nis.Fabric.Out[i].Stats().BusyTime), frac(nis.Fabric.In[i].Stats().BusyTime))
+			frac(nis.Fabric.Out[i].BusyTime), frac(nis.Fabric.In[i].BusyTime))
 		res.Util.MaxBacklog = max(res.Util.MaxBacklog, ni.Firmware.MaxQueued)
 	}
 	for _, sw := range nis.Fabric.Switches {
-		res.Util.Switch = max(res.Util.Switch, frac(sw.Stats().BusyTime))
+		res.Util.Switch = max(res.Util.Switch, frac(sw.BusyTime))
 	}
 	res.Util.SwitchStage = nis.Fabric.StageBusy()
 	res.Faults = nis.FaultReport()

@@ -137,7 +137,7 @@ func (m *Monitor) commit(ni *NI, r *monRec) {
 	if !r.noSrcDMA {
 		st.Uncontended[StageSource] += pci
 	}
-	st.Uncontended[StageLANai] += fwSend + fab.Out[0].ServiceTime(r.size)
+	st.Uncontended[StageLANai] += fwSend + fab.linkService(r.size)
 	st.Uncontended[StageNet] += fwSend + fab.UncontendedNet(r.size)
 	st.Uncontended[StageDest] += ni.fwRecvService(r.size) + r.fwSvc
 	if !r.fw {

@@ -13,7 +13,6 @@
 package nic
 
 import (
-	"genima/internal/network"
 	"genima/internal/sim"
 	"genima/internal/stats"
 	"genima/internal/topo"
@@ -118,7 +117,7 @@ type NI struct {
 	eng *sim.Engine
 	cfg *topo.Config
 
-	fabric *network.Fabric
+	fabric *Fabric
 	peers  []*NI
 
 	PostQueue *sim.Gate     // bounded post queue (host stalls when full)
@@ -167,7 +166,7 @@ func (ni *NI) Eng() *sim.Engine { return ni.eng }
 // System is the set of NIs plus the shared fabric and monitor.
 type System struct {
 	NIs     []*NI
-	Fabric  *network.Fabric
+	Fabric  *Fabric
 	Monitor *Monitor
 }
 
@@ -176,7 +175,7 @@ type System struct {
 // on its node's logical process; with a standalone engine LPNode
 // returns eng itself and the system is wired exactly as before.
 func NewSystem(eng *sim.Engine, cfg *topo.Config) *System {
-	fab := network.NewFabric(eng, cfg)
+	fab := newFabric(eng, cfg)
 	mon := &Monitor{}
 	s := &System{Fabric: fab, Monitor: mon}
 	s.NIs = make([]*NI, cfg.Nodes)
@@ -244,6 +243,10 @@ func (ni *NI) fwSendService(size int) sim.Time {
 func (ni *NI) fwRecvService(size int) sim.Time {
 	return ni.cfg.Costs.NIPerPacket + sim.Time(float64(size)*ni.cfg.Costs.NIPerByte) +
 		ni.relService(size)
+}
+
+func (f *Fabric) linkService(size int) sim.Time {
+	return f.costs.LinkFixed + sim.Time(float64(size)*f.costs.LinkPerByte)
 }
 
 // SplitStep is the one rule that cuts a message into wire packets of

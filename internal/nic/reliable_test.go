@@ -217,7 +217,7 @@ func TestSwitchBusyTimeWithDelayedPackets(t *testing.T) {
 	if inj.DelaysInjected == 0 {
 		t.Fatal("50% delay plan delayed nothing over 30 packets")
 	}
-	busy := sys.Fabric.Switches[0].Stats().BusyTime
+	busy := sys.Fabric.Switches[0].BusyTime
 	fixed := cfg.Costs.SwitchFixed
 	if busy%fixed != 0 {
 		t.Errorf("switch busy time %d is not a multiple of the %d routing slot", busy, fixed)
