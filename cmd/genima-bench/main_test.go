@@ -1,6 +1,9 @@
 package main
 
 import (
+	"errors"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -68,6 +71,37 @@ func TestParseScaleRejectsUnknownNames(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), "valid scales: test, bench") {
 			t.Errorf("ParseScale(%q) error does not list valid scales: %v", in, err)
+		}
+	}
+}
+
+// TestUsageErrorsExitTwo builds the command and runs it with one bad
+// flag value at a time. Each must exit 2 with the valid values named,
+// before any run: stdout stays empty.
+func TestUsageErrorsExitTwo(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "genima-bench")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-exp", "bogus"}, "valid experiments: all, fig1"},
+		{[]string{"-scale", "bogus"}, "valid scales: test, bench"},
+		{[]string{"-exp", "soak", "-soak-restore"}, "-soak-restore needs -soak-checkpoint"},
+	} {
+		cmd := exec.Command(bin, append([]string{"-scale", "test", "-q"}, tc.args...)...)
+		var stdout, stderr strings.Builder
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("%v: exit %v, want status 2 (stderr %q)", tc.args, err, stderr.String())
+			continue
+		}
+		if !strings.Contains(stderr.String(), tc.want) || stdout.Len() != 0 {
+			t.Errorf("%v: stderr %q lacks %q, or stdout %q is not empty", tc.args, stderr.String(), tc.want, stdout.String())
 		}
 	}
 }

@@ -57,16 +57,25 @@ var (
 )
 
 func main() {
+	// Every flag value is checked here, before the sequential reference
+	// run; a bad one exits 2 (usage).
 	flag.Parse()
 	scale, err := apps.ParseScale(*scaleFlag)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "genima-run:", err)
-		os.Exit(2)
+		usage(err)
 	}
 	entry, ok := apps.ByName(scale, *appFlag)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "genima-run: unknown app %q (have: %s)\n", *appFlag, strings.Join(apps.Names(scale), ", "))
-		os.Exit(2)
+		usage(fmt.Errorf("unknown app %q; valid apps: %s", *appFlag, strings.Join(apps.Names(scale), ", ")))
+	}
+	controlled := *ckptFlag != "" || *restoreFlag != "" || *hashFlag || *statsFlag != "" || *stopAfter > 0
+	var proto genima.Protocol
+	if *protoFlag != "hw" {
+		if proto, err = parseProto(*protoFlag); err != nil {
+			usage(err)
+		}
+	} else if controlled {
+		usage(fmt.Errorf("-checkpoint/-restore/-trace-hash/-stats/-stop-after apply to SVM protocols, not -proto hw"))
 	}
 	cfg := genima.DefaultConfig()
 	cfg.Nodes = *nodesFlag
@@ -76,7 +85,7 @@ func main() {
 	cfg.IntraRunWorkers = *jrunFlag
 	topo, terr := genima.ParseTopo(*topoFlag)
 	if terr != nil {
-		fatal(terr)
+		usage(terr)
 	}
 	cfg.Topo = topo
 	cfg.SwitchRadix = *radixFlag
@@ -84,6 +93,9 @@ func main() {
 	cfg.CollectiveArity = *arityFlag
 	if *faultsFlag > 0 {
 		cfg.Faults = genima.FaultMix(*faultsFlag, *seedFlag)
+	}
+	if err := cfg.Validate(); err != nil {
+		usage(err)
 	}
 
 	// SIGINT/SIGTERM request a graceful halt: the flag is polled at the
@@ -93,7 +105,6 @@ func main() {
 	// before the sequential reference run so an early signal is
 	// recorded, not fatal.
 	var sig atomic.Int32
-	controlled := *ckptFlag != "" || *restoreFlag != "" || *hashFlag || *statsFlag != "" || *stopAfter > 0
 	if controlled {
 		ch := make(chan os.Signal, 1)
 		signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
@@ -120,15 +131,8 @@ func main() {
 	interrupted := 0 // signal number once a graceful halt is requested
 	t0 := time.Now()
 	if *protoFlag == "hw" {
-		if controlled {
-			fatal(fmt.Errorf("-checkpoint/-restore/-trace-hash/-stats apply to SVM protocols, not -proto hw"))
-		}
 		res, ws, err = genima.RunHardware(cfg, entry.App)
 	} else {
-		proto, perr := parseProto(*protoFlag)
-		if perr != nil {
-			fatal(perr)
-		}
 		var emit func(genima.TraceEvent)
 		if *traceFlag != "" {
 			f, ferr := os.Create(*traceFlag)
@@ -334,12 +338,20 @@ type runJSON struct {
 }
 
 func parseProto(s string) (genima.Protocol, error) {
+	var names []string
 	for _, k := range genima.Protocols() {
 		if strings.EqualFold(k.String(), s) {
 			return k, nil
 		}
+		names = append(names, k.String())
 	}
-	return 0, fmt.Errorf("unknown protocol %q", s)
+	return 0, fmt.Errorf("unknown protocol %q; valid protocols: %s, hw", s, strings.Join(names, ", "))
+}
+
+// usage reports a bad flag value and exits 2.
+func usage(err error) {
+	fmt.Fprintln(os.Stderr, "genima-run:", err)
+	os.Exit(2)
 }
 
 func fatal(err error) {
