@@ -46,8 +46,10 @@ smoke-faults:
 # smoke-scale exercises the multi-stage fabrics end to end: one short
 # app on a radix-32 clos2 under Base (interrupt barrier, flat) and
 # GeNIMA (NI collective tree) at 64 nodes, plus a 128-node radix-16
-# clos2 leg — all intra-run parallel on four node shards (-jrun 4),
-# with 1% faults, validated against the sequential reference.
+# clos2 leg and a 128-node radix-8 fat-tree leg (5-hop routes through
+# a core switch) — all intra-run parallel on four node shards
+# (-jrun 4), with 1% faults, validated against the sequential
+# reference.
 smoke-scale:
 	$(GO) run ./cmd/genima-run -app barrierbench -scale test -proto Base \
 		-nodes 64 -procs 1 -topo clos2 -radix 32 -jrun 4 \
@@ -57,6 +59,9 @@ smoke-scale:
 		-faults 0.01 -fault-seed 42 > /dev/null
 	$(GO) run ./cmd/genima-run -app barrierbench -scale test -proto GeNIMA \
 		-nodes 128 -procs 1 -topo clos2 -radix 16 -collectives \
+		-jrun 4 -faults 0.01 -fault-seed 42 > /dev/null
+	$(GO) run ./cmd/genima-run -app barrierbench -scale test -proto GeNIMA \
+		-nodes 128 -procs 1 -topo fattree -radix 8 -collectives \
 		-jrun 4 -faults 0.01 -fault-seed 42 > /dev/null
 
 # smoke-soak exercises soak-scale long-run ops end to end, asserting
