@@ -155,3 +155,72 @@ func TestMissCounterAdvances(t *testing.T) {
 		t.Errorf("misses = %d, want 4", s.Misses)
 	}
 }
+
+// TestBarrierEpochsDoNotOverlap runs every processor through 50
+// barriers with a different sleep before each arrival: a processor
+// that leaves epoch e must find all n arrivals of e counted.
+func TestBarrierEpochsDoNotOverlap(t *testing.T) {
+	eng, s, cfg := build(t)
+	n := cfg.NumProcs()
+	const epochs = 50
+	var arrived [epochs]int
+	early := 0
+	for i := 0; i < n; i++ {
+		i := i
+		be := s.Backend(i)
+		eng.Go("p", func(p *sim.Proc) {
+			for e := 0; e < epochs; e++ {
+				p.Sleep(sim.Time((7*i+3*e)%11+1) * sim.Micro(1))
+				arrived[e]++
+				be.Barrier(p)
+				if arrived[e] != n {
+					early++
+				}
+			}
+		})
+	}
+	eng.RunUntilQuiet()
+	if early != 0 {
+		t.Errorf("%d barrier exits saw fewer than %d arrivals", early, n)
+	}
+	for e, got := range arrived {
+		if got != n {
+			t.Fatalf("epoch %d: %d arrivals, want %d", e, got, n)
+		}
+	}
+}
+
+// TestLockHandsOffInFIFOOrder holds a lock while the other processors
+// request it at staggered times, latest ID first: each hand-off must
+// go to the longest waiter, so they acquire in request order.
+func TestLockHandsOffInFIFOOrder(t *testing.T) {
+	eng, s, cfg := build(t)
+	n := cfg.NumProcs()
+	var order []int
+	holder := s.Backend(0)
+	eng.Go("holder", func(p *sim.Proc) {
+		holder.Lock(p, 7)
+		p.Sleep(sim.Micro(100))
+		holder.Unlock(p, 7)
+	})
+	for i := 1; i < n; i++ {
+		i := i
+		be := s.Backend(i)
+		eng.Go("p", func(p *sim.Proc) {
+			p.Sleep(sim.Time(n-i) * sim.Micro(1))
+			be.Lock(p, 7)
+			order = append(order, i)
+			p.Sleep(sim.Micro(3))
+			be.Unlock(p, 7)
+		})
+	}
+	eng.RunUntilQuiet()
+	if len(order) != n-1 {
+		t.Fatalf("%d acquires completed, want %d", len(order), n-1)
+	}
+	for k, id := range order {
+		if want := n - 1 - k; id != want {
+			t.Fatalf("acquire order %v, want processors %d down to 1", order, n-1)
+		}
+	}
+}
