@@ -1,9 +1,6 @@
 package app
 
-import (
-	"genima/internal/memory"
-	"genima/internal/stats"
-)
+import "genima/internal/memory"
 
 // Bulk transfers between shared regions and private buffers. Real SVM
 // programs work on cached local data between synchronization points;
@@ -18,11 +15,7 @@ func (c *Ctx) CopyOutF64(r memory.Region, elemOff int, dst []float64) {
 		return
 	}
 	addr := r.Base + 8*elemOff
-	t0 := c.p.Now()
-	c.be.EnsureRead(c.p, addr, 8*len(dst))
-	if dt := c.p.Now() - t0; dt > 0 {
-		c.Breakdown.Add(stats.Data, dt)
-	}
+	c.ensure(addr, 8*len(dst), false)
 	c.forEachSpan(addr, 8*len(dst), func(pg []byte, off, n, done int) {
 		d, b := dst[done/8:(done+n)/8], pg[off:off+n]
 		for i := range d {
@@ -37,11 +30,7 @@ func (c *Ctx) CopyInF64(r memory.Region, elemOff int, src []float64) {
 		return
 	}
 	addr := r.Base + 8*elemOff
-	t0 := c.p.Now()
-	c.be.EnsureWrite(c.p, addr, 8*len(src))
-	if dt := c.p.Now() - t0; dt > 0 {
-		c.Breakdown.Add(stats.Data, dt)
-	}
+	c.ensure(addr, 8*len(src), true)
 	c.forEachSpan(addr, 8*len(src), func(pg []byte, off, n, done int) {
 		s, b := src[done/8:(done+n)/8], pg[off:off+n]
 		for i, v := range s {
@@ -56,11 +45,7 @@ func (c *Ctx) CopyOutI32(r memory.Region, elemOff int, dst []int32) {
 		return
 	}
 	addr := r.Base + 4*elemOff
-	t0 := c.p.Now()
-	c.be.EnsureRead(c.p, addr, 4*len(dst))
-	if dt := c.p.Now() - t0; dt > 0 {
-		c.Breakdown.Add(stats.Data, dt)
-	}
+	c.ensure(addr, 4*len(dst), false)
 	c.forEachSpan(addr, 4*len(dst), func(pg []byte, off, n, done int) {
 		d, b := dst[done/4:(done+n)/4], pg[off:off+n]
 		for i := range d {
@@ -75,11 +60,7 @@ func (c *Ctx) CopyInI32(r memory.Region, elemOff int, src []int32) {
 		return
 	}
 	addr := r.Base + 4*elemOff
-	t0 := c.p.Now()
-	c.be.EnsureWrite(c.p, addr, 4*len(src))
-	if dt := c.p.Now() - t0; dt > 0 {
-		c.Breakdown.Add(stats.Data, dt)
-	}
+	c.ensure(addr, 4*len(src), true)
 	c.forEachSpan(addr, 4*len(src), func(pg []byte, off, n, done int) {
 		s, b := src[done/4:(done+n)/4], pg[off:off+n]
 		for i, v := range s {

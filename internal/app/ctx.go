@@ -92,8 +92,18 @@ func (c *Ctx) Barrier() {
 // ReadRange pre-faults [off, off+size) bytes of region r for reading —
 // batching fault handling for a loop that follows.
 func (c *Ctx) ReadRange(r memory.Region, off, size int) {
+	c.ensure(r.Base+off, size, false)
+}
+
+// ensure makes [addr, addr+n) accessible through the backend, as a
+// store or a load, and charges the wait to Data.
+func (c *Ctx) ensure(addr, n int, store bool) {
 	t0 := c.p.Now()
-	c.be.EnsureRead(c.p, r.Base+off, size)
+	if store {
+		c.be.EnsureWrite(c.p, addr, n)
+	} else {
+		c.be.EnsureRead(c.p, addr, n)
+	}
 	c.Breakdown.Add(stats.Data, c.p.Now()-t0)
 }
 
@@ -147,16 +157,10 @@ func (c *Ctx) write(addr, n int) ([]byte, int) {
 // without a break is known to be a no-op on repeat.
 func (c *Ctx) miss(addr, n int, store bool) ([]byte, int) {
 	s := c.stamp()
-	t0 := c.p.Now()
+	c.ensure(addr, n, store)
 	var wr uint64
 	if store {
-		c.be.EnsureWrite(c.p, addr, n)
 		wr = s
-	} else {
-		c.be.EnsureRead(c.p, addr, n)
-	}
-	if dt := c.p.Now() - t0; dt > 0 {
-		c.Breakdown.Add(stats.Data, dt)
 	}
 	pg := c.be.Bytes(addr >> c.pageShift)
 	if c.tlb == nil {

@@ -113,50 +113,44 @@ func New(fp *topo.FaultPlan, nodes int) *Plan {
 	return p
 }
 
+// judge applies the fault classes both crossings share to link ls: a
+// down window drops the packet with no draw (down reports it), else
+// the drop and corrupt draws, in that fixed order.
+func (p *Plan) judge(ls *linkState, now sim.Time) (v Verdict, down bool) {
+	if ls.isDown(now) {
+		ls.rep.DownDrops++
+		return Verdict{Drop: true}, true
+	}
+	if ls.r.Float() < p.cfg.DropRate {
+		v.Drop = true
+		ls.rep.DropsInjected++
+	}
+	if ls.r.Float() < p.cfg.CorruptRate {
+		v.CorruptMask = ls.r.Next() | 1
+		if !v.Drop {
+			ls.rep.CorruptsInjected++
+		}
+	}
+	return v, false
+}
+
 // JudgeOut decides the fate of a packet that just crossed host `node`'s
 // out link (drop, corruption, and down windows only; duplication and
 // delay are in-link faults).
 func (p *Plan) JudgeOut(node int, now sim.Time) Verdict {
-	ls := &p.out[node]
-	if ls.isDown(now) {
-		ls.rep.DownDrops++
-		return Verdict{Drop: true}
-	}
-	var v Verdict
-	// Fixed draw order keeps each link's stream stable across fault
-	// classes: drop, then corrupt.
-	if ls.r.Float() < p.cfg.DropRate {
-		v.Drop = true
-		ls.rep.DropsInjected++
-	}
-	if ls.r.Float() < p.cfg.CorruptRate {
-		v.CorruptMask = ls.r.Next() | 1
-		if !v.Drop {
-			ls.rep.CorruptsInjected++
-		}
-	}
+	v, _ := p.judge(&p.out[node], now)
 	return v
 }
 
 // JudgeIn decides the fate of a packet that just crossed host `node`'s
-// in link: every fault class applies here.
+// in link: every fault class applies here. The dup and delay draws
+// follow judge's, so each link's draw order is drop, corrupt, dup,
+// delay.
 func (p *Plan) JudgeIn(node int, now sim.Time) Verdict {
 	ls := &p.in[node]
-	if ls.isDown(now) {
-		ls.rep.DownDrops++
-		return Verdict{Drop: true}
-	}
-	var v Verdict
-	// Fixed draw order: drop, corrupt, dup, delay.
-	if ls.r.Float() < p.cfg.DropRate {
-		v.Drop = true
-		ls.rep.DropsInjected++
-	}
-	if ls.r.Float() < p.cfg.CorruptRate {
-		v.CorruptMask = ls.r.Next() | 1
-		if !v.Drop {
-			ls.rep.CorruptsInjected++
-		}
+	v, down := p.judge(ls, now)
+	if down {
+		return v
 	}
 	if ls.r.Float() < p.cfg.DupRate {
 		v.Dup = true

@@ -57,22 +57,18 @@ type System struct {
 	owner  []int16  // dirty owner per line, -1 if clean
 	shared []uint64 // sharer bitmask per line (≤ 64 processors)
 
-	locks map[int]*hwLock
+	locks map[int]*sim.Gate
 	bar   barState
 
 	// Misses counts directory misses served (diagnostics).
 	Misses uint64
 }
 
-type hwLock struct {
-	held bool
-	q    sim.WaitQ
-}
-
+// barState is the barrier's arrival count for the open epoch; the
+// open epoch is released.Value(), and its last arriver releases it.
 type barState struct {
-	epoch   int
-	arrived int
-	flags   map[int]*sim.Flag
+	arrived  int
+	released sim.Counter
 }
 
 // New builds the machine over an allocated space.
@@ -86,8 +82,7 @@ func New(eng *sim.Engine, cfg *topo.Config, space *memory.Space) *System {
 		nprocs: cfg.NumProcs(),
 		owner:  make([]int16, nlines),
 		shared: make([]uint64, nlines),
-		locks:  map[int]*hwLock{},
-		bar:    barState{flags: map[int]*sim.Flag{}},
+		locks:  map[int]*sim.Gate{},
 	}
 	if s.nprocs > 64 {
 		panic("hwdsm: more than 64 processors not supported")
@@ -188,45 +183,35 @@ func (b *Proc) Lock(p *sim.Proc, id int) {
 	s := b.sys
 	lk := s.locks[id]
 	if lk == nil {
-		lk = &hwLock{}
+		lk = sim.NewGate(1)
 		s.locks[id] = lk
 	}
 	p.Sleep(s.costs.LockBase)
-	for lk.held {
-		lk.q.Wait(p)
-	}
-	lk.held = true
+	lk.Acquire(p)
 }
 
 // Unlock releases a hardware lock.
 func (b *Proc) Unlock(p *sim.Proc, id int) {
 	s := b.sys
-	lk := s.locks[id]
 	p.Sleep(s.costs.LockBase / 2)
-	lk.held = false
-	lk.q.WakeOne()
+	s.locks[id].Release()
 }
 
-// Barrier is a hardware tree barrier.
+// Barrier is a hardware tree barrier. No processor can arrive at the
+// next epoch while the last arriver sleeps: all of them are inside
+// this one.
 func (b *Proc) Barrier(p *sim.Proc) {
 	s := b.sys
-	epoch := s.bar.epoch
-	f := s.bar.flags[epoch]
-	if f == nil {
-		f = &sim.Flag{}
-		s.bar.flags[epoch] = f
-	}
+	epoch := s.bar.released.Value()
 	s.bar.arrived++
 	cost := s.costs.BarBase + s.costs.BarPerProc*sim.Time(s.nprocs)
 	if s.bar.arrived == s.nprocs {
 		s.bar.arrived = 0
-		s.bar.epoch++
-		delete(s.bar.flags, epoch)
 		p.Sleep(cost)
-		f.Set()
+		s.bar.released.Add(1)
 		return
 	}
-	f.Wait(p)
+	s.bar.released.WaitFor(p, epoch+1)
 	p.Sleep(cost)
 }
 

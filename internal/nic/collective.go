@@ -188,13 +188,13 @@ func (ni *NI) colContribute(seq int, vec []uint64) {
 		return
 	}
 	op.active = false
+	m := c.getMsg()
+	copy(m.vec, op.vec)
 	if c.parent >= 0 {
-		m := c.getMsg()
-		copy(m.vec, op.vec)
 		ni.colSendVec(c.parent, seq, "col-up", colUpFw, m)
 	} else {
 		// Root: the reduction is complete; fan the combined vector out.
-		ni.colRelease(seq, op.vec)
+		ni.colDown(seq, m)
 	}
 	// The combined vector has been copied on (up the tree, or out to
 	// the children and the host): the retired epoch gives it back.
@@ -202,23 +202,21 @@ func (ni *NI) colContribute(seq int, vec []uint64) {
 	op.vec = nil
 }
 
-// colRelease forwards the combined vector of epoch seq to this node's
-// tree children and deposits it into the local host.
-func (ni *NI) colRelease(seq int, vec []uint64) {
+// colDown forwards the released vector m of epoch seq to this node's
+// tree children and deposits m itself into the local host.
+func (ni *NI) colDown(seq int, m *colMsg) {
 	c := ni.col
 	for j := 1; j <= c.arity; j++ {
 		child := colChild(ni.ID, 0, c.nodes, c.arity, j)
 		if child < 0 {
 			break
 		}
-		m := c.getMsg()
-		copy(m.vec, vec)
-		ni.colSendVec(child, seq, "col-dn", colDnFw, m)
+		cp := c.getMsg()
+		copy(cp.vec, m.vec)
+		ni.colSendVec(child, seq, "col-dn", colDnFw, cp)
 	}
 	d := sim.Take(&c.delFree, 1, nil)
-	d.ni, d.barrier, d.seq = ni, true, seq
-	d.m = c.getMsg()
-	copy(d.m.vec, vec)
+	d.ni, d.barrier, d.seq, d.m = ni, true, seq, m
 	ni.PCI.EnqueueHandler(ni.pciService(8*c.nodes), d)
 }
 
@@ -244,23 +242,9 @@ func colUpFw(dst *NI, pkt *Packet) {
 	dst.col.msgFree.Push(m)
 }
 
-// colDnFw receives the released vector on the way down: forward to
-// this node's children, deposit locally.
+// colDnFw receives the released vector on the way down.
 func colDnFw(dst *NI, pkt *Packet) {
-	c := dst.col
-	m := pkt.Payload.(*colMsg)
-	for j := 1; j <= c.arity; j++ {
-		child := colChild(dst.ID, 0, c.nodes, c.arity, j)
-		if child < 0 {
-			break
-		}
-		cp := c.getMsg()
-		copy(cp.vec, m.vec)
-		dst.colSendVec(child, pkt.Meta, "col-dn", colDnFw, cp)
-	}
-	d := sim.Take(&c.delFree, 1, nil)
-	d.ni, d.barrier, d.seq, d.m = dst, true, pkt.Meta, m
-	dst.PCI.EnqueueHandler(dst.pciService(pkt.Size), d)
+	dst.colDown(pkt.Meta, pkt.Payload.(*colMsg))
 }
 
 // ColBroadcast replicates a payload from host process p to every other
@@ -278,9 +262,9 @@ func (ni *NI) ColBroadcast(p *sim.Proc, size int, kind string, payload any, to D
 }
 
 // colForward sends a broadcast's fragments (SplitStep) from this NI to
-// every child in tree(root); the last fragment carries the payload and
-// delivery target, marked by Meta2 = total size (mid fragments have
-// Meta2 0, so size must be nonzero).
+// every child in tree(root), child by child; the last fragment carries
+// the payload and delivery target, marked by Meta2 = total size (mid
+// fragments have Meta2 0, so size must be nonzero).
 func (ni *NI) colForward(root, size int, kind string, payload any, to Deliverer) {
 	c, max := ni.col, ni.cfg.MaxPacket
 	for j := 1; j <= c.arity; j++ {
@@ -290,22 +274,26 @@ func (ni *NI) colForward(root, size int, kind string, payload any, to Deliverer)
 		}
 		for rem := size; ; rem -= max {
 			frag, last := SplitStep(rem, max)
-			pkt := ni.NewPacket()
-			pkt.Src, pkt.Dst, pkt.Size, pkt.Kind = ni.ID, child, frag, kind
-			pkt.Meta = root
-			pkt.FwHandler = colBcastFw
-			pkt.FwService = ni.colCombineService(frag)
 			if last {
-				pkt.Meta2 = size
-				pkt.Payload = payload
-				pkt.DeliverTo = to
-			}
-			ni.FirmwareSend(pkt, false)
-			if last {
+				ni.colSendFrag(child, root, frag, kind, size, payload, to)
 				break
 			}
+			ni.colSendFrag(child, root, frag, kind, 0, nil, nil)
 		}
 	}
+}
+
+// colSendFrag emits one broadcast fragment of tree(root) to child,
+// straight from NI memory; total, payload and to are set on the last
+// fragment only.
+func (ni *NI) colSendFrag(child, root, size int, kind string, total int, payload any, to Deliverer) {
+	pkt := ni.NewPacket()
+	pkt.Src, pkt.Dst, pkt.Size, pkt.Kind = ni.ID, child, size, kind
+	pkt.Meta, pkt.Meta2 = root, total
+	pkt.Payload, pkt.DeliverTo = payload, to
+	pkt.FwHandler = colBcastFw
+	pkt.FwService = ni.colCombineService(size)
+	ni.FirmwareSend(pkt, false)
 }
 
 // colBcastFw handles one broadcast fragment at a tree node: forward
@@ -320,14 +308,7 @@ func colBcastFw(dst *NI, pkt *Packet) {
 		if child < 0 {
 			break
 		}
-		cp := dst.NewPacket()
-		cp.Src, cp.Dst, cp.Size, cp.Kind = dst.ID, child, pkt.Size, pkt.Kind
-		cp.Meta, cp.Meta2 = pkt.Meta, pkt.Meta2
-		cp.Payload = pkt.Payload
-		cp.DeliverTo = pkt.DeliverTo
-		cp.FwHandler = colBcastFw
-		cp.FwService = dst.colCombineService(pkt.Size)
-		dst.FirmwareSend(cp, false)
+		dst.colSendFrag(child, root, pkt.Size, pkt.Kind, pkt.Meta2, pkt.Payload, pkt.DeliverTo)
 	}
 	d := sim.Take(&c.delFree, 1, nil)
 	d.ni, d.barrier = dst, false
