@@ -36,21 +36,28 @@ func interruptSensitivity() {
 	for _, us := range []float64{10, 30, 60, 120} {
 		cfg := genima.DefaultConfig()
 		cfg.Costs.Interrupt = sim.Micro(us)
-		seq, _, err := genima.RunSequential(cfg, a)
-		if err != nil {
-			log.Fatal(err)
-		}
-		base, _, err := genima.Run(cfg, genima.Base, a)
-		if err != nil {
-			log.Fatal(err)
-		}
-		gen, _, err := genima.Run(cfg, genima.GeNIMA, a)
-		if err != nil {
-			log.Fatal(err)
-		}
-		sb, sg := genima.Speedup(seq, base), genima.Speedup(seq, gen)
+		sb, _ := speedup(cfg, genima.Base, a)
+		sg, _ := speedup(cfg, genima.GeNIMA, a)
 		fmt.Printf("%-14.0f %10.2f %10.2f %7.1f%%\n", us, sb, sg, 100*(sg-sb)/sb)
 	}
+}
+
+// speedup runs a under protocol k and its sequential reference on cfg,
+// exits non-zero if the protocol run's shared memory does not match
+// the reference, and returns the speedup with the protocol run.
+func speedup(cfg genima.Config, k genima.Protocol, a genima.App) (float64, *genima.Result) {
+	seq, seqWS, err := genima.RunSequential(cfg, a)
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, ws, err := genima.Run(cfg, k, a)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := genima.Validate(a, ws, seqWS); err != nil {
+		log.Fatalf("%v: %v", k, err)
+	}
+	return genima.Speedup(seq, res), res
 }
 
 // extensionStudy evaluates the future-work NI extensions the paper
@@ -69,15 +76,8 @@ func extensionStudy() {
 	} {
 		cfg := genima.DefaultConfig()
 		c.mut(&cfg)
-		seq, _, err := genima.RunSequential(cfg, bs)
-		if err != nil {
-			log.Fatal(err)
-		}
-		res, _, err := genima.Run(cfg, genima.GeNIMA, bs)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("%-34s %10.2f\n", c.name, genima.Speedup(seq, res))
+		sp, _ := speedup(cfg, genima.GeNIMA, bs)
+		fmt.Printf("%-34s %10.2f\n", c.name, sp)
 	}
 	wn := ocean.New(128, 6)
 	for _, c := range []struct {
@@ -89,15 +89,8 @@ func extensionStudy() {
 	} {
 		cfg := genima.DefaultConfig()
 		c.mut(&cfg)
-		seq, _, err := genima.RunSequential(cfg, wn)
-		if err != nil {
-			log.Fatal(err)
-		}
-		res, _, err := genima.Run(cfg, genima.GeNIMA, wn)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("%-34s %10.2f\n", c.name, genima.Speedup(seq, res))
+		sp, _ := speedup(cfg, genima.GeNIMA, wn)
+		fmt.Printf("%-34s %10.2f\n", c.name, sp)
 	}
 }
 
@@ -114,14 +107,7 @@ func postQueueStudy() {
 		cfg := genima.DefaultConfig()
 		cfg.PostQueueDepth = c.depth
 		cfg.SendPipelining = c.pipe
-		seq, _, err := genima.RunSequential(cfg, a)
-		if err != nil {
-			log.Fatal(err)
-		}
-		res, _, err := genima.Run(cfg, genima.DWRFDD, a)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("%-10d %-12d %10.2f %14d\n", c.depth, c.pipe, genima.Speedup(seq, res), res.PostQueueStalls)
+		sp, res := speedup(cfg, genima.DWRFDD, a)
+		fmt.Printf("%-10d %-12d %10.2f %14d\n", c.depth, c.pipe, sp, res.PostQueueStalls)
 	}
 }
