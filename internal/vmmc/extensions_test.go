@@ -61,6 +61,8 @@ type sgFunc func()
 
 func (f sgFunc) ApplySG() { f() }
 
+// TestDepositGatheredHandledInFirmware installs no Sink at the
+// destination, so a host interrupt there would panic.
 func TestDepositGatheredHandledInFirmware(t *testing.T) {
 	eng, l, _ := newLayer(2)
 	applied := false
@@ -70,9 +72,6 @@ func TestDepositGatheredHandledInFirmware(t *testing.T) {
 	eng.RunUntilQuiet()
 	if !applied {
 		t.Fatal("gathered deposit never applied")
-	}
-	if l.Endpoint(1).Interrupts != 0 {
-		t.Error("gathered deposit interrupted the destination host")
 	}
 }
 

@@ -185,8 +185,6 @@ type Endpoint struct {
 	intrFree   sim.FreeList[*intrEvent]
 	fetchFree  sim.FreeList[*fetchOp]
 	lockOpFree sim.FreeList[*lockOp]
-
-	Interrupts uint64 // interrupt-class deliveries at this node
 }
 
 // DepositTo asynchronously sends size bytes to node dst, depositing
@@ -345,7 +343,6 @@ func (ev *intrEvent) Run(_, _ sim.Time) {
 }
 
 func (ep *Endpoint) interrupt(m Msg) {
-	ep.Interrupts++
 	if ep.Perturb != nil {
 		ep.Perturb()
 	}

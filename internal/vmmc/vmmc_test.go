@@ -70,9 +70,6 @@ func TestInterruptDelivery(t *testing.T) {
 	if perturbs != 1 {
 		t.Errorf("perturbs = %d, want 1", perturbs)
 	}
-	if l.Endpoint(1).Interrupts != 1 {
-		t.Errorf("interrupt count = %d", l.Endpoint(1).Interrupts)
-	}
 }
 
 func TestRemoteFetchRoundTrip(t *testing.T) {
@@ -178,12 +175,9 @@ func TestNILockNoHostInterrupts(t *testing.T) {
 			}
 		})
 	}
+	// No endpoint has a Sink, so a host interrupt would panic
+	// (TestInterruptWithoutSinkPanics).
 	eng.RunUntilQuiet()
-	for n := 0; n < 4; n++ {
-		if l.Endpoint(n).Interrupts != 0 {
-			t.Errorf("node %d took %d interrupts during NI locking", n, l.Endpoint(n).Interrupts)
-		}
-	}
 }
 
 // Property: NI locks provide mutual exclusion and every acquire
