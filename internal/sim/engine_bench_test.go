@@ -10,6 +10,22 @@ import (
 	"testing"
 )
 
+// tick is a self-rescheduling local event: left more firings, step
+// apart, on a fixed engine.
+type tick struct {
+	e    *Engine
+	step Time
+	left int
+}
+
+func (t *tick) Run(_, now Time) {
+	if t.left == 0 {
+		return
+	}
+	t.left--
+	t.e.AtHandler(now+t.step, now, t)
+}
+
 // BenchmarkEngineAtRun measures schedule+dispatch throughput: depth
 // self-rescheduling ticks hold a standing queue, so each iteration pops
 // one event and pushes one, the steady-state mix of a protocol

@@ -13,22 +13,6 @@ import (
 	"testing"
 )
 
-// tick is a self-rescheduling local event: left more firings, step
-// apart, on a fixed engine.
-type tick struct {
-	e    *Engine
-	step Time
-	left int
-}
-
-func (t *tick) Run(_, now Time) {
-	if t.left == 0 {
-		return
-	}
-	t.left--
-	t.e.AtHandler(now+t.step, now, t)
-}
-
 func TestShardMapping(t *testing.T) {
 	cl := NewCluster(10, 4, 2, 10, 10)
 	if got := cl.Shards(); got != 4 {

@@ -132,28 +132,6 @@ func TestRoutingAllPairs(t *testing.T) {
 	}
 }
 
-// TestRoutingDeterministic builds the same config twice and demands
-// identical routes — the property the byte-identical-trace guarantee
-// rests on (no map iteration or randomness in route construction).
-func TestRoutingDeterministic(t *testing.T) {
-	cfg := Default()
-	cfg.Topo, cfg.SwitchRadix, cfg.Nodes = TopoFatTree, 6, 50
-	a, b := cfg.Fabric(), cfg.Fabric()
-	for s := 0; s < cfg.Nodes; s++ {
-		for d := 0; d < cfg.Nodes; d++ {
-			ra, rb := route(a, s, d), route(b, s, d)
-			if len(ra) != len(rb) {
-				t.Fatalf("route %d->%d length differs", s, d)
-			}
-			for i := range ra {
-				if ra[i] != rb[i] {
-					t.Fatalf("route %d->%d differs at hop %d", s, d, i)
-				}
-			}
-		}
-	}
-}
-
 func TestFabricCapacity(t *testing.T) {
 	for _, tc := range []struct {
 		kind  TopoKind
