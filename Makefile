@@ -21,8 +21,11 @@ vet:
 	$(GO) vet ./...
 	$(GO) -C benchmark vet ./...
 
+# test also runs the benchmark module's harness tests (about 16 s),
+# so `make check` covers everything CI runs for benchmark/.
 test:
 	$(GO) test ./...
+	$(GO) -C benchmark test ./...
 
 # race runs every test under the race detector, the intra-run parallel
 # determinism tests (TestIntraRun*) included, with -short: the 512-node
