@@ -224,3 +224,58 @@ func TestLockHandsOffInFIFOOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestEnsureChargesEachCase pins the cost and the Misses count of each
+// case of the directory model, one fresh machine per case, all on line
+// 0 (page 0, homed at node 0). Processors 0–2 sit on node 0; the last
+// processor sits on the last node.
+func TestEnsureChargesEachCase(t *testing.T) {
+	type op struct {
+		proc  int
+		store bool
+	}
+	c, cfg := DefaultCosts(), topo.Default()
+	remote := cfg.NumProcs() - 1
+	cases := []struct {
+		name   string
+		setup  []op
+		do     op
+		cost   sim.Time
+		misses uint64
+	}{
+		{"load miss, local home", nil, op{0, false}, c.LocalMiss, 1},
+		{"load miss, remote home", nil, op{remote, false}, c.RemoteMiss, 1},
+		{"load hit", []op{{0, false}}, op{0, false}, 0, 0},
+		{"load of a line dirty elsewhere", []op{{1, true}}, op{0, false}, c.DirtyMiss, 1},
+		{"store after that load wrote the line back", []op{{1, true}, {0, false}}, op{1, true}, c.InvalBase + c.PerSharer, 1},
+		{"store to an owned line", []op{{0, true}}, op{0, true}, 0, 0},
+		{"store upgrade with 2 other sharers", []op{{0, false}, {1, false}, {2, false}}, op{0, true}, c.InvalBase + 2*c.PerSharer, 1},
+		{"store miss with 2 sharers", []op{{1, false}, {2, false}}, op{0, true}, c.LocalMiss + c.InvalBase + 2*c.PerSharer, 1},
+		{"store to a line dirty elsewhere", []op{{1, true}}, op{0, true}, c.DirtyMiss + c.InvalBase + c.PerSharer, 1},
+	}
+	for _, tc := range cases {
+		eng, s, _ := build(t)
+		ensure := func(p *sim.Proc, o op) {
+			be := s.Backend(o.proc)
+			if o.store {
+				be.EnsureWrite(p, 0, LineSize)
+			} else {
+				be.EnsureRead(p, 0, LineSize)
+			}
+		}
+		var cost sim.Time
+		var misses uint64
+		eng.Go("p", func(p *sim.Proc) {
+			for _, o := range tc.setup {
+				ensure(p, o)
+			}
+			t0, m0 := p.Now(), s.Misses
+			ensure(p, tc.do)
+			cost, misses = p.Now()-t0, s.Misses-m0
+		})
+		eng.RunUntilQuiet()
+		if cost != tc.cost || misses != tc.misses {
+			t.Errorf("%s: cost %d, misses %d; want %d, %d", tc.name, cost, misses, tc.cost, tc.misses)
+		}
+	}
+}
