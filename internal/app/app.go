@@ -44,11 +44,9 @@ type MemIntensive interface {
 
 // Backend is one processor's view of an execution model.
 type Backend interface {
-	// EnsureRead makes [addr, addr+size) readable, blocking for any
-	// remote traffic.
-	EnsureRead(p *sim.Proc, addr, size int)
-	// EnsureWrite makes [addr, addr+size) writable.
-	EnsureWrite(p *sim.Proc, addr, size int)
+	// Ensure makes [addr, addr+size) readable, and with store also
+	// writable, blocking for any remote traffic.
+	Ensure(p *sim.Proc, addr, size int, store bool)
 	// Bytes returns the processor's working copy of the page holding
 	// addr (after an Ensure call).
 	Bytes(page int) []byte
@@ -63,7 +61,8 @@ type Backend interface {
 	Unlock(p *sim.Proc, id int)
 	// Barrier blocks until all processors arrive.
 	Barrier(p *sim.Proc)
-	// ComputeScale multiplies compute time (SMP bus contention).
+	// ComputeScale multiplies compute time (SMP bus contention); a
+	// context calls it once, when it is built.
 	ComputeScale(memIntensity float64) float64
 	// TakeSteal returns pending stolen time (interrupt scheduling
 	// perturbation) to fold into the next compute period.

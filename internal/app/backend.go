@@ -18,14 +18,9 @@ func NewSVMBackend(sys *core.System, nd, cpu int) Backend {
 	return &svmBackend{sys: sys, node: sys.Node(nd), cpu: cpu}
 }
 
-func (b *svmBackend) EnsureRead(p *sim.Proc, addr, size int) {
+func (b *svmBackend) Ensure(p *sim.Proc, addr, size int, store bool) {
 	first, last := b.sys.Space.PageRange(addr, size)
-	b.node.EnsureReadable(p, first, last)
-}
-
-func (b *svmBackend) EnsureWrite(p *sim.Proc, addr, size int) {
-	first, last := b.sys.Space.PageRange(addr, size)
-	b.node.EnsureWritable(p, first, last)
+	b.node.Ensure(p, first, last, store)
 }
 
 func (b *svmBackend) Bytes(page int) []byte { return b.node.PageBytes(page) }
@@ -52,21 +47,20 @@ type nullBackend struct {
 // NewNullBackend creates the zero-cost backend (single processor only).
 func NewNullBackend(ws *Workspace) Backend { return &nullBackend{ws: ws} }
 
-func (b *nullBackend) EnsureRead(*sim.Proc, int, int)  {}
-func (b *nullBackend) EnsureWrite(*sim.Proc, int, int) {}
-func (b *nullBackend) Bytes(page int) []byte           { return b.ws.Space.HomeCopy(page) }
-func (b *nullBackend) Granule() int                    { return b.ws.Cfg.PageSize }
-func (b *nullBackend) Lock(*sim.Proc, int)             {}
-func (b *nullBackend) Unlock(*sim.Proc, int)           {}
-func (b *nullBackend) Barrier(*sim.Proc)               {}
-func (b *nullBackend) ComputeScale(float64) float64    { return 1 }
-func (b *nullBackend) TakeSteal() sim.Time             { return 0 }
+func (b *nullBackend) Ensure(*sim.Proc, int, int, bool) {}
+func (b *nullBackend) Bytes(page int) []byte            { return b.ws.Space.HomeCopy(page) }
+func (b *nullBackend) Granule() int                     { return b.ws.Cfg.PageSize }
+func (b *nullBackend) Lock(*sim.Proc, int)              {}
+func (b *nullBackend) Unlock(*sim.Proc, int)            {}
+func (b *nullBackend) Barrier(*sim.Proc)                {}
+func (b *nullBackend) ComputeScale(float64) float64     { return 1 }
+func (b *nullBackend) TakeSteal() sim.Time              { return 0 }
 
 // NewCtx wires a processor context; the harness uses this, and tests may
 // construct contexts directly.
 func NewCtx(id, n int, p *sim.Proc, be Backend, ws *Workspace, cfg *topo.Config, memIntensity float64) *Ctx {
 	return &Ctx{
-		id: id, n: n, p: p, be: be, ws: ws, cfg: cfg, memIntensity: memIntensity,
+		id: id, n: n, p: p, be: be, ws: ws, cfg: cfg, scale: be.ComputeScale(memIntensity),
 		pageShift: shiftOf(cfg.PageSize), pageMask: cfg.PageSize - 1,
 		granShift: shiftOf(be.Granule()),
 	}

@@ -22,7 +22,9 @@ type Ctx struct {
 	ws    *Workspace
 	cfg   *topo.Config
 
-	memIntensity float64
+	// scale multiplies compute time: the backend's ComputeScale of the
+	// app's memory intensity, fixed for the run.
+	scale float64
 
 	// Page and granule addressing: pages are PageSize bytes, granules
 	// (the backend's coherence unit) 1<<granShift bytes, both powers
@@ -60,7 +62,7 @@ func (c *Ctx) Workspace() *Workspace { return c.ws }
 // Compute charges ops abstract operations of useful work, folding in any
 // pending interrupt-scheduling perturbation.
 func (c *Ctx) Compute(ops float64) {
-	d := sim.Time(ops*c.cfg.Costs.NsPerOp*c.be.ComputeScale(c.memIntensity)) + c.be.TakeSteal()
+	d := sim.Time(ops*c.cfg.Costs.NsPerOp*c.scale) + c.be.TakeSteal()
 	c.p.Sleep(d)
 	c.Breakdown.Add(stats.Compute, d)
 }
@@ -99,11 +101,7 @@ func (c *Ctx) ReadRange(r memory.Region, off, size int) {
 // store or a load, and charges the wait to Data.
 func (c *Ctx) ensure(addr, n int, store bool) {
 	t0 := c.p.Now()
-	if store {
-		c.be.EnsureWrite(c.p, addr, n)
-	} else {
-		c.be.EnsureRead(c.p, addr, n)
-	}
+	c.be.Ensure(c.p, addr, n, store)
 	c.Breakdown.Add(stats.Data, c.p.Now()-t0)
 }
 

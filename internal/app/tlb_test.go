@@ -18,17 +18,12 @@ type countingBackend struct {
 	stall         bool
 }
 
-func (b *countingBackend) EnsureRead(p *sim.Proc, addr, size int) {
-	b.reads++
-	b.maybeStall(p)
-}
-
-func (b *countingBackend) EnsureWrite(p *sim.Proc, addr, size int) {
-	b.writes++
-	b.maybeStall(p)
-}
-
-func (b *countingBackend) maybeStall(p *sim.Proc) {
+func (b *countingBackend) Ensure(p *sim.Proc, addr, size int, store bool) {
+	if store {
+		b.writes++
+	} else {
+		b.reads++
+	}
 	if b.stall {
 		queueEvent(b.eng, p.Now()+1)
 		p.Sleep(2)

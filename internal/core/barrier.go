@@ -23,49 +23,34 @@ import (
 // all flags arrive — no interrupts anywhere. Invalidations (and their
 // mprotect) are applied locally before leaving.
 
-// barArriveMsg is an arrival record: a DW flag deposit (one record
-// fanned out to all peers) or a Base arrival sent to the master. Each
-// node owns two, picked by epoch parity (barArrAt); readers never
-// release or copy them.
+// barMsg is a barrier record: an arrival (a DW flag deposit fanned out
+// to all peers, or a Base arrival sent to the master) or the master's
+// Base release, one record shared by all Nodes deliveries. Each node
+// owns two of each kind, picked by epoch parity (barMsgAt); readers
+// never release or copy them.
 //
-// Parity reuse is safe because a node reuses the epoch-k record only
-// when it starts barrier k+2, after it has passed barrier k+1. DW: it
-// passed k+1 only once every peer's k+1 flag arrived, and a peer sends
-// that flag only after it has left barrier k, which needed this node's
-// k flag — so every delivery of the k record has run. Base: the master
-// released k+1 only after aggregating every k+1 arrival, which it
-// processed after its own k aggregation had read the record. A
-// retransmitted copy of an old deposit may still point at the record,
+// Parity reuse of an arrival is safe because a node reuses the epoch-k
+// record only when it starts barrier k+2, after it has passed barrier
+// k+1. DW: it passed k+1 only once every peer's k+1 flag arrived, and a
+// peer sends that flag only after it has left barrier k, which needed
+// this node's k flag — so every delivery of the k record has run. Base:
+// the master released k+1 only after aggregating every k+1 arrival,
+// which it processed after its own k aggregation had read the record.
+// A retransmitted copy of an old deposit may still point at the record,
 // but the reliability gate discards duplicates before delivery
 // dereferences the payload.
-type barArriveMsg struct {
-	src       int
+//
+// The master's epoch-k release is rebuilt for k+2 only after every node
+// arrived at k+2, and each node's leader finished applying release k
+// before its node arrived at k+1. The interval union is swapped out of
+// the master's epoch state, not copied.
+type barMsg struct {
 	seq       int
 	vc        []uint64
 	intervals []*interval
 }
 
-func (m *barArriveMsg) wireSize() int {
-	n := 16 + 8*len(m.vc)
-	for _, iv := range m.intervals {
-		n += iv.wireSize()
-	}
-	return n
-}
-
-// barReleaseMsg is the master's release (Base): one record shared by
-// all Nodes deliveries. The master owns two, picked by epoch parity
-// (barRelAt); the epoch-k record is rebuilt for k+2 only after every
-// node arrived at k+2, and each node's leader finished applying
-// release k before its node arrived at k+1. The interval union is
-// swapped out of the master's epoch state, not copied.
-type barReleaseMsg struct {
-	seq       int
-	vc        []uint64
-	intervals []*interval
-}
-
-func (m *barReleaseMsg) wireSize() int {
+func (m *barMsg) wireSize() int {
 	n := 16 + 8*len(m.vc)
 	for _, iv := range m.intervals {
 		n += iv.wireSize()
@@ -75,18 +60,18 @@ func (m *barReleaseMsg) wireSize() int {
 
 // barEpoch is one slot of the per-node barrier epoch ring, replacing
 // seven per-seq maps. A slot is recycled when a new epoch claims it;
-// the embedded Flag/Counter Reset guards panic if the old epoch still
+// the embedded sim.Counter Reset guards panic if the old epoch still
 // had parked waiters (i.e. the 4-slot window was violated).
 type barEpoch struct {
 	seq   int         // epoch using this slot; -1 = never used
 	count sim.Counter // DW: arrival flags deposited
 	vc    []uint64    // DW: element-wise max vc of arrivals while the epoch is live (nil otherwise)
-	flag  sim.Flag    // Base: release arrived
-	rel   *barReleaseMsg
+	flag  sim.Counter // Base and tree: release arrived
+	rel   *barMsg
 
 	// Intra-node arrival bookkeeping.
 	localArrived int
-	localDone    sim.Flag
+	localDone    sim.Counter
 
 	// Base master aggregation (node 0 only; mVC is nil elsewhere).
 	mArrived int
@@ -108,27 +93,15 @@ func (e *barEpoch) reset(seq int) {
 	e.mIvs = e.mIvs[:0]
 }
 
-// barArrAt returns this node's arrival record for epoch seq, emptied
-// and stamped. The two records alternate by parity; see barArriveMsg
-// for why the epoch-(seq-2) record is free by now.
-func (n *Node) barArrAt(seq int) *barArriveMsg {
-	m := n.barArr[seq&1]
+// barMsgAt returns the record of the parity pair recs (a node's own
+// arrivals, or the master's releases) for epoch seq, stamped. A reused
+// record keeps the previous use's intervals for the caller to truncate
+// or reuse; see barMsg for why the epoch-(seq-2) record is free by now.
+func (n *Node) barMsgAt(recs *[2]*barMsg, seq int) *barMsg {
+	m := recs[seq&1]
 	if m == nil {
-		m = &barArriveMsg{vc: make([]uint64, n.sys.Cfg.Nodes)}
-		n.barArr[seq&1] = m
-	}
-	m.src, m.seq = n.ID, seq
-	m.intervals = m.intervals[:0]
-	return m
-}
-
-// barRelAt returns the master's release record for epoch seq (Base),
-// stamped, with the previous use's intervals for the caller to reuse.
-func (n *Node) barRelAt(seq int) *barReleaseMsg {
-	m := n.barRel[seq&1]
-	if m == nil {
-		m = &barReleaseMsg{vc: make([]uint64, n.sys.Cfg.Nodes)}
-		n.barRel[seq&1] = m
+		m = &barMsg{vc: make([]uint64, n.sys.Cfg.Nodes)}
+		recs[seq&1] = m
 	}
 	m.seq = seq
 	return m
@@ -164,7 +137,7 @@ func (n *Node) Barrier(p *sim.Proc) {
 	e.localArrived++
 	if e.localArrived < n.sys.Cfg.ProcsPerNode {
 		// Not the node leader: wait for the leader to finish the epoch.
-		e.localDone.Wait(p)
+		e.localDone.WaitFor(p, 1)
 		return
 	}
 	// Node leader (last local arriver): advance the node's epoch and
@@ -172,7 +145,7 @@ func (n *Node) Barrier(p *sim.Proc) {
 	n.barSeq++
 	var proto sim.Time
 	switch {
-	case n.sys.Feat.DW && n.sys.Cfg.Collectives && n.sys.Cfg.Nodes > 1:
+	case n.sys.tree:
 		proto = n.barrierColl(p, seq)
 	case n.sys.Feat.DW:
 		proto = n.barrierDW(p, seq)
@@ -180,7 +153,7 @@ func (n *Node) Barrier(p *sim.Proc) {
 		proto = n.barrierBase(p, seq)
 	}
 	n.Acct.BarrierProto += proto
-	e.localDone.Set()
+	e.localDone.Add(1)
 	if e.vc != nil {
 		// Every arrival was merged and read: the epoch retires and its
 		// vector returns to the pool.
@@ -199,7 +172,7 @@ func (n *Node) barrierDW(p *sim.Proc, seq int) sim.Time {
 	vecMergeMax(e.vc, n.vc)
 	e.count.Add(1)
 	if n.sys.Cfg.Nodes > 1 {
-		m := n.barArrAt(seq)
+		m := n.barMsgAt(&n.barArr, seq)
 		copy(m.vc, n.vc)
 		for dst := 0; dst < n.sys.Cfg.Nodes; dst++ {
 			if dst == n.ID {
@@ -239,7 +212,7 @@ func (n *Node) barrierColl(p *sim.Proc, seq int) sim.Time {
 
 	// Wait for the released epoch (pure wait time); the sink stored the
 	// combined vector in e.vc before setting the flag.
-	e.flag.Wait(p)
+	e.flag.WaitFor(p, 1)
 
 	t1 := p.Now()
 	n.waitNotices(p, e.vc)
@@ -256,12 +229,12 @@ func (k *colBarSink) ColBarrierDone(node, seq int, vec []uint64) {
 	n := k.s.Nodes[node]
 	e := n.barEpochAt(seq)
 	copy(e.vc, vec) // vec is the collective layer's buffer: copy, don't keep
-	e.flag.Set()
+	e.flag.Add(1)
 }
 
 // depositBarFlag records a remote node's barrier arrival (engine
 // context; deposited by the NI).
-func (n *Node) depositBarFlag(m *barArriveMsg) {
+func (n *Node) depositBarFlag(m *barMsg) {
 	e := n.barEpochAt(m.seq)
 	vecMergeMax(e.vc, m.vc)
 	e.count.Add(1)
@@ -273,9 +246,9 @@ func (n *Node) barrierBase(p *sim.Proc, seq int) sim.Time {
 	prevSelf := n.lastBarSelfSeq
 	n.closeInterval(p)
 	n.lastBarSelfSeq = n.vc[n.ID]
-	arrive := n.barArrAt(seq)
+	arrive := n.barMsgAt(&n.barArr, seq)
 	copy(arrive.vc, n.vc)
-	arrive.intervals = n.appendIntervalsAfter(arrive.intervals, n.ID, prevSelf, n.vc[n.ID])
+	arrive.intervals = n.appendIntervalsAfter(arrive.intervals[:0], n.ID, prevSelf, n.vc[n.ID])
 	if n.ID == 0 {
 		n.proto.HandleMsg(localMsg(vmmc.MsgBarArrive, arrive))
 	} else {
@@ -285,7 +258,7 @@ func (n *Node) barrierBase(p *sim.Proc, seq int) sim.Time {
 
 	// Wait for the master's release (wait time).
 	e := n.barEpochAt(seq)
-	e.flag.Wait(p)
+	e.flag.WaitFor(p, 1)
 	rel := e.rel
 
 	// Apply the released coherence information (protocol time).
@@ -302,7 +275,7 @@ func (n *Node) barrierBase(p *sim.Proc, seq int) sim.Time {
 // handleBarArrive aggregates a barrier arrival at the master (protocol
 // process); the last arrival builds the release and sends it to every
 // node.
-func (n *Node) handleBarArrive(p *sim.Proc, m *barArriveMsg) {
+func (n *Node) handleBarArrive(p *sim.Proc, m *barMsg) {
 	e := n.barEpochAt(m.seq)
 	e.mArrived++
 	vecMergeMax(e.mVC, m.vc)
@@ -310,7 +283,7 @@ func (n *Node) handleBarArrive(p *sim.Proc, m *barArriveMsg) {
 	if e.mArrived < n.sys.Cfg.Nodes {
 		return
 	}
-	rel := n.barRelAt(m.seq)
+	rel := n.barMsgAt(&n.barRel, m.seq)
 	copy(rel.vc, e.mVC)
 	// Hand the interval union to the release record by swapping slices:
 	// the epoch keeps the (empty) old backing for its next reuse.
@@ -325,8 +298,8 @@ func (n *Node) handleBarArrive(p *sim.Proc, m *barArriveMsg) {
 }
 
 // handleBarRelease delivers the release to the waiting node leader.
-func (n *Node) handleBarRelease(m *barReleaseMsg) {
+func (n *Node) handleBarRelease(m *barMsg) {
 	e := n.barEpochAt(m.seq)
 	e.rel = m
-	e.flag.Set()
+	e.flag.Add(1)
 }

@@ -100,7 +100,10 @@ type System struct {
 	grantDel   grantDeliver
 	barFlagDel barFlagDeliver
 
-	// colSink receives completed NI-tree barrier epochs (collectives).
+	// tree is set when barriers and write notices take the NI-firmware
+	// collective trees: Config.Collectives under DW and up, on more
+	// than one node. colSink receives the completed tree-barrier epochs.
+	tree    bool
 	colSink colBarSink
 
 	// zeroVec is the all-zero per-node vector that every absent
@@ -133,11 +136,12 @@ func New(eng *sim.Engine, cfg *topo.Config, kind Kind, space *memory.Space) *Sys
 		n.pool = pools[n.eng]
 		s.Nodes[i] = n
 	}
-	if cfg.Collectives && s.Feat.DW && cfg.Nodes > 1 {
-		// NI-firmware collective trees need the deposit-write capability
-		// (protocol data deposited without host involvement): DW and up
-		// use them for barriers and write notices; Base keeps its
-		// interrupt-driven paths as the contrast case.
+	// NI-firmware collective trees need the deposit-write capability
+	// (protocol data deposited without host involvement): DW and up use
+	// them for barriers and write notices; Base keeps its
+	// interrupt-driven paths as the contrast case.
+	s.tree = cfg.Collectives && s.Feat.DW && cfg.Nodes > 1
+	if s.tree {
 		s.colSink.s = s
 		for _, n := range s.Nodes {
 			n.ep.NI().EnableCollectives(cfg.CollectiveArity, &s.colSink)
@@ -299,16 +303,16 @@ type Node struct {
 	// Barrier state: a ring of epoch records. At most two epochs are
 	// ever live at once (a slow node still in epoch k while fast nodes
 	// deposit k+1 flags); four slots leave slack, and the seq tags plus
-	// Flag/Counter Reset guards catch any window violation.
+	// the sim.Counter Reset guards catch any window violation.
 	barSeq         int
 	barEpochs      [4]barEpoch
 	lastBarSelfSeq uint64 // own intervals already exchanged at barriers
 
 	// Barrier records owned by this node, picked by epoch parity and
-	// allocated on first use (see barArrAt/barRelAt): its own arrival
-	// records, and on the Base master the release records.
-	barArr [2]*barArriveMsg
-	barRel [2]*barReleaseMsg
+	// allocated on first use (see barMsgAt): its own arrival records,
+	// and on the Base master the release records.
+	barArr [2]*barMsg
+	barRel [2]*barMsg
 
 	// pool holds the pooled protocol records of the node's logical
 	// process, shared by every node on it (see pool.go).
@@ -405,7 +409,7 @@ func (n *Node) TakeSteal(cpu int) sim.Time {
 
 // PageBytes returns the node's working copy of a page: the authoritative
 // home copy when this node is the page's home, the local copy otherwise.
-// Callers must bracket accesses with EnsureReadable/EnsureWritable.
+// Callers must bracket accesses with Ensure.
 func (n *Node) PageBytes(page int) []byte {
 	if n.sys.Space.Home(page) == n.ID {
 		return n.sys.Space.HomeCopy(page)

@@ -41,13 +41,13 @@ func (tc *testCluster) spawn(name string, nd int, body func(p *sim.Proc, n *Node
 
 // writeByte writes one byte of shared data (with fault handling).
 func writeByte(p *sim.Proc, n *Node, page, off int, v byte) {
-	n.EnsureWritable(p, page, page)
+	n.Ensure(p, page, page, true)
 	n.PageBytes(page)[off] = v
 }
 
 // readByte reads one byte of shared data (with fault handling).
 func readByte(p *sim.Proc, n *Node, page, off int) byte {
-	n.EnsureReadable(p, page, page)
+	n.Ensure(p, page, page, false)
 	return n.PageBytes(page)[off]
 }
 
@@ -199,7 +199,7 @@ func TestLockChainAccumulation(t *testing.T) {
 			tc.spawn("inc", nd, func(p *sim.Proc, n *Node) {
 				for i := 0; i < 3; i++ {
 					n.LockAcquire(p, 2)
-					n.EnsureWritable(p, 1, 1)
+					n.Ensure(p, 1, 1, true)
 					n.PageBytes(1)[0]++
 					n.LockRelease(p, 2)
 					p.Sleep(sim.Micro(20))
@@ -234,7 +234,7 @@ func TestIntraNodeLockHandoff(t *testing.T) {
 			tc.spawn("inc", 0, func(p *sim.Proc, n *Node) {
 				for i := 0; i < 5; i++ {
 					n.LockAcquire(p, 0) // homed at node 0
-					n.EnsureWritable(p, 0, 0)
+					n.Ensure(p, 0, 0, true)
 					n.PageBytes(0)[4]++
 					n.LockRelease(p, 0)
 				}
@@ -267,7 +267,7 @@ func TestInterruptElimination(t *testing.T) {
 				for i := 0; i < 4; i++ {
 					n.LockAcquire(p, 7)
 					pg := (nd + i) % 16
-					n.EnsureWritable(p, pg, pg)
+					n.Ensure(p, pg, pg, true)
 					n.PageBytes(pg)[0]++
 					n.LockRelease(p, 7)
 				}
@@ -302,7 +302,7 @@ func TestProtocolDeterminism(t *testing.T) {
 					tc.spawn("w", nd, func(p *sim.Proc, n *Node) {
 						for i := 0; i < 3; i++ {
 							n.LockAcquire(p, 1)
-							n.EnsureWritable(p, i, i)
+							n.Ensure(p, i, i, true)
 							n.PageBytes(i)[nd]++
 							n.LockRelease(p, 1)
 						}

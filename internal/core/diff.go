@@ -258,7 +258,7 @@ func (n *Node) bumpVersion(pg, src int, seq uint64) {
 // the NI-broadcast extension (paper §5), the host posts once and the
 // fabric replicates.
 func (n *Node) broadcastNotice(p *sim.Proc, iv *interval) {
-	if n.sys.Cfg.Collectives && n.sys.Cfg.Nodes > 1 {
+	if n.sys.tree {
 		// NI-firmware tree broadcast. Once collectives are on, EVERY
 		// notice from every source takes the tree, regardless of size
 		// (large intervals are fragmented inside the collective layer):

@@ -87,10 +87,10 @@ func (n *Node) digestInto(d *sim.Digest) {
 		d.U64(uint64(e.seq))
 		d.U64(e.count.Value())
 		digestVec(d, e.vc, len(n.vc)) // nil once the epoch retired
-		d.Bool(e.flag.IsSet())
+		d.Bool(e.flag.Value() > 0)
 		d.Bool(e.rel != nil)
 		d.U64(uint64(e.localArrived))
-		d.Bool(e.localDone.IsSet())
+		d.Bool(e.localDone.Value() > 0)
 		d.U64(uint64(e.mArrived))
 		digestVec(d, e.mVC, len(n.vc))
 		d.U64(uint64(len(e.mIvs)))

@@ -35,7 +35,7 @@ func runScatteredWriters(t *testing.T, cfg topo.Config) (*testCluster, uint64) {
 		nd := nd
 		tc.spawn("w", nd, func(p *sim.Proc, n *Node) {
 			// Page (nd+1)%... write alternating words of page 5.
-			n.EnsureWritable(p, 5, 5)
+			n.Ensure(p, 5, 5, true)
 			pg := n.PageBytes(5)
 			for w := nd * 4; w < tc.cfg.PageSize/4; w += 4 * cfg.Nodes {
 				pg[4*w] = byte(nd + 1)

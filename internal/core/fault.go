@@ -34,7 +34,7 @@ type fetchPayload struct {
 type pageReqMsg struct {
 	page int
 	need []uint64 // requester's requirement row (copied at send time)
-	done sim.Flag
+	done sim.Counter
 	data []byte   // reply: page snapshot (the record's own page buffer)
 	ver  []uint64 // reply: home version row at snapshot time
 }
@@ -47,28 +47,24 @@ const (
 	lockMsgOverhead   = 16
 )
 
-// EnsureReadable makes pages [first, last] readable by the calling
-// processor, fetching any missing ones. All blocking time is virtual
-// (the caller's harness attributes the elapsed time to Data wait).
-func (n *Node) EnsureReadable(p *sim.Proc, first, last int) {
-	for pg := first; pg <= last; pg++ {
-		n.faultIn(p, pg)
-	}
-}
-
-// EnsureWritable makes pages [first, last] writable: readable plus
-// twinned (non-home pages) and registered in the open interval. The
-// sleeps inside (mprotect, twin copy) yield the processor; another
-// processor of the node may invalidate the page meanwhile (applying a
-// notice at its own acquire), so every step re-checks page state.
-func (n *Node) EnsureWritable(p *sim.Proc, first, last int) {
+// Ensure makes pages [first, last] readable by the calling processor,
+// fetching any missing ones, and with store also writable: twinned
+// (non-home pages) and registered in the open interval. All blocking
+// time is virtual (the caller's harness attributes the elapsed time to
+// Data wait). The sleeps inside (mprotect, twin copy) yield the
+// processor; another processor of the node may invalidate the page
+// meanwhile (applying a notice at its own acquire), so every step
+// re-checks page state.
+func (n *Node) Ensure(p *sim.Proc, first, last int, store bool) {
 	c := &n.sys.Cfg.Costs
 	for pg := first; pg <= last; pg++ {
-		home := n.sys.Space.Home(pg) == n.ID
 		for {
 			n.faultIn(p, pg)
+			if !store {
+				break
+			}
 			dirtyAlready := n.dirtySet[pg]
-			if home {
+			if n.sys.Space.Home(pg) == n.ID {
 				if !dirtyAlready {
 					// Home pages are written in place; the write fault
 					// still costs a protection change for tracking.
@@ -180,7 +176,7 @@ func (n *Node) fetchBase(p *sim.Proc, page int) *pageReqMsg {
 		// flight; each (re-)request snapshots the current row.
 		copy(req.need, n.need.row(page))
 		n.ep.SendInterrupt(p, home, pageReqOverhead+8*len(req.need), vmmc.MsgPageReq, req)
-		req.done.Wait(p)
+		req.done.WaitFor(p, 1)
 		if n.needSatisfied(page, req.ver) {
 			break
 		}

@@ -92,9 +92,9 @@ func (pp *protoProc) run(p *sim.Proc) {
 		case vmmc.MsgLockFwd:
 			n.handleLockFwd(p, m.Payload.(*lockReqMsg))
 		case vmmc.MsgBarArrive:
-			n.handleBarArrive(p, m.Payload.(*barArriveMsg))
+			n.handleBarArrive(p, m.Payload.(*barMsg))
 		case vmmc.MsgBarRelease:
-			n.handleBarRelease(m.Payload.(*barReleaseMsg))
+			n.handleBarRelease(m.Payload.(*barMsg))
 		default:
 			panic(fmt.Sprintf("core: protocol process got unknown message %q", m.Kind))
 		}

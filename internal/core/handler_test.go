@@ -25,7 +25,7 @@ func ladderWorkload(t *testing.T, k Kind) (*testCluster, uint64) {
 			for i := 0; i < 4; i++ {
 				n.LockAcquire(p, nd%2)
 				pg := (3*nd + i) % 16
-				n.EnsureWritable(p, pg, pg)
+				n.Ensure(p, pg, pg, true)
 				n.PageBytes(pg)[nd]++
 				n.LockRelease(p, nd%2)
 			}
@@ -34,7 +34,7 @@ func ladderWorkload(t *testing.T, k Kind) (*testCluster, uint64) {
 				// Post-barrier reads of pages other nodes wrote: remote
 				// fetches, served by interrupts until RF.
 				pg := (5*nd + 7*i + 3) % 16
-				n.EnsureReadable(p, pg, pg)
+				n.Ensure(p, pg, pg, false)
 				_ = n.PageBytes(pg)[0]
 			}
 			n.Barrier(p)

@@ -74,7 +74,7 @@ type nodeLock struct {
 
 	// Remote acquire state (one outstanding acquire per node-lock).
 	wantGrant bool
-	grantF    sim.Flag
+	grantF    sim.Counter
 	grant     *lockGrant
 
 	// A remote requester parked here until the local release (its
@@ -176,7 +176,7 @@ func (n *Node) acquireBase(p *sim.Proc, lk *nodeLock) {
 	} else {
 		n.ep.SendInterrupt(p, home, size, vmmc.MsgLockReq, req)
 	}
-	lk.grantF.Wait(p)
+	lk.grantF.WaitFor(p, 1)
 	g := lk.grant
 	lk.grant, lk.wantGrant = nil, false
 	lk.grantF.Reset()
@@ -267,7 +267,7 @@ func (n *Node) receiveGrant(g *lockGrant) {
 		panic(fmt.Sprintf("core: unexpected lock grant %d at node %d", g.id, n.ID))
 	}
 	lk.grant = g
-	lk.grantF.Set()
+	lk.grantF.Add(1)
 }
 
 // handleLockReq runs at the lock's home on the protocol process: it

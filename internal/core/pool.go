@@ -20,8 +20,8 @@ import (
 //
 // Pooled records are fungible: every user writes a field before it
 // reads it, so which pool holds a record never affects the simulation.
-// Embedded sim.Flag values are Reset (not reallocated) when a record is
-// recycled, which is safe only after the flag's waiters have resumed —
+// Embedded sim.Counter done flags are Reset (not reallocated) when a
+// record is recycled, which is safe only after their waiters resumed —
 // the protocol guarantees a record's waiter has consumed the result
 // before the record is released. Records that need no reset on release
 // are pushed straight onto their list.
@@ -187,7 +187,7 @@ type pageReplyDeliver struct{}
 
 var pageReplyDel pageReplyDeliver
 
-func (pageReplyDeliver) Deliver(pkt *nic.Packet) { pkt.Payload.(*pageReqMsg).done.Set() }
+func (pageReplyDeliver) Deliver(pkt *nic.Packet) { pkt.Payload.(*pageReqMsg).done.Add(1) }
 
 // runDepDeliver applies one direct-diff run into the home copy (DD: the
 // destination NI deposits the run, no host involvement). The record is
@@ -238,9 +238,9 @@ func (d *grantDeliver) Deliver(pkt *nic.Packet) {
 
 // barFlagDeliver lands a DW barrier arrival flag at pkt.Dst. The
 // record belongs to its sender, which reuses it two epochs later (see
-// barArriveMsg), so delivery only reads it.
+// barMsg), so delivery only reads it.
 type barFlagDeliver struct{ s *System }
 
 func (d *barFlagDeliver) Deliver(pkt *nic.Packet) {
-	d.s.Nodes[pkt.Dst].depositBarFlag(pkt.Payload.(*barArriveMsg))
+	d.s.Nodes[pkt.Dst].depositBarFlag(pkt.Payload.(*barMsg))
 }

@@ -209,11 +209,11 @@ func TestCrossProtocolConsistencyProperty(t *testing.T) {
 						node.Barrier(p)
 					case 1:
 						node.LockAcquire(p, o.lock)
-						node.EnsureWritable(p, o.page, o.page)
+						node.Ensure(p, o.page, o.page, true)
 						node.PageBytes(o.page)[o.off] = o.val
 						node.LockRelease(p, o.lock)
 					default:
-						node.EnsureWritable(p, o.page, o.page)
+						node.Ensure(p, o.page, o.page, true)
 						node.PageBytes(o.page)[o.off] = o.val
 					}
 				}
@@ -298,11 +298,11 @@ func TestCrossProtocolConsistencySMPProperty(t *testing.T) {
 						node.Barrier(p)
 					case 1:
 						node.LockAcquire(p, o.lock)
-						node.EnsureWritable(p, o.page, o.page)
+						node.Ensure(p, o.page, o.page, true)
 						node.PageBytes(o.page)[o.off] = o.val
 						node.LockRelease(p, o.lock)
 					default:
-						node.EnsureWritable(p, o.page, o.page)
+						node.Ensure(p, o.page, o.page, true)
 						node.PageBytes(o.page)[o.off] = o.val
 					}
 				}

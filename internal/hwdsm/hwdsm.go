@@ -112,56 +112,39 @@ func (b *Proc) lineRange(addr, size int) (int, int) {
 	return addr / LineSize, (addr + size - 1) / LineSize
 }
 
-// EnsureRead charges read-miss costs for uncached lines.
-func (b *Proc) EnsureRead(p *sim.Proc, addr, size int) {
+// Ensure charges the miss costs of the lines of [addr, addr+size) this
+// processor does not hold: a load needs a line shared, a store needs it
+// exclusive. A miss costs a dirty (3-hop) miss if another processor
+// holds the line dirty, else a local or remote miss by the line's
+// memory home; a store upgrade of a line already shared fetches
+// nothing. A load leaves a dirty line written back and shared; a store
+// also pays to invalidate the other sharers and takes ownership.
+func (b *Proc) Ensure(p *sim.Proc, addr, size int, store bool) {
 	s := b.sys
 	bit := uint64(1) << uint(b.id)
 	l0, l1 := b.lineRange(addr, size)
 	var cost sim.Time
 	for l := l0; l <= l1; l++ {
-		if s.shared[l]&bit != 0 {
+		held := s.shared[l]&bit != 0
+		if held && (!store || s.owner[l] == int16(b.id)) {
 			continue // cache hit
 		}
 		s.Misses++
 		switch {
-		case s.owner[l] >= 0 && int(s.owner[l]) != b.id:
+		case s.owner[l] >= 0: // dirty elsewhere: an owned line is a hit
 			cost += s.costs.DirtyMiss
-			s.owner[l] = -1 // dirty data written back, line now shared
+		case held: // store upgrade
 		case s.space.Home(l*LineSize/s.cfg.PageSize) == b.node:
 			cost += s.costs.LocalMiss
 		default:
 			cost += s.costs.RemoteMiss
 		}
-		s.shared[l] |= bit
-	}
-	if cost > 0 {
-		p.Sleep(cost)
-	}
-}
-
-// EnsureWrite charges write-miss/upgrade costs and takes exclusive
-// ownership of the lines.
-func (b *Proc) EnsureWrite(p *sim.Proc, addr, size int) {
-	s := b.sys
-	bit := uint64(1) << uint(b.id)
-	l0, l1 := b.lineRange(addr, size)
-	var cost sim.Time
-	for l := l0; l <= l1; l++ {
-		if s.owner[l] == int16(b.id) {
-			continue // already exclusive
+		if !store {
+			s.owner[l] = -1 // dirty data written back, line now shared
+			s.shared[l] |= bit
+			continue
 		}
-		s.Misses++
-		others := bits.OnesCount64(s.shared[l] &^ bit)
-		if s.owner[l] >= 0 {
-			cost += s.costs.DirtyMiss
-		} else if s.shared[l]&bit == 0 {
-			if s.space.Home(l*LineSize/s.cfg.PageSize) == b.node {
-				cost += s.costs.LocalMiss
-			} else {
-				cost += s.costs.RemoteMiss
-			}
-		}
-		if others > 0 {
+		if others := bits.OnesCount64(s.shared[l] &^ bit); others > 0 {
 			cost += s.costs.InvalBase + s.costs.PerSharer*sim.Time(others)
 		}
 		s.shared[l] = bit

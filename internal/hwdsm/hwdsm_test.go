@@ -23,10 +23,10 @@ func TestFirstTouchCostsMissSecondIsFree(t *testing.T) {
 	var first, second sim.Time
 	eng.Go("p", func(p *sim.Proc) {
 		t0 := p.Now()
-		be.EnsureRead(p, 0, LineSize)
+		be.Ensure(p, 0, LineSize, false)
 		first = p.Now() - t0
 		t0 = p.Now()
-		be.EnsureRead(p, 0, LineSize)
+		be.Ensure(p, 0, LineSize, false)
 		second = p.Now() - t0
 	})
 	eng.RunUntilQuiet()
@@ -46,12 +46,12 @@ func TestRemoteDirtierThanLocal(t *testing.T) {
 	var localCost, remoteCost sim.Time
 	eng.Go("l", func(p *sim.Proc) {
 		t0 := p.Now()
-		local.EnsureRead(p, 0, LineSize)
+		local.Ensure(p, 0, LineSize, false)
 		localCost = p.Now() - t0
 	})
 	eng.Go("r", func(p *sim.Proc) {
 		t0 := p.Now()
-		remote.EnsureRead(p, LineSize, LineSize) // different line, same page
+		remote.Ensure(p, LineSize, LineSize, false) // different line, same page
 		remoteCost = p.Now() - t0
 	})
 	eng.RunUntilQuiet()
@@ -65,12 +65,12 @@ func TestWriteInvalidatesSharers(t *testing.T) {
 	a, b := s.Backend(0), s.Backend(1)
 	var rereadCost sim.Time
 	eng.Go("seq", func(p *sim.Proc) {
-		a.EnsureRead(p, 0, LineSize)
-		b.EnsureRead(p, 0, LineSize)
+		a.Ensure(p, 0, LineSize, false)
+		b.Ensure(p, 0, LineSize, false)
 		// b writes: invalidates a.
-		b.EnsureWrite(p, 0, LineSize)
+		b.Ensure(p, 0, LineSize, true)
 		t0 := p.Now()
-		a.EnsureRead(p, 0, LineSize) // dirty miss (3-hop)
+		a.Ensure(p, 0, LineSize, false) // dirty miss (3-hop)
 		rereadCost = p.Now() - t0
 	})
 	eng.RunUntilQuiet()
@@ -133,9 +133,9 @@ func TestBytesIsCoherentMemory(t *testing.T) {
 	a, b := s.Backend(0), s.Backend(5)
 	var got byte
 	eng.Go("seq", func(p *sim.Proc) {
-		a.EnsureWrite(p, 100, 1)
+		a.Ensure(p, 100, 1, true)
 		a.Bytes(0)[100] = 42
-		b.EnsureRead(p, 100, 1)
+		b.Ensure(p, 100, 1, false)
 		got = b.Bytes(0)[100]
 	})
 	eng.RunUntilQuiet()
@@ -148,7 +148,7 @@ func TestMissCounterAdvances(t *testing.T) {
 	eng, s, _ := build(t)
 	be := s.Backend(0)
 	eng.Go("p", func(p *sim.Proc) {
-		be.EnsureRead(p, 0, 4*LineSize)
+		be.Ensure(p, 0, 4*LineSize, false)
 	})
 	eng.RunUntilQuiet()
 	if s.Misses != 4 {
@@ -255,14 +255,7 @@ func TestEnsureChargesEachCase(t *testing.T) {
 	}
 	for _, tc := range cases {
 		eng, s, _ := build(t)
-		ensure := func(p *sim.Proc, o op) {
-			be := s.Backend(o.proc)
-			if o.store {
-				be.EnsureWrite(p, 0, LineSize)
-			} else {
-				be.EnsureRead(p, 0, LineSize)
-			}
-		}
+		ensure := func(p *sim.Proc, o op) { s.Backend(o.proc).Ensure(p, 0, LineSize, o.store) }
 		var cost sim.Time
 		var misses uint64
 		eng.Go("p", func(p *sim.Proc) {

@@ -267,11 +267,7 @@ func SplitStep(rem, max int) (sz int, last bool) {
 // Post submits a packet from host process p: it charges the asynchronous
 // post overhead to the caller and blocks only if the post queue is full
 // (the paper's only host-side blocking condition for async sends).
-func (ni *NI) Post(p *sim.Proc, pkt *Packet) {
-	p.Sleep(ni.cfg.Costs.PostOverhead)
-	ni.PostQueue.Acquire(p)
-	ni.launch(pkt)
-}
+func (ni *NI) Post(p *sim.Proc, pkt *Packet) { ni.post(p, pkt, nil) }
 
 // FirmwareSend transmits a firmware-originated packet (fetch reply, lock
 // forward/grant). If dataFromHost is true the packet's payload must first
@@ -290,16 +286,6 @@ func (ni *NI) FirmwareSend(pkt *Packet, dataFromHost bool) {
 	t.startAtFirmware()
 }
 
-// launch runs the full host-originated send pipeline; the post-queue slot
-// is released when the source DMA completes (the request has been
-// consumed by the NI).
-func (ni *NI) launch(pkt *Packet) {
-	pkt.tPost = ni.eng.Now()
-	t := ni.newTransit(pkt)
-	t.holdsSlot = true
-	t.start()
-}
-
 // PostBroadcast submits one packet that the fabric replicates to every
 // node in dsts (the NI-broadcast extension, paper §5). The host pays
 // one post; each destination receives its own copy of the packet (taken
@@ -308,11 +294,16 @@ func (ni *NI) launch(pkt *Packet) {
 // destination). Broadcast packets are plain deposits (no firmware
 // handler). The NI keeps no reference to dsts after the switch stage,
 // but the caller must not mutate it while the broadcast is in flight.
-func (ni *NI) PostBroadcast(p *sim.Proc, tmpl *Packet, dsts []int) {
+func (ni *NI) PostBroadcast(p *sim.Proc, tmpl *Packet, dsts []int) { ni.post(p, tmpl, dsts) }
+
+// post runs the host-originated send pipeline for Post (dsts nil) and
+// PostBroadcast. The post-queue slot is released when the source DMA
+// completes (the request has been consumed by the NI).
+func (ni *NI) post(p *sim.Proc, pkt *Packet, dsts []int) {
 	p.Sleep(ni.cfg.Costs.PostOverhead)
 	ni.PostQueue.Acquire(p)
-	tmpl.tPost = ni.eng.Now()
-	t := ni.newTransit(tmpl)
+	pkt.tPost = ni.eng.Now()
+	t := ni.newTransit(pkt)
 	t.holdsSlot = true
 	t.dsts = dsts
 	t.start()

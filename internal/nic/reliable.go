@@ -252,6 +252,13 @@ func (r *relState) notePiggyback(f *relFlow) {
 // a sequence number) pass through untouched — retxFire restamped them;
 // everything else gets the next per-destination sequence number, a
 // piggybacked ack, and a retransmission entry.
+//
+// A broadcast template gets one entry per destination and carries no
+// single Seq; its Csum accumulates any corruption injected on the
+// shared out-link, and copyFor copies it into every per-destination
+// copy, so shared-prefix corruption is detected at every destination.
+// A template dropped or corrupted before the fan-out is recovered by
+// per-destination unicast retransmissions from these entries.
 func (r *relState) stamp(t *transit, now sim.Time) {
 	pkt := t.pkt
 	if pkt.RelFlags&relCtrl != 0 {
@@ -261,48 +268,32 @@ func (r *relState) stamp(t *transit, now sim.Time) {
 	if pkt.RelFlags&relHasSeq != 0 {
 		return
 	}
-	if t.dsts != nil {
-		r.stampBroadcast(t, now)
+	pkt.RelFlags = relHasSeq | relHasAck
+	if t.dsts == nil {
+		e := r.track(r.flow(pkt.Dst), pkt, now)
+		pkt.Seq, pkt.Ack = e.pkt.Seq, e.pkt.Ack
 		return
 	}
-	f := r.flow(pkt.Dst)
-	f.nextSeq++
-	pkt.Seq = f.nextSeq
-	pkt.RelFlags = relHasSeq | relHasAck
-	pkt.Ack = f.recvd
-	r.notePiggyback(f)
+	for _, dst := range t.dsts {
+		e := r.track(r.flow(dst), pkt, now)
+		e.pkt.Dst = dst
+		t.entries = append(t.entries, e)
+	}
+}
 
+// track snapshots pkt into a new retransmission entry on flow f,
+// numbered as the flow's next packet and carrying its cumulative ack,
+// which settles the flow's pending-ack obligation.
+func (r *relState) track(f *relFlow, pkt *Packet, now sim.Time) *retxEntry {
+	f.nextSeq++
 	e := r.getEntry()
 	e.pkt = *pkt
+	e.pkt.Seq, e.pkt.Ack = f.nextSeq, f.recvd
+	r.notePiggyback(f)
 	e.firstSent, e.lastSent = now, now
 	e.attempts = 1
 	r.addPending(f, e, now)
-}
-
-// stampBroadcast creates one retransmission entry per destination for
-// a broadcast template. The template carries no single Seq; its Csum
-// accumulates any corruption injected on the shared out-link, and
-// copyFor copies it into every per-destination copy, so shared-prefix
-// corruption is detected at every destination. A template dropped or
-// corrupted before the fan-out is recovered by per-destination unicast
-// retransmissions from the entries created here.
-func (r *relState) stampBroadcast(t *transit, now sim.Time) {
-	tmpl := t.pkt
-	tmpl.RelFlags = relHasSeq | relHasAck
-	for _, dst := range t.dsts {
-		f := r.flow(dst)
-		f.nextSeq++
-		e := r.getEntry()
-		e.pkt = *tmpl
-		e.pkt.Dst = dst
-		e.pkt.Seq = f.nextSeq
-		e.pkt.Ack = f.recvd
-		r.notePiggyback(f)
-		e.firstSent, e.lastSent = now, now
-		e.attempts = 1
-		r.addPending(f, e, now)
-		t.entries = append(t.entries, e)
-	}
+	return e
 }
 
 // baseRTO is the flow's adaptive initial timeout: twice the smoothed

@@ -172,29 +172,6 @@ func TestWaitQFIFO(t *testing.T) {
 	}
 }
 
-func TestFlag(t *testing.T) {
-	e := NewEngine()
-	var f Flag
-	var at Time
-	e.Go("waiter", func(p *Proc) {
-		f.Wait(p)
-		at = p.Now()
-		// A second wait after set returns immediately.
-		f.Wait(p)
-		if p.Now() != at {
-			t.Error("wait on set flag blocked")
-		}
-	})
-	schedule(e, 55, func() { f.Set() })
-	e.RunUntilQuiet()
-	if at != 55 {
-		t.Fatalf("flag wait released at %d, want 55", at)
-	}
-	if !f.IsSet() {
-		t.Error("flag not set")
-	}
-}
-
 func TestCounterThresholds(t *testing.T) {
 	e := NewEngine()
 	var c Counter
@@ -204,6 +181,11 @@ func TestCounterThresholds(t *testing.T) {
 		e.Go("w", func(p *Proc) {
 			c.WaitFor(p, target)
 			releasedAt[i] = p.Now()
+			// A wait on a target already reached returns at once.
+			c.WaitFor(p, target)
+			if p.Now() != releasedAt[i] {
+				t.Errorf("wait for reached target %d blocked", target)
+			}
 		})
 	}
 	for i := 1; i <= 5; i++ {

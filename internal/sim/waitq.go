@@ -99,45 +99,10 @@ func (q *WaitQ) WakeAll() int {
 	return n
 }
 
-// Flag is a one-shot level-triggered condition: processes that Wait before
-// Set block until Set; Waits after Set return immediately.
-type Flag struct {
-	set bool
-	q   WaitQ
-}
-
-// Set raises the flag and wakes all waiters.
-func (f *Flag) Set() {
-	if f.set {
-		return
-	}
-	f.set = true
-	f.q.WakeAll()
-}
-
-// IsSet reports whether the flag has been raised.
-func (f *Flag) IsSet() bool { return f.set }
-
-// Reset lowers the flag for reuse, keeping the wait queue's backing
-// array. It must only be called when no waiter is still parked (every
-// woken waiter has resumed), e.g. when recycling a pooled record whose
-// single waiter has consumed the result.
-func (f *Flag) Reset() {
-	if f.q.Len() != 0 {
-		panic("sim: Flag.Reset with parked waiters")
-	}
-	f.set = false
-}
-
-// Wait blocks p until the flag is set.
-func (f *Flag) Wait(p *Proc) {
-	for !f.set {
-		f.q.Wait(p)
-	}
-}
-
 // Counter is a monotonically increasing counter processes can wait on,
 // used to model spinning on a protocol flag word deposited by a remote NI.
+// A one-shot flag is a Counter raised by Add(1) and awaited by
+// WaitFor(p, 1); Reset lowers it for reuse.
 type Counter struct {
 	val uint64
 	q   WaitQ

@@ -34,7 +34,7 @@ type ownedLock struct {
 }
 
 type acquireWait struct {
-	flag    sim.Flag
+	flag    sim.Counter
 	payload any
 }
 
@@ -105,7 +105,7 @@ func (o *lockOp) Run(_, _ sim.Time) {
 		// The grant DMA landed in host memory: wake the acquirer.
 		w := ep.pendingAcquire(id)
 		w.payload = payload
-		w.flag.Set()
+		w.flag.Add(1)
 	}
 }
 
@@ -145,7 +145,7 @@ const lockMsgSize = 16
 func (ep *Endpoint) NILockAcquire(p *sim.Proc, id int) any {
 	home := ep.layer.lockHome(id)
 	w := ep.pendingAcquire(id)
-	if w.flag.IsSet() {
+	if w.flag.Value() > 0 {
 		panic(fmt.Sprintf("vmmc: concurrent NILockAcquire of lock %d at node %d", id, ep.Node))
 	}
 
@@ -165,7 +165,7 @@ func (ep *Endpoint) NILockAcquire(p *sim.Proc, id int) any {
 		ep.ni.Post(p, req)
 	}
 
-	w.flag.Wait(p)
+	w.flag.WaitFor(p, 1)
 	payload := w.payload
 	w.payload = nil
 	w.flag.Reset()

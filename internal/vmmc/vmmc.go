@@ -368,7 +368,7 @@ type fetchOp struct {
 	tag        int
 	replyLabel string
 	reply      FetchReply
-	done       sim.Flag
+	done       sim.Counter
 }
 
 // fetchReqFw is the shared firmware handler for remote-fetch request
@@ -402,7 +402,7 @@ type fetchDeliver struct{}
 
 var fetchReplyDel fetchDeliver
 
-func (fetchDeliver) Deliver(pkt *nic.Packet) { pkt.Payload.(*fetchOp).done.Set() }
+func (fetchDeliver) Deliver(pkt *nic.Packet) { pkt.Payload.(*fetchOp).done.Add(1) }
 
 // RemoteFetch pulls size bytes of exported memory from node home,
 // serviced entirely by the home NI's firmware; the calling process
@@ -421,10 +421,10 @@ func (ep *Endpoint) RemoteFetch(p *sim.Proc, home, size int, reqLabel, replyLabe
 	req.FwHandler = fetchReqFw
 	req.Payload = op
 	ep.ni.Post(p, req)
-	op.done.Wait(p)
+	op.done.WaitFor(p, 1)
 	reply := op.reply
-	// The single waiter has resumed, so the op (and its embedded Flag)
-	// can be reset and recycled; Reset keeps the flag's queue storage.
+	// The single waiter has resumed, so the op (and its done counter)
+	// can be reset and recycled; Reset keeps the counter's queue storage.
 	op.ep, op.replyLabel, op.reply = nil, "", FetchReply{}
 	op.done.Reset()
 	ep.fetchFree.Push(op)
