@@ -176,6 +176,9 @@ func main() {
 	if err != nil {
 		usage(err)
 	}
+	if want["soak"] && len(want) > 1 {
+		usage(fmt.Errorf("-exp soak runs alone; name no other experiment with it"))
+	}
 	if want["soak"] && *soakRestore && *soakCkpt == "" {
 		usage(fmt.Errorf("-soak-restore needs -soak-checkpoint"))
 	}

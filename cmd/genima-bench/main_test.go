@@ -90,6 +90,7 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{[]string{"-exp", "bogus"}, "valid experiments: all, fig1"},
 		{[]string{"-scale", "bogus"}, "valid scales: test, bench"},
 		{[]string{"-exp", "soak", "-soak-restore"}, "-soak-restore needs -soak-checkpoint"},
+		{[]string{"-exp", "fig1,soak", "-soak-iters", "1", "-soak-events", "0"}, "-exp soak runs alone"},
 	} {
 		cmd := exec.Command(bin, append([]string{"-scale", "test", "-q"}, tc.args...)...)
 		var stdout, stderr strings.Builder

@@ -74,8 +74,9 @@ func main() {
 		if proto, err = parseProto(*protoFlag); err != nil {
 			usage(err)
 		}
-	} else if controlled {
-		usage(fmt.Errorf("-checkpoint/-restore/-trace-hash/-stats/-stop-after apply to SVM protocols, not -proto hw"))
+	} else if controlled || *traceFlag != "" || *sgFlag || *bcastFlag || *collFlag || *faultsFlag > 0 {
+		// The Origin model has no NI: nothing for these to act on.
+		usage(fmt.Errorf("-checkpoint/-restore/-trace-hash/-stats/-stop-after/-trace/-sg/-broadcast/-collectives/-faults apply to SVM protocols, not -proto hw"))
 	}
 	cfg := genima.DefaultConfig()
 	cfg.Nodes = *nodesFlag

@@ -26,6 +26,11 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{[]string{"-app", "bogus"}, "valid apps: fft"},
 		{[]string{"-scale", "bogus"}, "valid scales: test, bench"},
 		{[]string{"-proto", "hw", "-trace-hash"}, "not -proto hw"},
+		{[]string{"-proto", "hw", "-trace", filepath.Join(t.TempDir(), "hw.trace")}, "not -proto hw"},
+		{[]string{"-proto", "hw", "-sg"}, "not -proto hw"},
+		{[]string{"-proto", "hw", "-broadcast"}, "not -proto hw"},
+		{[]string{"-proto", "hw", "-collectives"}, "not -proto hw"},
+		{[]string{"-proto", "hw", "-faults", "0.01"}, "not -proto hw"},
 		{[]string{"-topo", "clos2", "-radix", "4", "-nodes", "9"}, "holds at most 8 nodes"},
 	} {
 		cmd := exec.Command(bin, append([]string{"-scale", "test"}, tc.args...)...)
