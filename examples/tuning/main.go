@@ -20,17 +20,36 @@ import (
 )
 
 func main() {
-	interruptSensitivity()
+	oc := reference(ocean.New(128, 6))
+	bs := reference(barnes.NewSpatial(1024, 4, 2))
+	interruptSensitivity(oc)
 	fmt.Println()
-	postQueueStudy()
+	postQueueStudy(bs)
 	fmt.Println()
-	extensionStudy()
+	extensionStudy(bs, oc)
+}
+
+// ref is an app with its sequential reference run. None of the
+// settings this example varies (interrupt cost, post-queue depth, send
+// pipelining, scatter-gather, NI broadcast) enters a sequential run,
+// so each app's reference runs once, on the default configuration.
+type ref struct {
+	app   genima.App
+	seq   *genima.Result
+	seqWS *genima.Workspace
+}
+
+func reference(a genima.App) ref {
+	seq, seqWS, err := genima.RunSequential(genima.DefaultConfig(), a)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return ref{a, seq, seqWS}
 }
 
 // interruptSensitivity sweeps the interrupt dispatch cost: the gap
 // between Base and GeNIMA should shrink as interrupts get cheap.
-func interruptSensitivity() {
-	a := ocean.New(128, 6)
+func interruptSensitivity(a ref) {
 	fmt.Println("Interrupt-cost sensitivity (Ocean):")
 	fmt.Printf("%-14s %10s %10s %8s\n", "interrupt(us)", "Base", "GeNIMA", "gap")
 	for _, us := range []float64{10, 30, 60, 120} {
@@ -42,31 +61,26 @@ func interruptSensitivity() {
 	}
 }
 
-// speedup runs a under protocol k and its sequential reference on cfg,
-// exits non-zero if the protocol run's shared memory does not match
-// the reference, and returns the speedup with the protocol run.
-func speedup(cfg genima.Config, k genima.Protocol, a genima.App) (float64, *genima.Result) {
-	seq, seqWS, err := genima.RunSequential(cfg, a)
+// speedup runs a's app under protocol k on cfg, exits non-zero if the
+// protocol run's shared memory does not match the reference, and
+// returns the speedup with the protocol run.
+func speedup(cfg genima.Config, k genima.Protocol, a ref) (float64, *genima.Result) {
+	res, ws, err := genima.Run(cfg, k, a.app)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, ws, err := genima.Run(cfg, k, a)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := genima.Validate(a, ws, seqWS); err != nil {
+	if err := genima.Validate(a.app, ws, a.seqWS); err != nil {
 		log.Fatalf("%v: %v", k, err)
 	}
-	return genima.Speedup(seq, res), res
+	return genima.Speedup(a.seq, res), res
 }
 
 // extensionStudy evaluates the future-work NI extensions the paper
 // discusses: scatter-gather direct diffs (§3.3) and NI broadcast for
 // write notices (§5).
-func extensionStudy() {
+func extensionStudy(bs, wn ref) {
 	fmt.Println("Future-work NI extensions (GeNIMA):")
 	fmt.Printf("%-34s %10s\n", "configuration", "speedup")
-	bs := barnes.NewSpatial(1024, 4, 2)
 	for _, c := range []struct {
 		name string
 		mut  func(*genima.Config)
@@ -79,7 +93,6 @@ func extensionStudy() {
 		sp, _ := speedup(cfg, genima.GeNIMA, bs)
 		fmt.Printf("%-34s %10.2f\n", c.name, sp)
 	}
-	wn := ocean.New(128, 6)
 	for _, c := range []struct {
 		name string
 		mut  func(*genima.Config)
@@ -97,8 +110,7 @@ func extensionStudy() {
 // postQueueStudy reproduces the Barnes-spatial direct-diff recovery:
 // deeper post queues and better NI send pipelining absorb the message
 // explosion.
-func postQueueStudy() {
-	a := barnes.NewSpatial(1024, 4, 2)
+func postQueueStudy(a ref) {
 	fmt.Println("Barnes-spatial under direct diffs (DW+RF+DD):")
 	fmt.Printf("%-10s %-12s %10s %14s\n", "queue", "pipelining", "speedup", "send stalls")
 	for _, c := range []struct{ depth, pipe int }{
