@@ -1,12 +1,12 @@
 # Tier-1 verification and perf targets. `make check` is the one-command
-# gate: build, formatting, vet, tests, and the race detector over the
-# concurrent suite runner.
+# gate: build, formatting, vet, tests, the race detector over the
+# concurrent suite runner, the smoke targets and bench-smoke.
 
 GO ?= go
 
 .PHONY: check build fmt vet test race smoke-faults smoke-scale smoke-soak smoke-serve smoke-examples bench-smoke bench-mem loc
 
-check: build fmt vet test race smoke-faults smoke-scale smoke-soak smoke-serve smoke-examples
+check: build fmt vet test race smoke-faults smoke-scale smoke-soak smoke-serve smoke-examples bench-smoke
 
 build:
 	$(GO) build ./...
