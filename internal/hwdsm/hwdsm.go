@@ -105,13 +105,6 @@ type Proc struct {
 	node int
 }
 
-func (b *Proc) lineRange(addr, size int) (int, int) {
-	if size <= 0 {
-		size = 1
-	}
-	return addr / LineSize, (addr + size - 1) / LineSize
-}
-
 // Ensure charges the miss costs of the lines of [addr, addr+size) this
 // processor does not hold: a load needs a line shared, a store needs it
 // exclusive. A miss costs a dirty (3-hop) miss if another processor
@@ -122,7 +115,10 @@ func (b *Proc) lineRange(addr, size int) (int, int) {
 func (b *Proc) Ensure(p *sim.Proc, addr, size int, store bool) {
 	s := b.sys
 	bit := uint64(1) << uint(b.id)
-	l0, l1 := b.lineRange(addr, size)
+	if size <= 0 {
+		size = 1
+	}
+	l0, l1 := addr/LineSize, (addr+size-1)/LineSize
 	var cost sim.Time
 	for l := l0; l <= l1; l++ {
 		held := s.shared[l]&bit != 0
