@@ -26,8 +26,9 @@ import (
 // barMsg is a barrier record: an arrival (a DW flag deposit fanned out
 // to all peers, or a Base arrival sent to the master) or the master's
 // Base release, one record shared by all Nodes deliveries. Each node
-// owns two of each kind, picked by epoch parity (barMsgAt); readers
-// never release or copy them.
+// owns two arrival records and the Base master two release records,
+// picked by epoch parity (barMsgAt); readers never release or copy
+// them.
 //
 // Parity reuse of an arrival is safe because a node reuses the epoch-k
 // record only when it starts barrier k+2, after it has passed barrier
