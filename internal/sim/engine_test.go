@@ -172,6 +172,31 @@ func TestWaitQFIFO(t *testing.T) {
 	}
 }
 
+// TestFlag: a one-shot flag is a Counter raised by Add(1) and awaited
+// with WaitFor(p, 1); a wait on a flag already set returns at once.
+func TestFlag(t *testing.T) {
+	e := NewEngine()
+	var f Counter
+	var at Time
+	e.Go("waiter", func(p *Proc) {
+		f.WaitFor(p, 1)
+		at = p.Now()
+		// A second wait after set returns immediately.
+		f.WaitFor(p, 1)
+		if p.Now() != at {
+			t.Error("wait on set flag blocked")
+		}
+	})
+	schedule(e, 55, func() { f.Add(1) })
+	e.RunUntilQuiet()
+	if at != 55 {
+		t.Fatalf("flag wait released at %d, want 55", at)
+	}
+	if f.Value() != 1 {
+		t.Error("flag not set")
+	}
+}
+
 func TestCounterThresholds(t *testing.T) {
 	e := NewEngine()
 	var c Counter
@@ -181,11 +206,6 @@ func TestCounterThresholds(t *testing.T) {
 		e.Go("w", func(p *Proc) {
 			c.WaitFor(p, target)
 			releasedAt[i] = p.Now()
-			// A wait on a target already reached returns at once.
-			c.WaitFor(p, target)
-			if p.Now() != releasedAt[i] {
-				t.Errorf("wait for reached target %d blocked", target)
-			}
 		})
 	}
 	for i := 1; i <= 5; i++ {
