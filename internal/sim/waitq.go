@@ -7,16 +7,11 @@ package sim
 // The oldest waiter lives in the inline slot w0 (the common case is a
 // single waiter, and there are many thousands of WaitQ instances —
 // per page, per lock, per pooled record — so the inline slot avoids
-// ever materializing a backing array for most of them); the next few
-// live in the inline ring wn (enough for every processor of a node to
-// park at once), and only deeper queues spill to the heap-allocated
-// waiters slice. FIFO order across the tiers is w0, wn[:n], waiters.
-// Invariant: w0 is nil only when the queue is empty, and waiters is
-// non-empty only when n == len(wn).
+// ever materializing a backing array for most of them); later waiters
+// queue in the heap-allocated waiters slice. FIFO order is w0, then
+// waiters. Invariant: w0 is nil only when the queue is empty.
 type WaitQ struct {
 	w0      *Proc
-	n       int8 // occupied slots of wn
-	wn      [3]*Proc
 	waiters []*Proc
 }
 
@@ -25,21 +20,17 @@ func (q *WaitQ) Len() int {
 	if q.w0 == nil {
 		return 0
 	}
-	return 1 + int(q.n) + len(q.waiters)
+	return 1 + len(q.waiters)
 }
 
 // Wait blocks the calling process until it is woken.
 func (q *WaitQ) Wait(p *Proc) {
-	switch {
-	case q.w0 == nil:
+	if q.w0 == nil {
 		q.w0 = p
-	case int(q.n) < len(q.wn):
-		q.wn[q.n] = p
-		q.n++
-	default:
+	} else {
 		if q.waiters == nil {
-			// First heap overflow: start at a capacity that never
-			// regrows 1->2->4->8 on hot queues.
+			// First overflow: start at a capacity that never regrows
+			// 1->2->4->8 on hot queues.
 			q.waiters = make([]*Proc, 0, 8)
 		}
 		q.waiters = append(q.waiters, p)
@@ -56,20 +47,11 @@ func (q *WaitQ) WakeOne() bool {
 	if w == nil {
 		return false
 	}
-	if q.n > 0 {
-		q.w0 = q.wn[0]
-		copy(q.wn[:], q.wn[1:q.n])
-		q.n--
-		q.wn[q.n] = nil
-		if n := len(q.waiters); n > 0 {
-			// Refill the inline ring from the heap overflow, keeping
-			// FIFO order across the tiers.
-			q.wn[q.n] = q.waiters[0]
-			q.n++
-			copy(q.waiters, q.waiters[1:])
-			q.waiters[n-1] = nil
-			q.waiters = q.waiters[:n-1]
-		}
+	if n := len(q.waiters); n > 0 {
+		q.w0 = q.waiters[0]
+		copy(q.waiters, q.waiters[1:])
+		q.waiters[n-1] = nil
+		q.waiters = q.waiters[:n-1]
 	} else {
 		q.w0 = nil
 	}
@@ -85,12 +67,7 @@ func (q *WaitQ) WakeAll() int {
 	}
 	q.w0.Unpark()
 	q.w0 = nil
-	n := 1 + int(q.n) + len(q.waiters)
-	for i := int8(0); i < q.n; i++ {
-		q.wn[i].Unpark()
-		q.wn[i] = nil
-	}
-	q.n = 0
+	n := 1 + len(q.waiters)
 	for i, w := range q.waiters {
 		w.Unpark()
 		q.waiters[i] = nil // release, but keep the backing array
