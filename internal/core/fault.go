@@ -68,9 +68,7 @@ func (n *Node) Ensure(p *sim.Proc, first, last int, store bool) {
 				if !dirtyAlready {
 					// Home pages are written in place; the write fault
 					// still costs a protection change for tracking.
-					p.Sleep(c.MprotectBase)
-					n.Acct.Mprotect += c.MprotectBase
-					n.Acct.MprotectOps++
+					n.mprotect(p, c.MprotectBase, 1)
 					n.markDirty(pg)
 				}
 				break
@@ -80,9 +78,7 @@ func (n *Node) Ensure(p *sim.Proc, first, last int, store bool) {
 			}
 			if !n.Mem.HasTwin(pg) {
 				// Write fault: mprotect to RW plus twin creation.
-				p.Sleep(c.MprotectBase)
-				n.Acct.Mprotect += c.MprotectBase
-				n.Acct.MprotectOps++
+				n.mprotect(p, c.MprotectBase, 1)
 				p.Sleep(sim.Time(float64(n.sys.Cfg.PageSize) * c.TwinCopyPerByte))
 				if n.state[pg] != pageValid {
 					continue // invalidated during the sleeps: refetch first
@@ -133,9 +129,7 @@ func (n *Node) faultIn(p *sim.Proc, page int) {
 		}
 		n.state[page] = pageValid
 		// Map the fresh page read-only.
-		p.Sleep(c.MprotectBase)
-		n.Acct.Mprotect += c.MprotectBase
-		n.Acct.MprotectOps++
+		n.mprotect(p, c.MprotectBase, 1)
 		n.Acct.PageFetches++
 
 		n.fetching[page] = false
