@@ -96,7 +96,7 @@ func (n *Node) lock(id int) *nodeLock {
 		}
 		lk = &n.lockChunk[0]
 		n.lockChunk = n.lockChunk[1:]
-		home := n.sys.lockHome(id)
+		home := vmmc.LockHome(id, n.sys.Cfg.Nodes)
 		lk.id = id
 		lk.cached = !n.sys.Feat.NIL && home == n.ID
 		n.locks[id] = lk
@@ -104,15 +104,12 @@ func (n *Node) lock(id int) *nodeLock {
 	return lk
 }
 
-// lockHome returns the static home node of a lock (must match vmmc's).
-func (s *System) lockHome(id int) int { return id % s.Cfg.Nodes }
-
 // lockMetaFor returns the home-side chain tail for a lock homed at this
 // node (callers must be the home's protocol process).
 func (n *Node) lockMetaFor(id int) *lockMeta {
 	m := n.lockDir[id]
 	if m == nil {
-		m = &lockMeta{lastOwner: n.sys.lockHome(id)}
+		m = &lockMeta{lastOwner: vmmc.LockHome(id, n.sys.Cfg.Nodes)}
 		n.lockDir[id] = m
 	}
 	return m
@@ -166,7 +163,7 @@ func (n *Node) acquireBase(p *sim.Proc, lk *nodeLock) {
 	req := n.pool.getLockReq()
 	req.id, req.requester = lk.id, n.ID
 	copy(req.reqVC, n.vc)
-	home := n.sys.lockHome(lk.id)
+	home := vmmc.LockHome(lk.id, n.sys.Cfg.Nodes)
 	size := lockMsgOverhead + 8*len(req.reqVC)
 	if home == n.ID {
 		// The home is this node: the chain lookup still runs on the

@@ -133,8 +133,10 @@ func (ep *Endpoint) ownedLockState(id int) *ownedLock {
 	return ol
 }
 
-// lockHome returns the static home node of a lock.
-func (l *Layer) lockHome(id int) int { return id % l.cfg.Nodes }
+// LockHome returns the static home node of lock id on a cluster of
+// nodes nodes: the NI lock layer and the protocols' lock paths share
+// this one placement rule.
+func LockHome(id, nodes int) int { return id % nodes }
 
 const lockMsgSize = 16
 
@@ -143,7 +145,7 @@ const lockMsgSize = 16
 // opaque payload stored by the last releaser (nil for first acquire).
 // The caller must ensure at most one outstanding acquire per (node, lock).
 func (ep *Endpoint) NILockAcquire(p *sim.Proc, id int) any {
-	home := ep.layer.lockHome(id)
+	home := LockHome(id, ep.layer.cfg.Nodes)
 	w := ep.pendingAcquire(id)
 	if w.flag.Value() > 0 {
 		panic(fmt.Sprintf("vmmc: concurrent NILockAcquire of lock %d at node %d", id, ep.Node))
