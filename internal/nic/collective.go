@@ -158,8 +158,7 @@ func (c *colState) opAt(seq int) *colOp {
 // The caller must keep vc unchanged until the sink reports the epoch
 // (barrier semantics already guarantee it — the leader blocks).
 func (ni *NI) ColBarrierArrive(p *sim.Proc, seq int, vc []uint64) {
-	p.Sleep(ni.cfg.Costs.PostOverhead)
-	ni.PostQueue.Acquire(p)
+	ni.hostPost(p)
 	c := ni.col
 	m := c.getMsg()
 	copy(m.vec, vc)
@@ -253,8 +252,7 @@ func colDnFw(dst *NI, pkt *Packet) {
 // hops. to.Deliver runs at each destination exactly as for a flat
 // deposit (same payload-sharing semantics as the NI-broadcast path).
 func (ni *NI) ColBroadcast(p *sim.Proc, size int, kind string, payload any, to Deliverer) {
-	p.Sleep(ni.cfg.Costs.PostOverhead)
-	ni.PostQueue.Acquire(p)
+	ni.hostPost(p)
 	h := sim.Take(&ni.col.hostFree, 1, nil)
 	h.ni, h.barrier = ni, false
 	h.size, h.kind, h.payload, h.to = size, kind, payload, to

@@ -300,13 +300,20 @@ func (ni *NI) PostBroadcast(p *sim.Proc, tmpl *Packet, dsts []int) { ni.post(p, 
 // PostBroadcast. The post-queue slot is released when the source DMA
 // completes (the request has been consumed by the NI).
 func (ni *NI) post(p *sim.Proc, pkt *Packet, dsts []int) {
-	p.Sleep(ni.cfg.Costs.PostOverhead)
-	ni.PostQueue.Acquire(p)
+	ni.hostPost(p)
 	pkt.tPost = ni.eng.Now()
 	t := ni.newTransit(pkt)
 	t.holdsSlot = true
 	t.dsts = dsts
 	t.start()
+}
+
+// hostPost is the host side of every post from process p: the post
+// overhead, then a post-queue slot, which the NI frees once it has
+// consumed the request.
+func (ni *NI) hostPost(p *sim.Proc) {
+	p.Sleep(ni.cfg.Costs.PostOverhead)
+	ni.PostQueue.Acquire(p)
 }
 
 // DepositLocalHandler models the NI DMA-ing size bytes into its own
