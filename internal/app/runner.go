@@ -116,29 +116,28 @@ func runProcs(cfg *topo.Config, eng *sim.Engine, ws *Workspace, a App, label str
 
 // RunHW executes the app on the hardware-DSM (Origin-2000-like) model.
 func RunHW(cfg topo.Config, a App) (*Result, *Workspace, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, nil, err
-	}
-	eng := sim.NewEngine()
-	defer eng.Release()
-	ws := NewWorkspace(&cfg)
-	a.Setup(ws)
-	sys := hwdsm.New(eng, &cfg, ws.Space)
-	bes := make([]Backend, cfg.NumProcs())
-	for i := range bes {
-		bes[i] = sys.Backend(i)
-	}
-	res, err := runProcs(&cfg, eng, ws, a, "Origin2000", bes, func() { eng.RunUntilQuiet() })
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, ws, nil
+	return runSerial(cfg, a, "Origin2000", func(eng *sim.Engine, ws *Workspace) []Backend {
+		sys := hwdsm.New(eng, ws.Cfg, ws.Space)
+		bes := make([]Backend, ws.Cfg.NumProcs())
+		for i := range bes {
+			bes[i] = sys.Backend(i)
+		}
+		return bes
+	})
 }
 
 // RunSeq executes the app on a single zero-overhead processor: the
 // sequential reference (for validation) and the uniprocessor time (for
 // speedups, per the SPLASH-2 methodology).
 func RunSeq(cfg topo.Config, a App) (*Result, *Workspace, error) {
+	return runSerial(cfg, a, "seq", func(_ *sim.Engine, ws *Workspace) []Backend {
+		return []Backend{NewNullBackend(ws)}
+	})
+}
+
+// runSerial runs the app on one serial engine over the backends that
+// backends builds from the set-up workspace.
+func runSerial(cfg topo.Config, a App, label string, backends func(*sim.Engine, *Workspace) []Backend) (*Result, *Workspace, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -146,7 +145,7 @@ func RunSeq(cfg topo.Config, a App) (*Result, *Workspace, error) {
 	defer eng.Release()
 	ws := NewWorkspace(&cfg)
 	a.Setup(ws)
-	res, err := runProcs(&cfg, eng, ws, a, "seq", []Backend{NewNullBackend(ws)}, func() { eng.RunUntilQuiet() })
+	res, err := runProcs(&cfg, eng, ws, a, label, backends(eng, ws), func() { eng.RunUntilQuiet() })
 	if err != nil {
 		return nil, nil, err
 	}
