@@ -85,16 +85,16 @@ func RunCheckpointed(cfg Config, p Protocol, a App, opts CheckpointOptions) (*Ch
 	if every == 0 {
 		every = DefaultCheckpointEvery
 	}
+	id := checkpoint.Identity(&cfg, a.Name(), p.String(), opts.Scale)
 	st := opts.Restore
 	var skip uint64
 	if st != nil {
-		if err := st.CompatibleWith(&cfg, a.Name(), p.String(), opts.Scale); err != nil {
+		if err := st.CompatibleWith(id); err != nil {
 			return nil, err
 		}
 		skip = st.TraceEvents
 	}
 	hasher := checkpoint.NewTraceHasher()
-	workers, shards := runMode(&cfg)
 	ctl := func(idx uint64, ev TraceEvent, cut func() *Boundary) error {
 		hasher.Add(ev)
 		if opts.OnTrace != nil && idx >= skip {
@@ -105,7 +105,7 @@ func RunCheckpointed(cfg Config, p Protocol, a App, opts CheckpointOptions) (*Ch
 			if hasher.PrefixSum() != st.PrefixSum {
 				return fmt.Errorf("checkpoint: replay diverged from checkpointed trace prefix at event %d", n)
 			}
-			if b := cut(); st.SameMode(workers, shards) &&
+			if b := cut(); st.SameMode(id) &&
 				(int64(b.SimTime) != st.SimTime || b.Events != st.Events || b.StateDigest() != st.StateDigest) {
 				return fmt.Errorf("checkpoint: replay diverged from the checkpointed cut at event %d (trace prefix matches; clock, event count or live state differs)", n)
 			}
@@ -119,21 +119,10 @@ func RunCheckpointed(cfg Config, p Protocol, a App, opts CheckpointOptions) (*Ch
 		}
 		halt := opts.ShouldStop != nil && opts.ShouldStop()
 		if opts.Path != "" && (halt || n > skip) {
-			err := checkpoint.Save(opts.Path, &Checkpoint{
-				ConfigSum:   checkpoint.ConfigSum(&cfg),
-				App:         a.Name(),
-				Proto:       p.String(),
-				Scale:       opts.Scale,
-				ModeWorkers: workers,
-				ModeShards:  shards,
-				TraceEvents: n,
-				SimTime:     int64(b.SimTime),
-				Events:      b.Events,
-				StateDigest: b.StateDigest(),
-				PrefixSum:   hasher.PrefixSum(),
-				Note:        "rolling",
-			})
-			if err != nil {
+			ck := *id
+			ck.TraceEvents, ck.SimTime, ck.Events = n, int64(b.SimTime), b.Events
+			ck.StateDigest, ck.PrefixSum, ck.Note = b.StateDigest(), hasher.PrefixSum(), "rolling"
+			if err := checkpoint.Save(opts.Path, &ck); err != nil {
 				return fmt.Errorf("writing checkpoint at trace event %d: %w", n, err)
 			}
 		}
@@ -155,16 +144,4 @@ func RunCheckpointed(cfg Config, p Protocol, a App, opts CheckpointOptions) (*Ch
 		cr.TraceHash = hasher.Final(res.Elapsed, res.Events)
 	}
 	return cr, nil
-}
-
-// runMode resolves the execution mode a config selects: the worker
-// count and the shard count, one per worker clamped to Nodes as
-// NewCluster does (0 shards on the serial path, which builds no
-// cluster at all). StateDigest values are only comparable between
-// identical modes.
-func runMode(cfg *Config) (workers, shards int) {
-	if cfg.IntraRunWorkers > 1 && cfg.Nodes > 1 {
-		return cfg.IntraRunWorkers, min(cfg.IntraRunWorkers, cfg.Nodes)
-	}
-	return 1, 0
 }

@@ -168,29 +168,43 @@ func Load(path string) (*State, error) {
 	return st, nil
 }
 
+// Identity is the identity of a run (or soak campaign) of cfg: its
+// ConfigSum, app, protocol and scale, which a restore must match, and
+// the execution mode it runs under: the worker count and the shard
+// count, one per worker clamped to Nodes as sim.NewCluster does (0
+// shards on the serial path, which builds no cluster at all). A save
+// starts from it; CompatibleWith and SameMode check against it.
+func Identity(cfg *topo.Config, app, proto, scale string) *State {
+	id := &State{ConfigSum: ConfigSum(cfg), App: app, Proto: proto, Scale: scale, ModeWorkers: 1}
+	if cfg.IntraRunWorkers > 1 && cfg.Nodes > 1 {
+		id.ModeWorkers, id.ModeShards = cfg.IntraRunWorkers, min(cfg.IntraRunWorkers, cfg.Nodes)
+	}
+	return id
+}
+
 // CompatibleWith checks that a loaded checkpoint belongs to the run the
-// caller is about to rebuild, returning a descriptive error naming the
-// first mismatched dimension.
-func (st *State) CompatibleWith(cfg *topo.Config, app, proto, scale string) error {
-	if sum := ConfigSum(cfg); sum != st.ConfigSum {
-		return fmt.Errorf("checkpoint: config mismatch (checkpoint %x..., current %x...)", st.ConfigSum[:4], sum[:4])
+// caller is about to rebuild, whose Identity is id, returning a
+// descriptive error naming the first mismatched dimension.
+func (st *State) CompatibleWith(id *State) error {
+	if id.ConfigSum != st.ConfigSum {
+		return fmt.Errorf("checkpoint: config mismatch (checkpoint %x..., current %x...)", st.ConfigSum[:4], id.ConfigSum[:4])
 	}
-	if app != st.App {
-		return fmt.Errorf("checkpoint: app mismatch (checkpoint %q, current %q)", st.App, app)
+	if id.App != st.App {
+		return fmt.Errorf("checkpoint: app mismatch (checkpoint %q, current %q)", st.App, id.App)
 	}
-	if proto != st.Proto {
-		return fmt.Errorf("checkpoint: protocol mismatch (checkpoint %q, current %q)", st.Proto, proto)
+	if id.Proto != st.Proto {
+		return fmt.Errorf("checkpoint: protocol mismatch (checkpoint %q, current %q)", st.Proto, id.Proto)
 	}
-	if scale != st.Scale {
-		return fmt.Errorf("checkpoint: scale mismatch (checkpoint %q, current %q)", st.Scale, scale)
+	if id.Scale != st.Scale {
+		return fmt.Errorf("checkpoint: scale mismatch (checkpoint %q, current %q)", st.Scale, id.Scale)
 	}
 	return nil
 }
 
-// SameMode reports whether the checkpoint was taken under the given
+// SameMode reports whether the checkpoint was taken under id's
 // execution mode — the gate for comparing StateDigest.
-func (st *State) SameMode(workers, shards int) bool {
-	return st.ModeWorkers == workers && st.ModeShards == shards
+func (st *State) SameMode(id *State) bool {
+	return st.ModeWorkers == id.ModeWorkers && st.ModeShards == id.ModeShards
 }
 
 // --- payload encoding -------------------------------------------------

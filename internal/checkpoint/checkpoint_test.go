@@ -176,22 +176,22 @@ func TestLoadRejectsFutureVersion(t *testing.T) {
 func TestCompatibleWith(t *testing.T) {
 	st := sampleState()
 	cfg := topo.Default()
-	if err := st.CompatibleWith(&cfg, "fft", "GeNIMA", "test"); err != nil {
+	if err := st.CompatibleWith(Identity(&cfg, "fft", "GeNIMA", "test")); err != nil {
 		t.Fatalf("matching run rejected: %v", err)
 	}
-	if err := st.CompatibleWith(&cfg, "lu", "GeNIMA", "test"); err == nil {
+	if err := st.CompatibleWith(Identity(&cfg, "lu", "GeNIMA", "test")); err == nil {
 		t.Fatal("app mismatch accepted")
 	}
 	other := topo.Default()
 	other.Nodes = 16
-	if err := st.CompatibleWith(&other, "fft", "GeNIMA", "test"); err == nil {
+	if err := st.CompatibleWith(Identity(&other, "fft", "GeNIMA", "test")); err == nil {
 		t.Fatal("config mismatch accepted")
 	}
 	// The mode field must NOT participate in ConfigSum: a checkpoint can
 	// be restored under a different -jrun.
 	modal := topo.Default()
 	modal.IntraRunWorkers = 8
-	if err := st.CompatibleWith(&modal, "fft", "GeNIMA", "test"); err != nil {
+	if err := st.CompatibleWith(Identity(&modal, "fft", "GeNIMA", "test")); err != nil {
 		t.Fatalf("mode-only config change rejected: %v", err)
 	}
 }
