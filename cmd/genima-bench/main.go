@@ -15,6 +15,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -112,7 +113,6 @@ func runSoak(scaleName string) {
 		TargetEvents:   *soakEvents,
 		Iters:          *soakIters,
 		CheckpointPath: *soakCkpt,
-		StatsPath:      *soakStats,
 		FaultRate:      *faultsFlag,
 		FaultSeed:      *seedFlag,
 	}
@@ -146,8 +146,23 @@ func runSoak(scaleName string) {
 		polls++
 		return sig.Load() != 0 || (*soakHaltAfter > 0 && polls > *soakHaltAfter)
 	}
-	if !*quietFlag {
-		opts.Emit = func(r genima.SoakRecord) {
+	var stats *json.Encoder
+	if *soakStats != "" {
+		// Append mode: a restored campaign continues the same log.
+		f, err := os.OpenFile(*soakStats, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			fatal(err)
+		}
+		defer f.Close()
+		stats = json.NewEncoder(f)
+	}
+	opts.Emit = func(r genima.SoakRecord) {
+		if stats != nil {
+			if err := stats.Encode(r); err != nil {
+				fatal(fmt.Errorf("soak: writing stats: %w", err))
+			}
+		}
+		if !*quietFlag {
 			fmt.Fprintf(os.Stderr, "soak: iter=%d %s/%s events=%d cum=%d chain=%s wall=%dms heap=%.1fMB\n",
 				r.Iter, r.App, r.Proto, r.Events, r.CumEvents, r.Chain,
 				r.WallMS, float64(r.HeapBytes)/(1<<20))
@@ -178,6 +193,13 @@ func main() {
 	}
 	if want["soak"] && len(want) > 1 {
 		usage(fmt.Errorf("-exp soak runs alone; name no other experiment with it"))
+	}
+	if !want["soak"] {
+		flag.Visit(func(f *flag.Flag) {
+			if strings.HasPrefix(f.Name, "soak-") {
+				usage(fmt.Errorf("-%s applies only to -exp soak", f.Name))
+			}
+		})
 	}
 	if want["soak"] && *soakRestore && *soakCkpt == "" {
 		usage(fmt.Errorf("-soak-restore needs -soak-checkpoint"))

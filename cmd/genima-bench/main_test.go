@@ -1,12 +1,15 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	genima "genima"
 	"genima/internal/apps"
 )
 
@@ -79,10 +82,7 @@ func TestParseScaleRejectsUnknownNames(t *testing.T) {
 // flag value at a time. Each must exit 2 with the valid values named,
 // before any run: stdout stays empty.
 func TestUsageErrorsExitTwo(t *testing.T) {
-	bin := filepath.Join(t.TempDir(), "genima-bench")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := build(t)
 	for _, tc := range []struct {
 		args []string
 		want string
@@ -91,6 +91,9 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{[]string{"-scale", "bogus"}, "valid scales: test, bench"},
 		{[]string{"-exp", "soak", "-soak-restore"}, "-soak-restore needs -soak-checkpoint"},
 		{[]string{"-exp", "fig1,soak", "-soak-iters", "1", "-soak-events", "0"}, "-exp soak runs alone"},
+		{[]string{"-exp", "fig2", "-soak-iters", "3"}, "-soak-iters applies only to -exp soak"},
+		{[]string{"-exp", "fig2", "-soak-stats", filepath.Join(t.TempDir(), "soak.jsonl")}, "-soak-stats applies only to -exp soak"},
+		{[]string{"-soak-restore"}, "-soak-restore applies only to -exp soak"},
 	} {
 		cmd := exec.Command(bin, append([]string{"-scale", "test", "-q"}, tc.args...)...)
 		var stdout, stderr strings.Builder
@@ -103,6 +106,56 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		}
 		if !strings.Contains(stderr.String(), tc.want) || stdout.Len() != 0 {
 			t.Errorf("%v: stderr %q lacks %q, or stdout %q is not empty", tc.args, stderr.String(), tc.want, stdout.String())
+		}
+	}
+}
+
+// build compiles the command into a temporary directory.
+func build(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "genima-bench")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
+}
+
+// TestSoakStatsAcrossRestore: a campaign halted by -soak-stop-after and
+// finished by -soak-restore leaves a -soak-stats log of exactly one
+// valid JSON record per iteration, in iteration order.
+func TestSoakStatsAcrossRestore(t *testing.T) {
+	bin := build(t)
+	dir := t.TempDir()
+	ck, stats := filepath.Join(dir, "soak.ckpt"), filepath.Join(dir, "soak.jsonl")
+	args := []string{"-exp", "soak", "-scale", "test", "-q", "-soak-iters", "5", "-soak-events", "0",
+		"-soak-checkpoint", ck, "-soak-stats", stats}
+	for _, leg := range []struct {
+		extra []string
+		want  string
+	}{
+		{[]string{"-soak-stop-after", "2"}, "iters=2 "},
+		{[]string{"-soak-restore"}, "iters=5 "},
+	} {
+		out, err := exec.Command(bin, append(args, leg.extra...)...).CombinedOutput()
+		if err != nil || !strings.Contains(string(out), leg.want) {
+			t.Fatalf("%v: %v, output %q lacks %q", leg.extra, err, out, leg.want)
+		}
+	}
+	raw, err := os.ReadFile(stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+	if len(lines) != 5 {
+		t.Fatalf("stats log has %d records, want 5:\n%s", len(lines), raw)
+	}
+	for i, line := range lines {
+		var rec genima.SoakRecord
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("bad stats line %q: %v", line, err)
+		}
+		if rec.Iter != uint64(i) {
+			t.Fatalf("stats record %d has iter %d", i, rec.Iter)
 		}
 	}
 }

@@ -4,10 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"time"
 
@@ -15,7 +13,7 @@ import (
 	"genima/internal/checkpoint"
 )
 
-// SoakRecord is one soak iteration's JSONL stats line. Everything the
+// SoakRecord is one soak iteration's stats record. Everything the
 // verification chain covers (trace hash, events, elapsed) is
 // deterministic; wall-clock and heap figures are operational telemetry
 // and deliberately excluded from the chain.
@@ -50,10 +48,6 @@ type SoakOptions struct {
 	// goes ("" disables). Soak checkpoints at run boundaries, where no
 	// simulation state is live, so restores are O(1) cursor seeks.
 	CheckpointPath string
-	// StatsPath appends one SoakRecord JSON line per iteration (""
-	// disables). The file is opened in append mode, so a restored
-	// campaign continues the same log.
-	StatsPath string
 	// Restore resumes a campaign from its checkpoint cursor.
 	Restore *Checkpoint
 	// FaultRate enables FaultMix fault injection per iteration, seeded
@@ -64,7 +58,9 @@ type SoakOptions struct {
 	// ShouldStop is polled once before each iteration; returning true
 	// writes a checkpoint and halts gracefully (the signal hook).
 	ShouldStop func() bool
-	// Emit observes each iteration's record (in addition to StatsPath).
+	// Emit observes each iteration's record, in iteration order (a
+	// stats log, for example); a restored campaign emits only the
+	// iterations it runs itself.
 	Emit func(SoakRecord)
 }
 
@@ -94,7 +90,7 @@ type SoakResult struct {
 // the app, the scale and the cluster shape, so each app's is computed
 // once per campaign, when the app first comes up, and kept. Memory
 // stays bounded: each iteration's simulation is dropped before the next
-// begins, one reference is kept per app, and stats stream out as JSONL
+// begins, one reference is kept per app, and stats stream out through Emit
 // instead of accumulating. The iteration recipe is a pure function of
 // the iteration index, so a campaign restored from its checkpoint
 // cursor produces the same chain as an uninterrupted one.
@@ -119,40 +115,22 @@ func Soak(cfg Config, opts SoakOptions) (*SoakResult, error) {
 	base.Faults = FaultPlan{}
 	ident := fmt.Sprintf("ladder/faults=%g/seed=%d", opts.FaultRate, opts.FaultSeed)
 
+	id := checkpoint.Identity(&base, "soak", ident, scaleName)
 	var iter, cum uint64
 	var chain [32]byte
 	if st := opts.Restore; st != nil {
-		if err := st.CompatibleWith(&base, "soak", ident, scaleName); err != nil {
+		if err := st.CompatibleWith(id); err != nil {
 			return nil, err
 		}
 		iter, cum, chain = st.SoakIter, st.SoakEvents, st.SoakChain
 	}
-	var statsW io.Writer
-	if opts.StatsPath != "" {
-		f, err := os.OpenFile(opts.StatsPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		statsW = f
-	}
-	workers, shards := runMode(&cfg)
 	writeCkpt := func(note string) error {
 		if opts.CheckpointPath == "" {
 			return nil
 		}
-		return checkpoint.Save(opts.CheckpointPath, &Checkpoint{
-			ConfigSum:   checkpoint.ConfigSum(&base),
-			App:         "soak",
-			Proto:       ident,
-			Scale:       scaleName,
-			ModeWorkers: workers,
-			ModeShards:  shards,
-			SoakIter:    iter,
-			SoakEvents:  cum,
-			SoakChain:   chain,
-			Note:        note,
-		})
+		ck := *id
+		ck.SoakIter, ck.SoakEvents, ck.SoakChain, ck.Note = iter, cum, chain, note
+		return checkpoint.Save(opts.CheckpointPath, &ck)
 	}
 	result := func(interrupted bool) *SoakResult {
 		return &SoakResult{Iters: iter, Events: cum, Chain: hex.EncodeToString(chain[:]), Interrupted: interrupted}
@@ -227,11 +205,6 @@ func Soak(cfg Config, opts SoakOptions) (*SoakResult, error) {
 			TraceEvents: traceEvents, TraceHash: traceHash,
 			Chain:  hex.EncodeToString(chain[:8]),
 			WallMS: wall.Milliseconds(), HeapBytes: ms.HeapAlloc,
-		}
-		if statsW != nil {
-			if err := json.NewEncoder(statsW).Encode(rec); err != nil {
-				return nil, fmt.Errorf("soak: writing stats: %w", err)
-			}
 		}
 		if opts.Emit != nil {
 			opts.Emit(rec)
