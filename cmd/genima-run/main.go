@@ -68,15 +68,31 @@ func main() {
 	if !ok {
 		usage(fmt.Errorf("unknown app %q; valid apps: %s", *appFlag, strings.Join(apps.Names(scale), ", ")))
 	}
+	// A flag that was set but would change nothing is a usage error too.
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	controlled := *ckptFlag != "" || *restoreFlag != "" || *hashFlag || *statsFlag != "" || *stopAfter > 0
 	var proto genima.Protocol
 	if *protoFlag != "hw" {
 		if proto, err = parseProto(*protoFlag); err != nil {
 			usage(err)
 		}
-	} else if controlled || *traceFlag != "" || *sgFlag || *bcastFlag || *collFlag || *faultsFlag > 0 {
-		// The Origin model has no NI: nothing for these to act on.
-		usage(fmt.Errorf("-checkpoint/-restore/-trace-hash/-stats/-stop-after/-trace/-sg/-broadcast/-collectives/-faults apply to SVM protocols, not -proto hw"))
+	} else {
+		// The Origin model has no NI or fabric: nothing for these to act on.
+		for _, name := range []string{"checkpoint", "checkpoint-every", "restore", "trace-hash", "stats", "stop-after",
+			"trace", "sg", "broadcast", "collectives", "arity", "faults", "fault-seed", "topo", "radix", "jrun"} {
+			if set[name] {
+				usage(fmt.Errorf("-%s applies to SVM protocols, not -proto hw", name))
+			}
+		}
+	}
+	switch {
+	case set["arity"] && !*collFlag:
+		usage(fmt.Errorf("-arity sets the collective tree's fan-out; it needs -collectives"))
+	case set["fault-seed"] && !(*faultsFlag > 0):
+		usage(fmt.Errorf("-fault-seed seeds the fault plan; it needs -faults"))
+	case set["checkpoint-every"] && !controlled:
+		usage(fmt.Errorf("-checkpoint-every needs -checkpoint, -restore, -trace-hash, -stats or -stop-after"))
 	}
 	cfg := genima.DefaultConfig()
 	cfg.Nodes = *nodesFlag
