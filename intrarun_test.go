@@ -9,6 +9,7 @@ package genima_test
 // too: -jrun 1 must still match them, and -jrun N must match -jrun 1.
 
 import (
+	"runtime"
 	"testing"
 
 	genima "genima"
@@ -156,5 +157,34 @@ func TestIntraRunSerialMatchesGolden(t *testing.T) {
 	}
 	if got := traceHash(t, "water-nsq", genima.GeNIMA, jrunConfig(1, false)); got != goldenWaterGeNIMA {
 		t.Errorf("-jrun 1 water-nsq/GeNIMA drifted from golden:\n got %s\nwant %s", got, goldenWaterGeNIMA)
+	}
+}
+
+// TestTracedRunDrivesCluster: a traced run with IntraRunWorkers > 1
+// must execute on the PDES cluster, and a serial one must not, or the
+// byte-identity tests above would compare the serial engine with
+// itself. The tracer looks for the cluster's Run on its call stack.
+func TestTracedRunDrivesCluster(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		a, _ := appByName(t, "fft")
+		onCluster := false
+		_, _, err := genima.RunTraced(jrunConfig(workers, false), genima.Base, a, func(genima.TraceEvent) {
+			if onCluster {
+				return
+			}
+			pc := make([]uintptr, 128)
+			frames := runtime.CallersFrames(pc[:runtime.Callers(2, pc)])
+			for more := true; more && !onCluster; {
+				var f runtime.Frame
+				f, more = frames.Next()
+				onCluster = f.Function == "genima/internal/sim.(*Cluster).Run"
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if onCluster != (workers > 1) {
+			t.Errorf("IntraRunWorkers %d: trace delivered on the cluster = %v, want %v", workers, onCluster, workers > 1)
+		}
 	}
 }
