@@ -50,22 +50,21 @@ smoke-faults:
 # app on a radix-32 clos2 under Base (interrupt barrier, flat) and
 # GeNIMA (NI collective tree) at 64 nodes, plus a 128-node radix-16
 # clos2 leg and a 128-node radix-8 fat-tree leg (5-hop routes through
-# a core switch) — all intra-run parallel on four node shards
-# (-jrun 4), with 1% faults, validated against the sequential
+# a core switch) — all with 1% faults, validated against the sequential
 # reference.
 smoke-scale:
 	$(GO) run ./cmd/genima-run -app barrierbench -scale test -proto Base \
-		-nodes 64 -procs 1 -topo clos2 -radix 32 -jrun 4 \
+		-nodes 64 -procs 1 -topo clos2 -radix 32 \
 		-faults 0.01 -fault-seed 42 > /dev/null
 	$(GO) run ./cmd/genima-run -app barrierbench -scale test -proto GeNIMA \
-		-nodes 64 -procs 1 -topo clos2 -radix 32 -collectives -jrun 4 \
+		-nodes 64 -procs 1 -topo clos2 -radix 32 -collectives \
 		-faults 0.01 -fault-seed 42 > /dev/null
 	$(GO) run ./cmd/genima-run -app barrierbench -scale test -proto GeNIMA \
 		-nodes 128 -procs 1 -topo clos2 -radix 16 -collectives \
-		-jrun 4 -faults 0.01 -fault-seed 42 > /dev/null
+		-faults 0.01 -fault-seed 42 > /dev/null
 	$(GO) run ./cmd/genima-run -app barrierbench -scale test -proto GeNIMA \
 		-nodes 128 -procs 1 -topo fattree -radix 8 -collectives \
-		-jrun 4 -faults 0.01 -fault-seed 42 > /dev/null
+		-faults 0.01 -fault-seed 42 > /dev/null
 
 # smoke-soak exercises soak-scale long-run ops end to end, asserting
 # checkpoint/restore determinism from the shell like an operator would:
@@ -131,26 +130,13 @@ smoke-soak:
 # smoke-serve exercises the svmkv open-loop serving workload end to
 # end at test scale on two protocol rungs (interrupt-driven Base and
 # synchronous-NI GeNIMA, the latter under 1% faults), each validated
-# against the sequential reference, asserting the canonical trace hash
-# is byte-identical between serial (-jrun 1) and parallel (-jrun 4)
-# simulation — the core determinism invariant on the serving path.
-SERVETMP := /tmp/genima-smoke-serve
+# against the sequential reference. The serving path's serial/parallel
+# trace identity is pinned by TestSvmkvTraceByteIdentical and
+# TestSvmkvScaleTraceByteIdentical.
 smoke-serve:
-	rm -rf $(SERVETMP) && mkdir -p $(SERVETMP)
-	$(GO) build -o $(SERVETMP)/genima-run ./cmd/genima-run
-	$(SERVETMP)/genima-run -app svmkv -scale test -proto Base -jrun 1 \
-		-trace-hash | grep -o 'trace-hash=[0-9a-f]*' > $(SERVETMP)/base.j1
-	$(SERVETMP)/genima-run -app svmkv -scale test -proto Base -jrun 4 \
-		-trace-hash | grep -o 'trace-hash=[0-9a-f]*' > $(SERVETMP)/base.j4
-	cmp $(SERVETMP)/base.j1 $(SERVETMP)/base.j4
-	$(SERVETMP)/genima-run -app svmkv -scale test -proto GeNIMA -jrun 1 \
-		-faults 0.01 -fault-seed 42 -trace-hash \
-		| grep -o 'trace-hash=[0-9a-f]*' > $(SERVETMP)/genima.j1
-	$(SERVETMP)/genima-run -app svmkv -scale test -proto GeNIMA -jrun 4 \
-		-faults 0.01 -fault-seed 42 -trace-hash \
-		| grep -o 'trace-hash=[0-9a-f]*' > $(SERVETMP)/genima.j4
-	cmp $(SERVETMP)/genima.j1 $(SERVETMP)/genima.j4
-	rm -rf $(SERVETMP)
+	$(GO) run ./cmd/genima-run -app svmkv -scale test -proto Base > /dev/null
+	$(GO) run ./cmd/genima-run -app svmkv -scale test -proto GeNIMA \
+		-faults 0.01 -fault-seed 42 > /dev/null
 
 # smoke-examples builds and runs every library-surface example end to
 # end (each validates its own result and exits non-zero on failure);

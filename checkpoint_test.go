@@ -2,9 +2,9 @@ package genima_test
 
 // Checkpoint/restore acceptance: a run halted at a cut and restored
 // from its checkpoint must finish with a trace hash byte-identical to
-// an uninterrupted run — on the serial engine and under intra-run
-// parallel modes, with fault injection on and off, including a link
-// down-window spanning the cut.
+// an uninterrupted run — with fault injection on and off, including a
+// link down-window spanning the cut, and under any IntraRunWorkers
+// (a checkpointed run always executes on the serial engine).
 
 import (
 	"path/filepath"
@@ -79,36 +79,25 @@ func ckptCutAndResume(t *testing.T, cfg genima.Config, proto genima.Protocol, ap
 }
 
 func TestCheckpointRestoreByteIdentical(t *testing.T) {
-	modes := []struct {
-		name    string
-		workers int
-	}{
-		{"serial", 1},
-		{"w2", 2},
-		{"w4", 4},
-	}
 	for _, faulted := range []bool{false, true} {
-		for _, m := range modes {
-			name := m.name
-			if faulted {
-				name += "_faults"
-			}
-			t.Run(name, func(t *testing.T) {
-				cfg := genima.DefaultConfig()
-				cfg.IntraRunWorkers = m.workers
-				if faulted {
-					cfg.Faults = genima.FaultMix(0.02, 7)
-				}
-				want := ckptFull(t, cfg, genima.GeNIMA, "fft")
-				cut, got := ckptCutAndResume(t, cfg, genima.GeNIMA, "fft", 2)
-				if cut == 0 {
-					t.Fatal("cut at trace event 0")
-				}
-				if got != want {
-					t.Errorf("restored-at-%d hash %s != uninterrupted %s", cut, got, want)
-				}
-			})
+		name := "serial"
+		if faulted {
+			name += "_faults"
 		}
+		t.Run(name, func(t *testing.T) {
+			cfg := genima.DefaultConfig()
+			if faulted {
+				cfg.Faults = genima.FaultMix(0.02, 7)
+			}
+			want := ckptFull(t, cfg, genima.GeNIMA, "fft")
+			cut, got := ckptCutAndResume(t, cfg, genima.GeNIMA, "fft", 2)
+			if cut == 0 {
+				t.Fatal("cut at trace event 0")
+			}
+			if got != want {
+				t.Errorf("restored-at-%d hash %s != uninterrupted %s", cut, got, want)
+			}
+		})
 	}
 }
 
@@ -159,25 +148,49 @@ func TestInterruptedRunsReleaseProcesses(t *testing.T) {
 	}
 }
 
-// A checkpoint taken under one execution mode restores under another:
-// the trace stream is mode-independent, so only the state-digest check
-// is skipped (it is gated on SameMode), never the trace verification.
+// IntraRunWorkers does not reach a checkpointed run, so a checkpoint
+// taken under one value restores under another, in both directions,
+// with every check of the cut passing and the uninterrupted hash.
 func TestCheckpointRestoreAcrossModes(t *testing.T) {
 	serial := genima.DefaultConfig()
-	want := ckptFull(t, serial, genima.GeNIMA, "fft")
-
-	a, _ := appByName(t, "fft")
-	st := ckptHalt(t, serial, genima.GeNIMA, a, 2)
 	par := serial
 	par.IntraRunWorkers = 4
-	res, err := genima.RunCheckpointed(par, genima.GeNIMA, a, genima.CheckpointOptions{
-		Scale: "test", Every: 50, Restore: st,
-	})
-	if err != nil {
-		t.Fatal(err)
+	want := ckptFull(t, serial, genima.GeNIMA, "fft")
+	a, _ := appByName(t, "fft")
+	for _, c := range []struct {
+		name          string
+		save, restore genima.Config
+	}{
+		{"serial to w4", serial, par},
+		{"w4 to serial", par, serial},
+	} {
+		st := ckptHalt(t, c.save, genima.GeNIMA, a, 2)
+		res, err := genima.RunCheckpointed(c.restore, genima.GeNIMA, a, genima.CheckpointOptions{
+			Scale: "test", Every: 50, Restore: st,
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if res.TraceHash != want {
+			t.Errorf("%s: hash %s != %s", c.name, res.TraceHash, want)
+		}
 	}
-	if res.TraceHash != want {
-		t.Errorf("serial checkpoint restored under w4: hash %s != %s", res.TraceHash, want)
+}
+
+// A restore checks the cut's live-state digest under any
+// IntraRunWorkers: a serial checkpoint with an altered StateDigest is
+// refused when restored under four workers too.
+func TestCheckpointRestoreVerifiesDigestUnderWorkers(t *testing.T) {
+	cfg := genima.DefaultConfig()
+	a, _ := appByName(t, "fft")
+	bad := *ckptHalt(t, cfg, genima.GeNIMA, a, 2)
+	bad.StateDigest ^= 1
+	cfg.IntraRunWorkers = 4
+	_, err := genima.RunCheckpointed(cfg, genima.GeNIMA, a, genima.CheckpointOptions{
+		Every: 50, Scale: "test", Restore: &bad,
+	})
+	if err == nil || !strings.Contains(err.Error(), "diverged") {
+		t.Errorf("restore with altered StateDigest under IntraRunWorkers 4: err = %v, want a divergence at the cut", err)
 	}
 }
 

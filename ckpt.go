@@ -37,9 +37,8 @@ type CheckpointOptions struct {
 	// Restore resumes from a previously saved cut: the run re-executes
 	// deterministically from event zero with OnTrace suppressed up to
 	// the cut, verifies the replayed prefix against the checkpoint
-	// (trace prefix sum always; virtual clock, engine event count and
-	// live-state digest when the execution mode matches), and continues
-	// normally.
+	// (trace prefix sum, virtual clock, engine event count and
+	// live-state digest), and continues normally.
 	Restore *Checkpoint
 	// Scale names the workload's problem scale for checkpoint identity
 	// checks (the app and protocol come from the run itself).
@@ -76,10 +75,11 @@ type CheckpointedResult struct {
 // rolling checkpoints, restore, and graceful shutdown. It holds the
 // whole policy over the engine's one control hook: cut every
 // opts.Every trace events, verify the replay at the restore cut, and
-// poll ShouldStop at each cut. A run restored
-// at cut k and carried to completion produces a TraceHash byte-
-// identical to an uninterrupted run — under any IntraRunWorkers, since
-// the trace stream is mode-independent.
+// poll ShouldStop at each cut. A run restored at cut k and carried to
+// completion produces a TraceHash byte-identical to an uninterrupted
+// run. The run always executes on the serial engine, whatever
+// IntraRunWorkers says, so each cut of cfg has one clock, one event
+// count and one live state, and a restore checks all three.
 func RunCheckpointed(cfg Config, p Protocol, a App, opts CheckpointOptions) (*CheckpointedResult, error) {
 	every := opts.Every
 	if every == 0 {
@@ -105,8 +105,7 @@ func RunCheckpointed(cfg Config, p Protocol, a App, opts CheckpointOptions) (*Ch
 			if hasher.PrefixSum() != st.PrefixSum {
 				return fmt.Errorf("checkpoint: replay diverged from checkpointed trace prefix at event %d", n)
 			}
-			if b := cut(); st.SameMode(id) &&
-				(int64(b.SimTime) != st.SimTime || b.Events != st.Events || b.StateDigest() != st.StateDigest) {
+			if b := cut(); int64(b.SimTime) != st.SimTime || b.Events != st.Events || b.StateDigest() != st.StateDigest {
 				return fmt.Errorf("checkpoint: replay diverged from the checkpointed cut at event %d (trace prefix matches; clock, event count or live state differs)", n)
 			}
 		}

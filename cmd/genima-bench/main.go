@@ -49,7 +49,6 @@ var (
 	soakCkpt      = flag.String("soak-checkpoint", "", "soak: rolling iteration-cursor checkpoint file")
 	soakStats     = flag.String("soak-stats", "", "soak: append one JSON stats line per iteration to this file")
 	soakRestore   = flag.Bool("soak-restore", false, "soak: resume from -soak-checkpoint (fresh campaign if the file does not exist yet)")
-	soakJrun      = flag.Int("soak-jrun", 1, "soak: intra-run simulation workers per iteration (byte-identical chain for any value)")
 )
 
 func fatal(err error) {
@@ -107,7 +106,6 @@ func runSoak(scaleName string) {
 	cfg := genima.DefaultConfig()
 	cfg.Nodes = *nodesFlag
 	cfg.ProcsPerNode = *procsFlag
-	cfg.IntraRunWorkers = *soakJrun
 	opts := genima.SoakOptions{
 		Scale:          scaleName,
 		TargetEvents:   *soakEvents,

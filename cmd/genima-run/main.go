@@ -45,7 +45,6 @@ var (
 	traceFlag  = flag.String("trace", "", "write a per-packet trace to this file")
 	faultsFlag = flag.Float64("faults", 0, "link fault injection: packet drop rate (0,1), with dups/delays/corruption mixed in per FaultMix; 0 disables")
 	seedFlag   = flag.Uint64("fault-seed", 1, "deterministic seed for the fault plan (used with -faults)")
-	jrunFlag   = flag.Int("jrun", 1, "intra-run simulation workers executing shard logical processes; any value yields a byte-identical result")
 
 	ckptFlag      = flag.String("checkpoint", "", "write a rolling checkpoint to this file (SIGINT/SIGTERM also flush one and exit 128+sig)")
 	ckptEveryFlag = flag.Uint64("checkpoint-every", genima.DefaultCheckpointEvery, "trace events between checkpoint/stats boundaries")
@@ -80,7 +79,7 @@ func main() {
 	} else {
 		// The Origin model has no NI or fabric: nothing for these to act on.
 		for _, name := range []string{"checkpoint", "checkpoint-every", "restore", "trace-hash", "stats", "stop-after",
-			"trace", "sg", "broadcast", "collectives", "arity", "faults", "fault-seed", "topo", "radix", "jrun"} {
+			"trace", "sg", "broadcast", "collectives", "arity", "faults", "fault-seed", "topo", "radix"} {
 			if set[name] {
 				usage(fmt.Errorf("-%s applies to SVM protocols, not -proto hw", name))
 			}
@@ -99,7 +98,6 @@ func main() {
 	cfg.ProcsPerNode = *procsFlag
 	cfg.ScatterGather = *sgFlag
 	cfg.NIBroadcast = *bcastFlag
-	cfg.IntraRunWorkers = *jrunFlag
 	topo, terr := genima.ParseTopo(*topoFlag)
 	if terr != nil {
 		usage(terr)
@@ -206,11 +204,13 @@ func main() {
 				opts.OnBoundary = func(b *genima.Boundary) {
 					var ms runtime.MemStats
 					runtime.ReadMemStats(&ms)
-					enc.Encode(map[string]any{
+					if err := enc.Encode(map[string]any{
 						"trace_events": b.TraceEvents, "sim_ns": int64(b.SimTime),
 						"events": b.Events, "wall_ms": time.Since(t0).Milliseconds(),
 						"heap_bytes": ms.HeapAlloc,
-					})
+					}); err != nil {
+						fatal(fmt.Errorf("writing stats: %w", err))
+					}
 				}
 			}
 			cr, cerr := genima.RunCheckpointed(cfg, proto, entry.App, opts)

@@ -34,7 +34,6 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{[]string{"-proto", "hw", "-topo", "clos2"}, "-topo applies to SVM protocols, not -proto hw"},
 		{[]string{"-proto", "hw", "-radix", "4"}, "-radix applies to SVM protocols, not -proto hw"},
 		{[]string{"-proto", "hw", "-arity", "2"}, "-arity applies to SVM protocols, not -proto hw"},
-		{[]string{"-proto", "hw", "-jrun", "4"}, "-jrun applies to SVM protocols, not -proto hw"},
 		{[]string{"-arity", "2"}, "it needs -collectives"},
 		{[]string{"-fault-seed", "7"}, "it needs -faults"},
 		{[]string{"-checkpoint-every", "10"}, "-checkpoint-every needs -checkpoint"},
@@ -108,5 +107,23 @@ func TestStatsOneLinePerBoundary(t *testing.T) {
 			t.Fatalf("line %d: trace_events %d does not increase past %d", i, rec.TraceEvents, last)
 		}
 		last = rec.TraceEvents
+	}
+}
+
+// TestStatsWriteErrorExitsOne: a -stats log that cannot be written is
+// a run failure. /dev/full accepts the open and fails every write, so
+// the run must exit 1 naming the stats write, not report success.
+func TestStatsWriteErrorExitsOne(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	bin := build(t)
+	cmd := exec.Command(bin, "-app", "fft", "-scale", "test", "-checkpoint-every", "50", "-stats", "/dev/full")
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(stderr.String(), "writing stats") {
+		t.Fatalf("exit %v, stderr %q; want status 1 and a stats write error", err, stderr.String())
 	}
 }

@@ -126,11 +126,7 @@ type TraceEvent = nic.TraceEvent
 // packet from the NI firmware monitor, in delivery order. A nil fn
 // runs untraced.
 func RunTraced(cfg Config, p Protocol, a App, fn func(TraceEvent)) (*Result, *Workspace, error) {
-	var ctl app.RunControl
-	if fn != nil {
-		ctl = func(_ uint64, ev TraceEvent, _ func() *Boundary) error { fn(ev); return nil }
-	}
-	return app.RunSVMControlled(cfg, p, a, ctl)
+	return app.RunSVMTraced(cfg, p, a, fn)
 }
 
 // Boundary is a consistent cut of a running simulation, handed to

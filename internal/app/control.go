@@ -18,8 +18,7 @@ var ErrInterrupted = errors.New("run interrupted by controller")
 
 // Boundary is a consistent cut of a running simulation, handed to a
 // RunControl hook. It is only valid during the hook call: the hook runs
-// in deterministic single-threaded contexts (inline with serial event
-// execution, or at a cluster barrier), and the simulation resumes as
+// inline with serial event execution, and the simulation resumes as
 // soon as it returns.
 type Boundary struct {
 	TraceEvents uint64   // trace events emitted so far (the cut ordinal)
@@ -29,15 +28,11 @@ type Boundary struct {
 	digest func() uint64
 }
 
-// StateDigest computes the live-state fingerprint at this cut: engine/LP
-// heaps and clocks, NI pools and reliable-delivery flows, protocol
-// tables and process queues, page contents, fault-stream cursors. It walks
-// the whole simulator state, so call it only when the digest is
-// actually wanted (checkpoint writes, verification cuts). The value is
-// comparable only between runs in the same execution mode — a parallel
-// run's hooks run at a barrier, after its LPs have run ahead to the
-// round horizon, so its live state at a given trace ordinal
-// legitimately differs from a serial run's.
+// StateDigest computes the live-state fingerprint at this cut: engine
+// heaps and clock, NI pools and reliable-delivery flows, protocol
+// tables and process queues, page contents, fault-stream cursors. It
+// walks the whole simulator state, so call it only when the digest is
+// actually wanted (checkpoint writes, verification cuts).
 func (b *Boundary) StateDigest() uint64 { return b.digest() }
 
 // RunControl is a run's control hook. It receives every delivered
@@ -50,105 +45,114 @@ func (b *Boundary) StateDigest() uint64 { return b.digest() }
 // never on a signal goroutine.
 type RunControl func(idx uint64, ev nic.TraceEvent, cut func() *Boundary) error
 
-// RunSVMControlled is RunSVM with a control hook (see RunControl). It
-// is the engine under every SVM run, traced runs, checkpoint/restore
-// and signal-safe shutdown included; a nil ctl runs uncontrolled.
-func RunSVMControlled(cfg topo.Config, kind core.Kind, a App, ctl RunControl) (*Result, *Workspace, error) {
+// RunSVMTraced is RunSVM with a packet tracer: trace, when non-nil,
+// receives every delivered packet, in delivery order. A tracer only
+// observes the run, so the run may execute in parallel: with more than
+// one IntraRunWorkers and more than one node it is partitioned into
+// shard-granular logical processes under a conservative PDES cluster
+// (one node shard per worker, clamped to Nodes by NewCluster, plus the
+// fabric LP), and its trace is byte-identical to the serial engine's.
+// The serial path builds no cluster at all, so it is exactly the engine
+// the goldens were recorded on. Nodes talk to other nodes only through
+// fabric links and switches (the EnqueueHandlerCross calls of the NI
+// transit pipeline), and NI-local timers stay on their own LP, so every
+// cross-LP send honours the lookaheads below. The tracer runs
+// single-threaded either way: inline with serial (and lone-mode) event
+// execution, or on the Run goroutine at a cluster barrier while the
+// worker pool is parked.
+func RunSVMTraced(cfg topo.Config, kind core.Kind, a App, trace func(nic.TraceEvent)) (*Result, *Workspace, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
-	// Intra-run parallelism: with more than one worker and more than one
-	// node, the run is partitioned into shard-granular logical processes
-	// under a conservative PDES cluster (one node shard per worker,
-	// clamped to Nodes by NewCluster, plus the fabric LP). The serial
-	// path builds no cluster at all, so it is exactly the engine the
-	// goldens were recorded on. Nodes talk to other nodes only through
-	// fabric links and switches (the EnqueueHandlerCross calls of the NI
-	// transit pipeline), and NI-local timers stay on their own LP, so
-	// every cross-LP send honours the lookaheads below.
 	var cl *sim.Cluster
 	var eng *sim.Engine
+	drive := func() { eng.RunUntilQuiet() }
 	if cfg.IntraRunWorkers > 1 && cfg.Nodes > 1 {
 		nodeLA, fabLA := cfg.Lookaheads()
 		cl = sim.NewCluster(cfg.Nodes, cfg.IntraRunWorkers, cfg.IntraRunWorkers, nodeLA, fabLA)
-		eng = cl.Main()
+		eng, drive = cl.Main(), cl.Run
 		defer cl.Release()
 	} else {
 		eng = sim.NewEngine()
 		defer eng.Release()
 	}
-	ws := NewWorkspace(&cfg)
-	a.Setup(ws)
-	sys := core.New(eng, &cfg, kind, ws.Space)
+	res, ws, err := runSVM(&cfg, kind, a, eng, func(sys *core.System) { sys.Layer.Monitor().Tracer = trace }, drive)
+	if err != nil {
+		return nil, nil, err
+	}
+	if cl != nil {
+		res.Events = cl.Events()
+	}
+	return res, ws, nil
+}
 
-	// Control plumbing. The tracer below runs only in single-threaded
-	// contexts: inline during serial (and lone-mode) event execution,
-	// or on the Run goroutine at a cluster barrier while the worker
-	// pool is parked — so reading cross-LP state (Events, Now, digests)
-	// is safe, and halting is an ordinary flag-and-stop.
+// RunSVMControlled is RunSVM with a control hook (see RunControl), the
+// engine under checkpoint/restore and signal-safe shutdown. It always
+// runs on the serial engine, whatever cfg.IntraRunWorkers says: the
+// hook's cuts, digests and halts fall between two events, so a cut's
+// clock, event count and live state are the same in every run of cfg.
+func RunSVMControlled(cfg topo.Config, kind core.Kind, a App, ctl RunControl) (*Result, *Workspace, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, nil, err
+	}
+	eng := sim.NewEngine()
+	defer eng.Release()
 	var traceIdx uint64
 	var haltErr error
-	if ctl != nil {
+	wire := func(sys *core.System) {
 		digest := func() uint64 {
 			d := sim.NewDigest()
-			if cl != nil {
-				cl.DigestInto(d)
-			} else {
-				eng.DigestInto(d)
-			}
+			eng.DigestInto(d)
 			sys.DigestInto(d)
 			sys.Layer.NIs().DigestInto(d)
 			return d.Sum()
 		}
 		cut := func() *Boundary {
-			b := &Boundary{TraceEvents: traceIdx, digest: digest}
-			if cl != nil {
-				b.SimTime, b.Events = cl.Now(), cl.Events()
-			} else {
-				b.SimTime, b.Events = eng.Now(), eng.Events()
-			}
-			return b
+			return &Boundary{TraceEvents: traceIdx, SimTime: eng.Now(), Events: eng.Events(), digest: digest}
 		}
 		sys.Layer.Monitor().Tracer = func(ev nic.TraceEvent) {
 			if haltErr != nil {
-				// Barrier defer replay may still commit a few records
-				// after the halting hook; they belong past the cut and
-				// must not reach the controller.
+				// The halting event may still commit records after
+				// the hook; they belong past the cut.
 				return
 			}
 			idx := traceIdx
 			traceIdx++
 			if haltErr = ctl(idx, ev, cut); haltErr != nil {
-				if cl != nil {
-					cl.Stop()
-				} else {
-					eng.Stop()
-				}
+				eng.Stop()
 			}
 		}
 	}
+	res, ws, err := runSVM(&cfg, kind, a, eng, wire, func() { eng.RunUntilQuiet() })
+	switch {
+	case haltErr != nil && !errors.Is(haltErr, ErrInterrupted):
+		return nil, nil, haltErr
+	case err != nil && haltErr == nil:
+		return nil, nil, err
+	case haltErr != nil:
+		return res, ws, fmt.Errorf("app %s on %v at trace event %d: %w", a.Name(), kind, traceIdx, haltErr)
+	}
+	return res, ws, nil
+}
+
+// runSVM builds the SVM system for kind on eng (a cluster's main LP
+// when drive runs a cluster), lets wire attach to it before it starts,
+// runs the processors with drive and collects the result. The error
+// reports processors that did not finish; the result comes back with it.
+func runSVM(cfg *topo.Config, kind core.Kind, a App, eng *sim.Engine, wire func(*core.System), drive func()) (*Result, *Workspace, error) {
+	ws := NewWorkspace(cfg)
+	a.Setup(ws)
+	sys := core.New(eng, cfg, kind, ws.Space)
+	wire(sys)
 	sys.Start()
 
 	bes := make([]Backend, cfg.NumProcs())
 	for i := range bes {
 		bes[i] = NewSVMBackend(sys, i/cfg.ProcsPerNode, i%cfg.ProcsPerNode)
 	}
-	drive := func() { eng.RunUntilQuiet() }
-	if cl != nil {
-		drive = cl.Run
-	}
-	res, err := runProcs(&cfg, eng, ws, a, kind.String(), bes, drive)
-	switch {
-	case haltErr != nil && !errors.Is(haltErr, ErrInterrupted):
-		return nil, nil, haltErr
-	case err != nil && haltErr == nil:
-		return nil, nil, err
-	}
+	res, err := runProcs(cfg, eng, ws, a, kind.String(), bes, drive)
 	res.Acct = sys.Accounting()
 	res.Monitor = sys.Layer.Monitor()
-	if cl != nil {
-		res.Events = cl.Events()
-	}
 	nis := sys.Layer.NIs()
 	frac := func(busy sim.Time) float64 {
 		if res.Elapsed == 0 {
@@ -170,8 +174,5 @@ func RunSVMControlled(cfg topo.Config, kind core.Kind, a App, ctl RunControl) (*
 	}
 	res.Util.SwitchStage = nis.Fabric.StageBusy()
 	res.Faults = nis.FaultReport()
-	if haltErr != nil {
-		return res, ws, fmt.Errorf("app %s on %v at trace event %d: %w", a.Name(), kind, traceIdx, haltErr)
-	}
-	return res, ws, nil
+	return res, ws, err
 }

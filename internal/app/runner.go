@@ -72,7 +72,7 @@ func memIntensityOf(a App) float64 {
 // returns the result plus the final workspace (home copies hold the
 // authoritative output after the harness's trailing barrier).
 func RunSVM(cfg topo.Config, kind core.Kind, a App) (*Result, *Workspace, error) {
-	return RunSVMControlled(cfg, kind, a, nil)
+	return RunSVMTraced(cfg, kind, a, nil)
 }
 
 // runProcs is the process loop every machine model shares. It gives

@@ -12,9 +12,10 @@
 // internal/...) — plus everything needed to rebuild the run from its
 // inputs. Restore re-executes the run from event zero with trace
 // emission suppressed up to the cut, verifies that the replayed prefix
-// reproduces the recorded prefix sum (and, when the execution mode
-// matches, the virtual clock, the event count and the state digest),
-// and then continues normally. The resumed trace is byte-identical to
+// reproduces the recorded prefix sum, virtual clock, event count and
+// state digest, and then continues normally. Checkpointed runs execute
+// on the serial engine, so a cut has one live state whatever the
+// restoring config's IntraRunWorkers. The resumed trace is byte-identical to
 // an uninterrupted run by construction, and the verification turns "by
 // construction" into a checked invariant. Soak mode (genima.Soak)
 // checkpoints at run boundaries, where no goroutine state is live at
@@ -44,8 +45,9 @@ const (
 	Magic = uint32(0x474e434b) // "GNCK"
 	// Version is the current format version. Load rejects other
 	// versions: the payload layout is not self-describing. Version 1
-	// stored the trace hash's midstate where version 2 stores its sum.
-	Version = uint32(2)
+	// stored the trace hash's midstate where version 2 stores its sum;
+	// version 3 drops version 2's two execution-mode words.
+	Version = uint32(3)
 )
 
 // Sentinel errors, matchable with errors.Is.
@@ -54,23 +56,13 @@ var (
 	ErrVersion = errors.New("checkpoint: unsupported format version")
 )
 
-// State is everything a checkpoint records. Mode fields capture the
-// execution mode the checkpoint was taken under; the trace stream is
-// mode-independent, so a restore may run under a different mode, but
-// the live-state digest is only comparable when the mode matches (a
-// parallel run's LPs run ahead to the round horizon before its boundary
-// hooks run, so its live state at trace event k legitimately differs
-// from a serial run's).
+// State is everything a checkpoint records.
 type State struct {
 	// Run identity.
 	ConfigSum [32]byte // ConfigSum(cfg): the topology/cost/fault fingerprint
 	App       string
 	Proto     string
 	Scale     string
-
-	// Execution mode at checkpoint time.
-	ModeWorkers int
-	ModeShards  int
 
 	// Cut point.
 	TraceEvents uint64   // trace events emitted before the cut
@@ -89,10 +81,9 @@ type State struct {
 }
 
 // ConfigSum fingerprints a cluster configuration for restore-time
-// compatibility checking. The execution-mode field IntraRunWorkers is
-// zeroed first: it changes how the run is executed, not what it
-// computes, and a checkpoint taken under one mode may be restored under
-// another.
+// compatibility checking. IntraRunWorkers is zeroed first: it changes
+// how an uncheckpointed run is executed, not what it computes, and a
+// checkpointed run ignores it.
 func ConfigSum(cfg *topo.Config) [32]byte {
 	c := *cfg
 	c.IntraRunWorkers = 0
@@ -169,17 +160,10 @@ func Load(path string) (*State, error) {
 }
 
 // Identity is the identity of a run (or soak campaign) of cfg: its
-// ConfigSum, app, protocol and scale, which a restore must match, and
-// the execution mode it runs under: the worker count and the shard
-// count, one per worker clamped to Nodes as sim.NewCluster does (0
-// shards on the serial path, which builds no cluster at all). A save
-// starts from it; CompatibleWith and SameMode check against it.
+// ConfigSum, app, protocol and scale, which a restore must match. A
+// save starts from it; CompatibleWith checks against it.
 func Identity(cfg *topo.Config, app, proto, scale string) *State {
-	id := &State{ConfigSum: ConfigSum(cfg), App: app, Proto: proto, Scale: scale, ModeWorkers: 1}
-	if cfg.IntraRunWorkers > 1 && cfg.Nodes > 1 {
-		id.ModeWorkers, id.ModeShards = cfg.IntraRunWorkers, min(cfg.IntraRunWorkers, cfg.Nodes)
-	}
-	return id
+	return &State{ConfigSum: ConfigSum(cfg), App: app, Proto: proto, Scale: scale}
 }
 
 // CompatibleWith checks that a loaded checkpoint belongs to the run the
@@ -201,12 +185,6 @@ func (st *State) CompatibleWith(id *State) error {
 	return nil
 }
 
-// SameMode reports whether the checkpoint was taken under id's
-// execution mode — the gate for comparing StateDigest.
-func (st *State) SameMode(id *State) bool {
-	return st.ModeWorkers == id.ModeWorkers && st.ModeShards == id.ModeShards
-}
-
 // --- payload encoding -------------------------------------------------
 
 // field is one payload entry: its name for error messages and a pointer
@@ -226,8 +204,6 @@ func (st *State) fields() []field {
 		{"App", &st.App},
 		{"Proto", &st.Proto},
 		{"Scale", &st.Scale},
-		{"ModeWorkers", &st.ModeWorkers},
-		{"ModeShards", &st.ModeShards},
 		{"TraceEvents", &st.TraceEvents},
 		{"SimTime", &st.SimTime},
 		{"Events", &st.Events},
@@ -248,8 +224,6 @@ func (st *State) encode() []byte {
 		case *uint64:
 			b = le.AppendUint64(b, *p)
 		case *int64:
-			b = le.AppendUint64(b, uint64(*p))
-		case *int:
 			b = le.AppendUint64(b, uint64(*p))
 		case *string:
 			b = append(le.AppendUint64(b, uint64(len(*p))), *p...)
@@ -272,8 +246,6 @@ func (st *State) decode(b []byte) error {
 			*p = w
 		case *int64:
 			*p = int64(w)
-		case *int:
-			*p = int(w)
 		default: // w is the length of the bytes that follow
 			if uint64(len(b)) < w {
 				return fmt.Errorf("%w: field %s truncated", ErrCorrupt, f.name)

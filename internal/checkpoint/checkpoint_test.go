@@ -18,7 +18,6 @@ import (
 func sampleState() *State {
 	st := &State{
 		App: "fft", Proto: "GeNIMA", Scale: "test",
-		ModeWorkers: 4, ModeShards: 2,
 		TraceEvents: 12345, SimTime: 987654321, Events: 400000,
 		StateDigest: 0xdeadbeefcafef00d,
 		SoakIter:    7, SoakEvents: 1 << 30,
@@ -44,21 +43,18 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.ConfigSum != want.ConfigSum || got.App != want.App || got.Proto != want.Proto ||
-		got.Scale != want.Scale || got.ModeWorkers != want.ModeWorkers || got.ModeShards != want.ModeShards ||
-		got.TraceEvents != want.TraceEvents || got.SimTime != want.SimTime || got.Events != want.Events ||
+		got.Scale != want.Scale || got.TraceEvents != want.TraceEvents || got.SimTime != want.SimTime || got.Events != want.Events ||
 		got.StateDigest != want.StateDigest || got.PrefixSum != want.PrefixSum || got.SoakIter != want.SoakIter ||
 		got.SoakEvents != want.SoakEvents || got.SoakChain != want.SoakChain || got.Note != want.Note {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, want)
 	}
 }
 
-// TestLoadV2File reads a v2 file written by an earlier build (the
-// FuzzLoad corpus's valid seed) and checks every decoded field against
-// the values it was saved with, then that Save writes the same bytes.
-// A round trip through this build alone cannot catch two fields that
-// swap places on the wire, since Save and Load would swap them alike.
-func TestLoadV2File(t *testing.T) {
-	seed, err := os.ReadFile("testdata/fuzz/FuzzLoad/valid")
+// loadSeed writes the FuzzLoad corpus entry name to a file and loads
+// it, returning the file's bytes with Load's result.
+func loadSeed(t *testing.T, name string) ([]byte, *State, error) {
+	t.Helper()
+	seed, err := os.ReadFile(filepath.Join("testdata/fuzz/FuzzLoad", name))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,20 +62,33 @@ func TestLoadV2File(t *testing.T) {
 	lit := strings.TrimSuffix(strings.TrimPrefix(lines[len(lines)-1], "[]byte("), ")")
 	file, err := strconv.Unquote(lit)
 	if err != nil {
-		t.Fatalf("corpus entry is not a quoted []byte: %v", err)
+		t.Fatalf("corpus entry %s is not a quoted []byte: %v", name, err)
 	}
-	path := filepath.Join(t.TempDir(), "v2.ckpt")
+	path := filepath.Join(t.TempDir(), name+".ckpt")
 	if err := os.WriteFile(path, []byte(file), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(path)
+	st, err := Load(path)
+	return []byte(file), st, err
+}
+
+// TestLoadV3File reads a v3 file written by an earlier build (the
+// FuzzLoad corpus's valid seed) and checks every decoded field against
+// the values it was saved with, then that Save writes the same bytes.
+// A round trip through this build alone cannot catch two fields that
+// swap places on the wire, since Save and Load would swap them alike.
+// A v2 file (the corpus's v2 seed) must fail with ErrVersion.
+func TestLoadV3File(t *testing.T) {
+	if _, _, err := loadSeed(t, "v2"); !errors.Is(err, ErrVersion) {
+		t.Fatalf("v2 file: got %v, want ErrVersion", err)
+	}
+	file, got, err := loadSeed(t, "valid")
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	want := &State{
 		App: "fft", Proto: "GeNIMA", Scale: "test",
-		ModeWorkers: 4, ModeShards: 2,
 		TraceEvents: 12345, SimTime: 987654321, Events: 400000,
 		StateDigest: 0xdeadbeefcafef00d,
 		SoakIter:    7, SoakEvents: 1 << 30,
@@ -92,7 +101,7 @@ func TestLoadV2File(t *testing.T) {
 		want.PrefixSum[i] = byte(100 + i)
 	}
 	if *got != *want {
-		t.Fatalf("v2 file decoded wrong:\n got %+v\nwant %+v", got, want)
+		t.Fatalf("v3 file decoded wrong:\n got %+v\nwant %+v", got, want)
 	}
 
 	out := filepath.Join(t.TempDir(), "out.ckpt")
@@ -103,8 +112,8 @@ func TestLoadV2File(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(back, []byte(file)) {
-		t.Fatalf("Save does not reproduce the v2 file\nfile: %x\n got: %x", file, back)
+	if !bytes.Equal(back, file) {
+		t.Fatalf("Save does not reproduce the v3 file\nfile: %x\n got: %x", file, back)
 	}
 }
 
@@ -187,8 +196,8 @@ func TestCompatibleWith(t *testing.T) {
 	if err := st.CompatibleWith(Identity(&other, "fft", "GeNIMA", "test")); err == nil {
 		t.Fatal("config mismatch accepted")
 	}
-	// The mode field must NOT participate in ConfigSum: a checkpoint can
-	// be restored under a different -jrun.
+	// IntraRunWorkers must NOT participate in ConfigSum: a checkpointed
+	// run ignores it, so a checkpoint restores under any value.
 	modal := topo.Default()
 	modal.IntraRunWorkers = 8
 	if err := st.CompatibleWith(Identity(&modal, "fft", "GeNIMA", "test")); err != nil {

@@ -33,8 +33,9 @@ func FuzzDecode(f *testing.F) {
 // must not panic: it either fails with an error wrapping ErrCorrupt or
 // ErrVersion, or it succeeds and Save writes the same bytes back, since
 // header, payload and trailer each have exactly one encoding. The seed
-// corpus in testdata/fuzz/FuzzLoad holds a valid file and copies of it
-// with a bad magic, a wrong version and a bad trailer.
+// corpus in testdata/fuzz/FuzzLoad holds a valid file, copies of it
+// with a bad magic, a wrong version and a bad trailer, and a file of
+// the previous format, v2.
 func FuzzLoad(f *testing.F) {
 	dir := f.TempDir() // inputs run one at a time in each process
 	f.Fuzz(func(t *testing.T, raw []byte) {

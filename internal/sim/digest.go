@@ -140,34 +140,3 @@ func (g *Gate) DigestInto(d *Digest) {
 	d.U64(g.Blocked)
 	d.I64(g.BlockedTime)
 }
-
-// DigestInto folds the cluster's cross-LP synchronization state on top
-// of every member engine's digest: global ordinal counter and each LP's
-// round log and outbox (non-empty only while a barrier is replaying
-// them). Deferred handlers contribute their count and positions only
-// (their identities are not portable).
-func (cl *Cluster) DigestInto(d *Digest) {
-	d.U64(cl.setupSeq)
-	d.U64(cl.nextOrd)
-	d.U64(uint64(len(cl.all)))
-	for _, e := range cl.all {
-		e.DigestInto(d)
-		d.U64(uint64(len(e.roundLog)))
-		for i := range e.roundLog {
-			d.I64(e.roundLog[i].at)
-			d.U64(e.roundLog[i].key)
-		}
-		d.U64(uint64(len(e.outbox)))
-		for i := range e.outbox {
-			m := &e.outbox[i]
-			d.I64(m.at)
-			d.I64(m.start)
-			d.U64(m.key)
-		}
-		d.U64(uint64(len(e.defers)))
-		for i := range e.defers {
-			d.U64(e.defers[i].pos)
-			d.I64(e.defers[i].at)
-		}
-	}
-}

@@ -394,7 +394,7 @@ func (e *Engine) runLone() {
 	cl := e.cl
 	cl.lone = e
 	cl.loneCrossed = false
-	for e.events.len() > 0 && !cl.loneCrossed && !cl.stop {
+	for e.events.len() > 0 && !cl.loneCrossed {
 		ev := e.events.pop()
 		e.now = ev.at
 		e.nEvents++

@@ -163,8 +163,6 @@ type Cluster struct {
 	parRounds   uint64 // parallel (window+barrier) rounds
 	workerWakes uint64 // worker-pool channel signals sent
 
-	stop bool // Stop was called: Run returns at the next round boundary
-
 	workerCh []chan struct{}
 	wg       sync.WaitGroup
 	widx     int32
@@ -222,13 +220,6 @@ func NewCluster(nodes, shards, workers int, nodeLA, fabricLA Time) *Cluster {
 	return cl
 }
 
-// Stop makes Run return at the next round boundary (or at the end of
-// the current lone run). It must be called from simulation context on
-// the Run goroutine — an event handler, a deferred flush, or a barrier
-// callback — never from another OS thread. The cluster's state stays
-// consistent; the run simply does not finish.
-func (cl *Cluster) Stop() { cl.stop = true }
-
 // Shards returns the number of shard LPs (excluding the fabric LP).
 func (cl *Cluster) Shards() int { return len(cl.all) - 1 }
 
@@ -237,18 +228,6 @@ func (cl *Cluster) Shards() int { return len(cl.all) - 1 }
 // LPNode/LPFabric (which on a standalone engine return the engine
 // itself, so serial construction paths are unchanged).
 func (cl *Cluster) Main() *Engine { return cl.all[0] }
-
-// Now returns the cluster's virtual time: the clock of the LP that has
-// advanced furthest (the time of the last event executed anywhere).
-func (cl *Cluster) Now() Time {
-	var t Time
-	for _, e := range cl.all {
-		if e.now > t {
-			t = e.now
-		}
-	}
-	return t
-}
 
 // Events returns the total number of events executed, corrected by the
 // per-LP count adjustments (see Engine.AdjustEventCount) so the total
@@ -267,7 +246,7 @@ func (cl *Cluster) Events() uint64 {
 // called exactly once, after setup.
 func (cl *Cluster) Run() {
 	cl.exec = true
-	for !cl.stop {
+	for {
 		h, nonEmpty := horizonInf, 0
 		var last *Engine
 		for _, e := range cl.all {

@@ -41,7 +41,9 @@ type Config struct {
 	// logical process per worker, at most Nodes of them, plus one for
 	// the fabric; lookahead derived from Costs.LinkFixed/SwitchFixed).
 	// 0 or 1 selects the serial engine; any value produces a
-	// byte-identical event trace. The cmd-line knob is -jrun.
+	// byte-identical event trace. Plain and traced SVM runs honour it
+	// (Run, RunTraced, the experiment runner and Soak); checkpointed
+	// runs (RunCheckpointed) always execute serially and ignore it.
 	IntraRunWorkers int
 
 	// Faults configures deterministic network fault injection plus the

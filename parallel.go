@@ -70,8 +70,8 @@ func suiteWorkers(workers int) int {
 
 // job is one simulation. In runAll's refs it is a sequential
 // reference; in its runs it is a protocol run (a hardware-DSM run when
-// hw is set) validated against refs[ref], under the control hook ctl
-// when one is set. app builds a fresh instance per use, since
+// hw is set) validated against refs[ref], with trace as its packet
+// tracer when one is set. app builds a fresh instance per use, since
 // applications cache derived state on the receiver during Setup. label
 // names the job in progress and error messages.
 type job struct {
@@ -81,7 +81,7 @@ type job struct {
 	kind  Protocol
 	hw    bool
 	ref   int
-	ctl   app.RunControl
+	trace func(TraceEvent)
 }
 
 // runAll executes the references, then the runs, on opt.Workers
@@ -122,7 +122,7 @@ func runValidated(opt SuiteOptions, runs []job, seqWS []*Workspace) ([]*Result, 
 		if j.hw {
 			res[i], ws, err = app.RunHW(j.cfg, a)
 		} else {
-			res[i], ws, err = app.RunSVMControlled(j.cfg, j.kind, a, j.ctl)
+			res[i], ws, err = app.RunSVMTraced(j.cfg, j.kind, a, j.trace)
 		}
 		if err != nil {
 			return err

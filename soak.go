@@ -174,8 +174,7 @@ func Soak(cfg Config, opts SoakOptions) (*SoakResult, error) {
 			refs[name] = ref
 		}
 		runs, err := runValidated(SuiteOptions{Workers: 1},
-			[]job{{label: label, cfg: c, app: mk, kind: proto,
-				ctl: func(_ uint64, ev TraceEvent, _ func() *Boundary) error { hasher.Add(ev); return nil }}},
+			[]job{{label: label, cfg: c, app: mk, kind: proto, trace: hasher.Add}},
 			[]*Workspace{ref})
 		if err != nil {
 			return nil, err
