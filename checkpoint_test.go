@@ -150,7 +150,8 @@ func TestInterruptedRunsReleaseProcesses(t *testing.T) {
 
 // IntraRunWorkers does not reach a checkpointed run, so a checkpoint
 // taken under one value restores under another, in both directions,
-// with every check of the cut passing and the uninterrupted hash.
+// with the uninterrupted hash and with every check of the cut in force:
+// a copy whose live-state digest was altered is refused.
 func TestCheckpointRestoreAcrossModes(t *testing.T) {
 	serial := genima.DefaultConfig()
 	par := serial
@@ -174,23 +175,14 @@ func TestCheckpointRestoreAcrossModes(t *testing.T) {
 		if res.TraceHash != want {
 			t.Errorf("%s: hash %s != %s", c.name, res.TraceHash, want)
 		}
-	}
-}
-
-// A restore checks the cut's live-state digest under any
-// IntraRunWorkers: a serial checkpoint with an altered StateDigest is
-// refused when restored under four workers too.
-func TestCheckpointRestoreVerifiesDigestUnderWorkers(t *testing.T) {
-	cfg := genima.DefaultConfig()
-	a, _ := appByName(t, "fft")
-	bad := *ckptHalt(t, cfg, genima.GeNIMA, a, 2)
-	bad.StateDigest ^= 1
-	cfg.IntraRunWorkers = 4
-	_, err := genima.RunCheckpointed(cfg, genima.GeNIMA, a, genima.CheckpointOptions{
-		Every: 50, Scale: "test", Restore: &bad,
-	})
-	if err == nil || !strings.Contains(err.Error(), "diverged") {
-		t.Errorf("restore with altered StateDigest under IntraRunWorkers 4: err = %v, want a divergence at the cut", err)
+		bad := *st
+		bad.StateDigest ^= 1
+		_, err = genima.RunCheckpointed(c.restore, genima.GeNIMA, a, genima.CheckpointOptions{
+			Scale: "test", Every: 50, Restore: &bad,
+		})
+		if err == nil || !strings.Contains(err.Error(), "diverged") {
+			t.Errorf("%s with an altered StateDigest: err = %v, want a divergence at the cut", c.name, err)
+		}
 	}
 }
 
