@@ -115,3 +115,21 @@ func TestSoakRequiresBound(t *testing.T) {
 		t.Fatal("unbounded soak accepted")
 	}
 }
+
+// TestSoakChainPinned pins one 24-iteration test-scale campaign under
+// FaultMix(0.01, 5) to its verification chain and event total, so a
+// change to how soak runs or hashes its iterations that keeps two runs
+// of the same code equal still fails here. It matches
+// `genima-bench -exp soak -scale test -soak-iters 24 -soak-events 0
+// -faults 0.01 -fault-seed 5`.
+func TestSoakChainPinned(t *testing.T) {
+	res, err := genima.Soak(genima.DefaultConfig(), genima.SoakOptions{Iters: 24, FaultRate: 0.01, FaultSeed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const chain = "30ca743939e549803f8e684c24ebeadd7a901945e161a2100fb44e3999ab4086"
+	if res.Chain != chain || res.Events != 126903 || res.Iters != 24 {
+		t.Errorf("campaign: chain %s, %d events, %d iters; want chain %s, 126903 events, 24 iters",
+			res.Chain, res.Events, res.Iters, chain)
+	}
+}
