@@ -129,10 +129,6 @@ func RunTraced(cfg Config, p Protocol, a App, fn func(TraceEvent)) (*Result, *Wo
 	return app.RunSVMTraced(cfg, p, a, fn)
 }
 
-// Boundary is a consistent cut of a running simulation, handed to
-// CheckpointOptions.OnBoundary.
-type Boundary = app.Boundary
-
 // RunHardware executes a workload on the hardware-DSM model.
 func RunHardware(cfg Config, a App) (*Result, *Workspace, error) {
 	return app.RunHW(cfg, a)

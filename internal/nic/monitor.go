@@ -48,7 +48,8 @@ type Monitor struct {
 	// uses to identify control messages stuck behind data.
 	ByKind map[string]*KindStats
 	// Tracer, when set before the run, receives every delivered packet
-	// (the monitor's packet-level event stream).
+	// (the monitor's packet-level event stream). The SVM runner clears
+	// it when the run ends.
 	Tracer func(TraceEvent)
 }
 
