@@ -70,10 +70,9 @@ func suiteWorkers(workers int) int {
 
 // job is one simulation. In runAll's refs it is a sequential
 // reference; in its runs it is a protocol run (a hardware-DSM run when
-// hw is set) validated against refs[ref], with trace as its packet
-// tracer when one is set. app builds a fresh instance per use, since
-// applications cache derived state on the receiver during Setup. label
-// names the job in progress and error messages.
+// hw is set) validated against refs[ref]. app builds a fresh instance
+// per use, since applications cache derived state on the receiver
+// during Setup. label names the job in progress and error messages.
 type job struct {
 	label string
 	cfg   Config
@@ -81,7 +80,6 @@ type job struct {
 	kind  Protocol
 	hw    bool
 	ref   int
-	trace func(TraceEvent)
 }
 
 // runAll executes the references, then the runs, on opt.Workers
@@ -122,7 +120,7 @@ func runValidated(opt SuiteOptions, runs []job, seqWS []*Workspace) ([]*Result, 
 		if j.hw {
 			res[i], ws, err = app.RunHW(j.cfg, a)
 		} else {
-			res[i], ws, err = app.RunSVMTraced(j.cfg, j.kind, a, j.trace)
+			res[i], ws, err = app.RunSVM(j.cfg, j.kind, a)
 		}
 		if err != nil {
 			return err

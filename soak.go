@@ -84,9 +84,10 @@ type SoakResult struct {
 // Soak runs an unattended long-run campaign: iterations cycle through
 // the application suite and the protocol ladder, each under a fresh
 // deterministic fault seed, chaining every run's canonical trace hash
-// into a campaign-wide verification chain. Each iteration goes through
-// the experiment runner, so its run is validated against a sequential
-// reference like every other experiment's. A reference depends only on
+// into a campaign-wide verification chain. Each iteration is a
+// checkpointed run (RunCheckpointed, so it executes serially and its
+// trace hash comes from the same producer as every other run's),
+// validated against a sequential reference. A reference depends only on
 // the app, the scale and the cluster shape, so each app's is computed
 // once per campaign, when the app first comes up, and kept. Memory
 // stays bounded: each iteration's simulation is dropped before the next
@@ -159,34 +160,29 @@ func Soak(cfg Config, opts SoakOptions) (*SoakResult, error) {
 			seed = opts.FaultSeed + iter
 			c.Faults = FaultMix(opts.FaultRate, seed)
 		}
-		hasher := checkpoint.NewTraceHasher()
-		label := fmt.Sprintf("soak iteration %d (%s on %s)", iter, name, proto)
 		mk := func() App { e, _ := apps.ByName(scale, name); return e.App }
 		t0 := time.Now()
 		ref, ok := refs[name]
 		if !ok {
-			_, ws, err := runRefs(SuiteOptions{Workers: 1},
-				[]job{{label: "soak reference (" + name + ")", cfg: cfg, app: mk}})
-			if err != nil {
-				return nil, err
+			if _, ref, err = RunSequential(cfg, mk()); err != nil {
+				return nil, fmt.Errorf("soak reference (%s): %w", name, err)
 			}
-			ref = ws[0]
 			refs[name] = ref
 		}
-		runs, err := runValidated(SuiteOptions{Workers: 1},
-			[]job{{label: label, cfg: c, app: mk, kind: proto, trace: hasher.Add}},
-			[]*Workspace{ref})
-		if err != nil {
-			return nil, err
+		a := mk()
+		cr, err := RunCheckpointed(c, proto, a, CheckpointOptions{})
+		if err == nil {
+			err = Validate(a, cr.WS, ref)
 		}
-		res := runs[0]
+		if err != nil {
+			return nil, fmt.Errorf("soak iteration %d (%s on %s): %w", iter, name, proto, err)
+		}
+		res := cr.Res
 		wall := time.Since(t0)
-		traceEvents := hasher.Count()
-		traceHash := hasher.Final(res.Elapsed, res.Events)
 
 		h := sha256.New()
 		h.Write(chain[:])
-		io.WriteString(h, traceHash)
+		io.WriteString(h, cr.TraceHash)
 		var w [16]byte
 		binary.LittleEndian.PutUint64(w[:8], res.Events)
 		binary.LittleEndian.PutUint64(w[8:], uint64(res.Elapsed))
@@ -201,7 +197,7 @@ func Soak(cfg Config, opts SoakOptions) (*SoakResult, error) {
 		rec := SoakRecord{
 			Iter: iter - 1, App: name, Proto: proto.String(), FaultSeed: seed,
 			Events: res.Events, CumEvents: cum, ElapsedNS: int64(res.Elapsed),
-			TraceEvents: traceEvents, TraceHash: traceHash,
+			TraceEvents: cr.TraceEvents, TraceHash: cr.TraceHash,
 			Chain:  hex.EncodeToString(chain[:8]),
 			WallMS: wall.Milliseconds(), HeapBytes: ms.HeapAlloc,
 		}
