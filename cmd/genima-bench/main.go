@@ -102,10 +102,9 @@ func parseExperiments(s string) (map[string]bool, error) {
 // iteration fault seeds, chaining trace hashes, streaming JSONL stats,
 // and keeping a rolling O(1) checkpoint cursor. SIGINT/SIGTERM halt at
 // the next iteration boundary with a checkpoint and exit 128+sig.
-func runSoak(scaleName string) {
-	cfg := genima.DefaultConfig()
-	cfg.Nodes = *nodesFlag
-	cfg.ProcsPerNode = *procsFlag
+func runSoak(cfg genima.Config, scaleName string) {
+	// Soak draws each iteration's fault plan from -faults itself.
+	cfg.Faults = genima.FaultPlan{}
 	opts := genima.SoakOptions{
 		Scale:          scaleName,
 		TargetEvents:   *soakEvents,
@@ -202,6 +201,15 @@ func main() {
 	if want["soak"] && *soakRestore && *soakCkpt == "" {
 		usage(fmt.Errorf("-soak-restore needs -soak-checkpoint"))
 	}
+	cfg := genima.DefaultConfig()
+	cfg.Nodes = *nodesFlag
+	cfg.ProcsPerNode = *procsFlag
+	if *faultsFlag != 0 {
+		cfg.Faults = genima.FaultMix(*faultsFlag, *seedFlag)
+	}
+	if err := cfg.Validate(); err != nil {
+		usage(err)
+	}
 	if *memProfile != "" {
 		// Record every allocation: the suite's remaining alloc count is
 		// small enough that sampled profiles are all noise.
@@ -235,7 +243,7 @@ func main() {
 	}()
 
 	if want["soak"] {
-		runSoak(*scaleFlag)
+		runSoak(cfg, *scaleFlag)
 		return
 	}
 	all := want["all"]
@@ -257,12 +265,6 @@ func main() {
 
 	t0 := time.Now()
 	if needSuite {
-		cfg := genima.DefaultConfig()
-		cfg.Nodes = *nodesFlag
-		cfg.ProcsPerNode = *procsFlag
-		if *faultsFlag > 0 {
-			cfg.Faults = genima.FaultMix(*faultsFlag, *seedFlag)
-		}
 		s, err := genima.RunSuite(cfg, opt)
 		if err != nil {
 			fatal(err)

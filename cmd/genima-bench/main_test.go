@@ -94,6 +94,10 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{[]string{"-exp", "fig2", "-soak-iters", "3"}, "-soak-iters applies only to -exp soak"},
 		{[]string{"-exp", "fig2", "-soak-stats", filepath.Join(t.TempDir(), "soak.jsonl")}, "-soak-stats applies only to -exp soak"},
 		{[]string{"-soak-restore"}, "-soak-restore applies only to -exp soak"},
+		{[]string{"-exp", "fig2", "-faults", "-0.5"}, "Faults.DropRate = -0.5, need [0, 1)"},
+		{[]string{"-exp", "soak", "-soak-iters", "1", "-soak-events", "0", "-faults", "-0.5"}, "Faults.DropRate = -0.5, need [0, 1)"},
+		{[]string{"-exp", "fig2", "-faults", "1.5"}, "Faults.DropRate = 1.5, need [0, 1)"},
+		{[]string{"-exp", "fig2", "-nodes", "0"}, "Nodes = 0, need >= 1"},
 	} {
 		cmd := exec.Command(bin, append([]string{"-scale", "test", "-q"}, tc.args...)...)
 		var stdout, stderr strings.Builder
