@@ -70,7 +70,11 @@ smoke-scale:
 # checkpoint/restore determinism from the shell like an operator would:
 #   (1) single run under faults: halt at a rolling-checkpoint boundary
 #       (exit 130), restore, final canonical trace hash must be
-#       byte-identical to an uninterrupted run's;
+#       byte-identical to an uninterrupted run's; then restore the
+#       checkpoint onto itself with -stop-after 1: the replayed
+#       boundaries are silent, so it halts at the first boundary past
+#       the cut (4000, not 1000), and a restore from there still ends
+#       on the uninterrupted hash;
 #   (2) soak campaign under faults: kill -INT once the first rolling
 #       cursor checkpoint lands (signal-safe shutdown, exit 130),
 #       resume with -soak-restore, final verification chain must equal
@@ -95,6 +99,15 @@ smoke-soak:
 		-faults 0.01 -fault-seed 42 -trace-hash -restore $(SOAKTMP)/run.ckpt \
 		| grep -o 'trace-hash=[0-9a-f]*' > $(SOAKTMP)/hash.resumed
 	cmp $(SOAKTMP)/hash.full $(SOAKTMP)/hash.resumed
+	sh -c '$(SOAKTMP)/genima-run -app fft -scale bench -proto GeNIMA \
+		-faults 0.01 -fault-seed 42 -trace-hash -checkpoint-every 1000 \
+		-restore $(SOAKTMP)/run.ckpt -checkpoint $(SOAKTMP)/run.ckpt -stop-after 1 \
+		> /dev/null 2> $(SOAKTMP)/rehalt.err; test $$? -eq 130'
+	grep -q 'halted at trace event 4000;' $(SOAKTMP)/rehalt.err
+	$(SOAKTMP)/genima-run -app fft -scale bench -proto GeNIMA \
+		-faults 0.01 -fault-seed 42 -trace-hash -restore $(SOAKTMP)/run.ckpt \
+		| grep -o 'trace-hash=[0-9a-f]*' > $(SOAKTMP)/hash.rehalted
+	cmp $(SOAKTMP)/hash.full $(SOAKTMP)/hash.rehalted
 	$(SOAKTMP)/genima-bench -exp soak -scale test -soak-events 4000000 \
 		-faults 0.01 -fault-seed 5 -q \
 		| grep -o 'chain=[0-9a-f]*' > $(SOAKTMP)/chain.full

@@ -308,3 +308,59 @@ func TestCheckpointRestoreRefusesAlteredCut(t *testing.T) {
 		}
 	}
 }
+
+// A restored run replays the boundaries at or before its cut silently:
+// with ShouldStop always true it halts at the first boundary past the
+// cut, saves that cut rather than an earlier one, and OnBoundary sees
+// that boundary alone.
+func TestRestoreReplaysBoundariesSilently(t *testing.T) {
+	cfg := genima.DefaultConfig()
+	a, _ := appByName(t, "fft")
+	st := ckptHalt(t, cfg, genima.GeNIMA, a, 2)
+	path := filepath.Join(t.TempDir(), "resumed.ckpt")
+	var seen []uint64
+	cr, err := genima.RunCheckpointed(cfg, genima.GeNIMA, a, genima.CheckpointOptions{
+		Path: path, Every: 50, Scale: "test", Restore: st,
+		OnBoundary: func(b *genima.Boundary) { seen = append(seen, b.TraceEvents) },
+		ShouldStop: func() bool { return true },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := st.TraceEvents + 50
+	if !cr.Interrupted || cr.TraceEvents != want {
+		t.Fatalf("restored at %d: interrupted=%v at trace event %d, want a halt at %d",
+			st.TraceEvents, cr.Interrupted, cr.TraceEvents, want)
+	}
+	saved, err := genima.LoadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if saved.TraceEvents != want {
+		t.Errorf("saved cut at trace event %d, want %d (past the restored cut %d)", saved.TraceEvents, want, st.TraceEvents)
+	}
+	if len(seen) != 1 || seen[0] != want {
+		t.Errorf("OnBoundary saw %v, want [%d]", seen, want)
+	}
+}
+
+// A Result outlives its run, so its Monitor must not keep the tracer:
+// the closure can reach the engine and the whole protocol system.
+func TestResultDropsTracer(t *testing.T) {
+	cfg := genima.DefaultConfig()
+	a, _ := appByName(t, "fft")
+	res, _, err := genima.RunTraced(cfg, genima.GeNIMA, a, func(genima.TraceEvent) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Monitor.Tracer != nil {
+		t.Error("RunTraced: Result.Monitor.Tracer still set after the run")
+	}
+	cr, err := genima.RunCheckpointed(cfg, genima.GeNIMA, a, genima.CheckpointOptions{Scale: "test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cr.Res.Monitor.Tracer != nil {
+		t.Error("RunCheckpointed: Result.Monitor.Tracer still set after the run")
+	}
+}

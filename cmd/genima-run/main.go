@@ -52,7 +52,7 @@ var (
 	hashFlag      = flag.Bool("trace-hash", false, "print the canonical SHA-256 trace hash with event counts and wall-clock rate")
 	statsFlag     = flag.String("stats", "", "append one JSON line of progress stats per boundary to this file")
 	jsonFlag      = flag.Bool("json", false, "emit the full result as one JSON document on stdout instead of the human-readable report")
-	stopAfter     = flag.Uint64("stop-after", 0, "halt gracefully at the Nth checkpoint boundary, as if signaled (deterministic testing hook; exits 130)")
+	stopAfter     = flag.Uint64("stop-after", 0, "halt gracefully at the Nth checkpoint boundary past the -restore cut (from the start without -restore), as if signaled (deterministic testing hook; exits 130)")
 )
 
 func main() {
@@ -106,7 +106,7 @@ func main() {
 	cfg.SwitchRadix = *radixFlag
 	cfg.Collectives = *collFlag
 	cfg.CollectiveArity = *arityFlag
-	if *faultsFlag > 0 {
+	if *faultsFlag != 0 {
 		cfg.Faults = genima.FaultMix(*faultsFlag, *seedFlag)
 	}
 	if err := cfg.Validate(); err != nil {

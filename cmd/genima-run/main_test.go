@@ -9,6 +9,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	genima "genima"
 )
 
 // TestUsageErrorsExitTwo builds the command and runs it with one bad
@@ -36,6 +38,7 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{[]string{"-proto", "hw", "-arity", "2"}, "-arity applies to SVM protocols, not -proto hw"},
 		{[]string{"-arity", "2"}, "it needs -collectives"},
 		{[]string{"-fault-seed", "7"}, "it needs -faults"},
+		{[]string{"-faults", "-0.01"}, "Faults.DropRate = -0.01, need [0, 1)"},
 		{[]string{"-checkpoint-every", "10"}, "-checkpoint-every needs -checkpoint"},
 		{[]string{"-topo", "clos2", "-radix", "4", "-nodes", "9"}, "holds at most 8 nodes"},
 	} {
@@ -125,5 +128,77 @@ func TestStatsWriteErrorExitsOne(t *testing.T) {
 	var exit *exec.ExitError
 	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(stderr.String(), "writing stats") {
 		t.Fatalf("exit %v, stderr %q; want status 1 and a stats write error", err, stderr.String())
+	}
+}
+
+// TestRestoreBoundariesPastCut: a restored run replays the boundaries
+// at or before its cut silently. A -stop-after 3 run halts at trace
+// event 150; restored onto the same checkpoint file with -stop-after 1
+// it halts at 200, the first boundary past the cut, so the file moves
+// forward instead of back to 50. A last restore finishes with the
+// uninterrupted run's hash, and the -stats log the three runs share
+// holds one line per boundary of the 240-event run, in order.
+func TestRestoreBoundariesPastCut(t *testing.T) {
+	bin := build(t)
+	dir := t.TempDir()
+	ck, stats := filepath.Join(dir, "run.ckpt"), filepath.Join(dir, "stats.jsonl")
+	run := func(wantExit int, args ...string) (hash, stderr string) {
+		t.Helper()
+		cmd := exec.Command(bin, append([]string{"-app", "fft", "-scale", "test", "-checkpoint-every", "50", "-trace-hash"}, args...)...)
+		var out, errOut strings.Builder
+		cmd.Stdout, cmd.Stderr = &out, &errOut
+		err := cmd.Run()
+		code := 0
+		var exit *exec.ExitError
+		if errors.As(err, &exit) {
+			code = exit.ExitCode()
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		if code != wantExit {
+			t.Fatalf("%v: exit %d, want %d (stderr %q)", args, code, wantExit, errOut.String())
+		}
+		for _, f := range strings.Fields(out.String()) {
+			if v, ok := strings.CutPrefix(f, "trace-hash="); ok {
+				hash = v
+			}
+		}
+		return hash, errOut.String()
+	}
+	full, _ := run(0)
+	if _, stderr := run(130, "-checkpoint", ck, "-stats", stats, "-stop-after", "3"); !strings.Contains(stderr, "halted at trace event 150;") {
+		t.Fatalf("first leg: stderr %q, want a halt at trace event 150", stderr)
+	}
+	if _, stderr := run(130, "-restore", ck, "-checkpoint", ck, "-stats", stats, "-stop-after", "1"); !strings.Contains(stderr, "halted at trace event 200;") {
+		t.Fatalf("restored leg: stderr %q, want a halt at trace event 200", stderr)
+	}
+	st, err := genima.LoadCheckpoint(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.TraceEvents != 200 {
+		t.Fatalf("checkpoint file holds the cut at trace event %d, want 200", st.TraceEvents)
+	}
+	if resumed, _ := run(0, "-restore", ck, "-stats", stats); resumed == "" || resumed != full {
+		t.Errorf("resumed hash %q != uninterrupted %q", resumed, full)
+	}
+	raw, err := os.ReadFile(stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+	if len(lines) != 4 {
+		t.Fatalf("stats file has %d lines, want one per boundary (4):\n%s", len(lines), raw)
+	}
+	for i, line := range lines {
+		var rec struct {
+			TraceEvents uint64 `json:"trace_events"`
+		}
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("bad stats line %q: %v", line, err)
+		}
+		if want := uint64(50 * (i + 1)); rec.TraceEvents != want {
+			t.Errorf("line %d: trace_events %d, want %d", i, rec.TraceEvents, want)
+		}
 	}
 }
