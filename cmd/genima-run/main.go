@@ -70,7 +70,7 @@ func main() {
 	// A flag that was set but would change nothing is a usage error too.
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	controlled := *ckptFlag != "" || *restoreFlag != "" || *hashFlag || *statsFlag != "" || *stopAfter > 0
+	checkpointed := *ckptFlag != "" || *restoreFlag != "" || *hashFlag || *statsFlag != "" || *stopAfter > 0
 	var proto genima.Protocol
 	if *protoFlag != "hw" {
 		if proto, err = parseProto(*protoFlag); err != nil {
@@ -90,7 +90,7 @@ func main() {
 		usage(fmt.Errorf("-arity sets the collective tree's fan-out; it needs -collectives"))
 	case set["fault-seed"] && !(*faultsFlag > 0):
 		usage(fmt.Errorf("-fault-seed seeds the fault plan; it needs -faults"))
-	case set["checkpoint-every"] && !controlled:
+	case set["checkpoint-every"] && !checkpointed:
 		usage(fmt.Errorf("-checkpoint-every needs -checkpoint, -restore, -trace-hash, -stats or -stop-after"))
 	}
 	cfg := genima.DefaultConfig()
@@ -114,13 +114,13 @@ func main() {
 	}
 
 	// SIGINT/SIGTERM request a graceful halt: the flag is polled at the
-	// next deterministic boundary of the controlled run, which writes a
+	// next deterministic boundary of the checkpointed run, which writes a
 	// final checkpoint (when -checkpoint is set), flushes partial stats,
 	// and exits 128+sig. A second signal kills outright. Installed
 	// before the sequential reference run so an early signal is
 	// recorded, not fatal.
 	var sig atomic.Int32
-	if controlled {
+	if checkpointed {
 		ch := make(chan os.Signal, 1)
 		signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
 		go func() {
@@ -163,7 +163,7 @@ func main() {
 					ev.StageTime[0], ev.StageTime[1], ev.StageTime[2], ev.StageTime[3])
 			}
 		}
-		if !controlled {
+		if !checkpointed {
 			res, ws, err = genima.RunTraced(cfg, proto, entry.App, emit)
 		} else {
 			opts := genima.CheckpointOptions{

@@ -42,8 +42,9 @@ type Config struct {
 	// the fabric; lookahead derived from Costs.LinkFixed/SwitchFixed).
 	// 0 or 1 selects the serial engine; any value produces a
 	// byte-identical event trace. Plain and traced SVM runs honour it
-	// (Run, RunTraced, the experiment runner and Soak); checkpointed
-	// runs (RunCheckpointed) always execute serially and ignore it.
+	// (Run, RunTraced and the experiment runner); checkpointed runs
+	// (RunCheckpointed) and Soak, whose iterations are checkpointed
+	// runs, always execute serially and ignore it.
 	IntraRunWorkers int
 
 	// Faults configures deterministic network fault injection plus the
